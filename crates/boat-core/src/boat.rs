@@ -13,13 +13,10 @@ use crate::config::{BoatConfig, SampleEngine};
 use crate::stats::BoatRunStats;
 use crate::work::{limits_for_subtree, Job, Resolution, WorkTree};
 use boat_data::dataset::RecordSource;
-use boat_data::sample::{reservoir_sample, reservoir_sample_range};
+use boat_data::sample::reservoir_sample;
 use boat_data::spill::SpillBuffer;
-use boat_data::{
-    DataError, FileDatasetWriter, IoSnapshot, IoStats, Partitioner, Record, Result, RowRange,
-    RowRangePartitioner,
-};
-use boat_obs::{Registry, Snapshot};
+use boat_data::{DataError, FileDatasetWriter, IoSnapshot, IoStats, Record, Result};
+use boat_obs::Registry;
 use boat_tree::{Gini, GrowthLimits, Impurity, ImpuritySelector, TdTreeBuilder, Tree};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -132,74 +129,30 @@ impl<I: Impurity + Clone> Boat<I> {
         // In-memory switch at top level: families that fit in memory are
         // always cheaper to build directly (§3.5).
         if source.len() <= self.config.in_memory_threshold {
-            return self.fit_inmem(source, io_before, &metrics_before);
+            let t0 = Instant::now();
+            let span = self.metrics.span("boat.phase.inmem_build");
+            let records = source.collect_records()?;
+            let tree = self.inmem_tree(source.schema(), &records, self.config.limits);
+            span.finish();
+            self.metrics.counter("boat.fit.input_scans").inc();
+            self.metrics.counter("boat.fit.inmem_builds").inc();
+            let mut stats = BoatRunStats {
+                scans_over_input: 1,
+                sample_records: records.len() as u64,
+                inmem_builds: 1,
+                postprocess_time: t0.elapsed(),
+                ..Default::default()
+            };
+            stats.io = source.stats().snapshot() - io_before;
+            mirror_io(&self.metrics, "data.input", stats.io);
+            stats.metrics = self.metrics.snapshot().since(&metrics_before);
+            return Ok(BoatFit { tree, stats });
         }
         let (work, mut stats) = self.fit_work(source, self.config.max_recursion, false)?;
         let tree = work.extract_tree();
         stats.io = source.stats().snapshot() - io_before;
         mirror_io(&self.metrics, "data.input", stats.io);
         stats.metrics = self.metrics.snapshot().since(&metrics_before);
-        Ok(BoatFit { tree, stats })
-    }
-
-    /// Build the exact decision tree with the fit partitioned into
-    /// `fit_shards` row-range shards (see [`BoatConfig::fit_shards`]).
-    ///
-    /// Both scans run per shard: the sampling scan draws a per-shard
-    /// reservoir (quota proportional to the shard's row count), and the
-    /// cleanup scan routes every shard behind a dedicated double-buffered
-    /// prefetch reader, merging node statistics at the coordinator. The
-    /// serialized tree is **byte-identical** to [`Boat::fit`] at every
-    /// shard count — BOAT's exactness guarantee makes the final tree
-    /// independent of the optimistic sample, and the cleanup reduction is
-    /// exact (integer-count merges plus deposits replayed in serial scan
-    /// order).
-    ///
-    /// Requires a `Sync` source because shards scan concurrently. Note that
-    /// `stats.io.scans` counts *raw* scans (one per shard per pass), while
-    /// `stats.scans_over_input` keeps counting *logical* sequential passes.
-    pub fn fit_sharded(&self, source: &(dyn RecordSource + Sync)) -> Result<BoatFit> {
-        self.config.validate().map_err(DataError::Invalid)?;
-        let metrics_before = self.metrics.snapshot();
-        let io_before = source.stats().snapshot();
-        self.metrics.counter("boat.fit.runs").inc();
-        if source.len() <= self.config.in_memory_threshold {
-            return self.fit_inmem(source, io_before, &metrics_before);
-        }
-        let shards = self.config.effective_fit_shards();
-        let (work, mut stats) = self.fit_sharded_work(source, shards, self.config.max_recursion)?;
-        let tree = work.extract_tree();
-        stats.io = source.stats().snapshot() - io_before;
-        mirror_io(&self.metrics, "data.input", stats.io);
-        stats.metrics = self.metrics.snapshot().since(&metrics_before);
-        Ok(BoatFit { tree, stats })
-    }
-
-    /// The §3.5 top-level in-memory switch, shared by [`Boat::fit`] and
-    /// [`Boat::fit_sharded`]: collect everything and build directly.
-    fn fit_inmem(
-        &self,
-        source: &dyn RecordSource,
-        io_before: IoSnapshot,
-        metrics_before: &Snapshot,
-    ) -> Result<BoatFit> {
-        let t0 = Instant::now();
-        let span = self.metrics.span("boat.phase.inmem_build");
-        let records = source.collect_records()?;
-        let tree = self.inmem_tree(source.schema(), &records, self.config.limits);
-        span.finish();
-        self.metrics.counter("boat.fit.input_scans").inc();
-        self.metrics.counter("boat.fit.inmem_builds").inc();
-        let mut stats = BoatRunStats {
-            scans_over_input: 1,
-            sample_records: records.len() as u64,
-            inmem_builds: 1,
-            postprocess_time: t0.elapsed(),
-            ..Default::default()
-        };
-        stats.io = source.stats().snapshot() - io_before;
-        mirror_io(&self.metrics, "data.input", stats.io);
-        stats.metrics = self.metrics.snapshot().since(metrics_before);
         Ok(BoatFit { tree, stats })
     }
 
@@ -277,139 +230,10 @@ impl<I: Impurity + Clone> Boat<I> {
         stats.cleanup_time = t1.elapsed();
 
         // ---- verification + completion ----
-        self.complete_work(
-            &mut work,
-            source,
-            recursion_left,
-            retain_all_families,
-            spill_io_before,
-            &mut stats,
-        )?;
-        Ok((work, stats))
-    }
-
-    /// The sharded variant of [`Boat::fit_work`]: same pipeline, but both
-    /// scans are partitioned over `shards` chunk-aligned row ranges.
-    pub(crate) fn fit_sharded_work(
-        &self,
-        source: &(dyn RecordSource + Sync),
-        shards: usize,
-        recursion_left: u32,
-    ) -> Result<(WorkTree, BoatRunStats)> {
-        let mut stats = BoatRunStats::default();
-        let schema = source.schema().clone();
-        let selector = ImpuritySelector::new(self.impurity.clone());
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let chunk_size = self.config.cleanup_chunk_size;
-        let ranges = RowRangePartitioner.partition(source.len(), chunk_size, shards);
-        self.metrics
-            .gauge("boat.partition.shards")
-            .set(shards as u64);
-
-        // ---- sampling phase (scan 1, one reservoir per shard) ----
-        // Each shard draws a reservoir over its own row range, with a quota
-        // proportional to the range length, concatenated in shard order.
-        // This is a stratified sample, not the serial reservoir — which is
-        // fine: BOAT's exactness guarantee makes the final tree independent
-        // of the sample, and the per-K differential oracle pins that down.
-        let t0 = Instant::now();
-        let sample_span = self.metrics.span("boat.phase.sample");
-        let quotas = shard_sample_quotas(self.config.sample_size, &ranges);
-        let seed = self.config.seed;
-        let per_shard: Vec<Result<Vec<Record>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .zip(&quotas)
-                .enumerate()
-                .map(|(i, (&range, &quota))| {
-                    scope.spawn(move || -> Result<Vec<Record>> {
-                        if range.is_empty() || quota == 0 {
-                            return Ok(Vec::new());
-                        }
-                        let mut rng =
-                            StdRng::seed_from_u64(seed ^ 0xB0A7_5AAD_0000_0000 ^ (i as u64));
-                        reservoir_sample_range(source, range, quota, &mut rng)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard sampler panicked"))
-                .collect()
-        });
-        let mut sample: Vec<Record> = Vec::new();
-        for part in per_shard {
-            sample.extend(part?);
-        }
-        sample_span.finish();
-        stats.scans_over_input += 1;
-        self.metrics.counter("boat.fit.input_scans").inc();
-        stats.sample_records = sample.len() as u64;
-        let bootstrap_span = self.metrics.span("boat.phase.bootstrap");
-        let coarse = build_coarse_tree(
-            &schema,
-            &sample,
-            &selector,
-            &self.config,
-            source.len(),
-            &mut rng,
-            &self.metrics,
-        );
-        stats.coarse_nodes = coarse.len() as u64;
-        let mut work = WorkTree::prepare(
-            &coarse,
-            schema,
-            &sample,
-            &self.impurity,
-            &self.config,
-            source.len(),
-            false,
-            IoStats::registered(&self.metrics, "data.spill"),
-            self.metrics.clone(),
-        );
-        drop(sample);
-        bootstrap_span.finish();
-        let spill_io_before = work.spill_stats.snapshot();
-        stats.sampling_time = t0.elapsed();
-
-        // ---- cleanup phase (scan 2, one prefetched scan per shard) ----
-        let t1 = Instant::now();
-        let cleanup_span = self.metrics.span("boat.phase.cleanup");
-        work.partitioned_cleanup(source, &ranges, chunk_size, self.config.prefetch_depth)?;
-        cleanup_span.finish();
-        stats.scans_over_input += 1;
-        self.metrics.counter("boat.fit.input_scans").inc();
-        stats.parked_tuples = work.parked_total();
-        stats.cleanup_time = t1.elapsed();
-
-        // ---- verification + completion (unchanged from the serial fit) ----
-        self.complete_work(
-            &mut work,
-            source,
-            recursion_left,
-            false,
-            spill_io_before,
-            &mut stats,
-        )?;
-        Ok((work, stats))
-    }
-
-    /// The verification + completion tail shared by [`Boat::fit_work`] and
-    /// [`Boat::fit_sharded_work`].
-    ///
-    /// Promotions splice fresh maintained subtrees in; their nodes then
-    /// need a verification pass with the ancestor-parked tuples routed
-    /// down, so iterate to a fixed point (bounded: the final round runs
-    /// without promotion, so static growth always completes it).
-    fn complete_work(
-        &self,
-        work: &mut WorkTree,
-        source: &dyn RecordSource,
-        recursion_left: u32,
-        retain_all_families: bool,
-        spill_io_before: IoSnapshot,
-        stats: &mut BoatRunStats,
-    ) -> Result<()> {
+        // Promotions splice fresh maintained subtrees in; their nodes then
+        // need a verification pass with the ancestor-parked tuples routed
+        // down, so iterate to a fixed point (bounded: the final round runs
+        // without promotion, so static growth always completes it).
         let t2 = Instant::now();
         for round in 0..4u32 {
             let verify_span = self.metrics.span("boat.phase.verify");
@@ -418,13 +242,13 @@ impl<I: Impurity + Clone> Boat<I> {
             let promote = retain_all_families && round < 3;
             let rebuild_span = self.metrics.span("boat.phase.rebuild");
             let promoted = self.execute_jobs(
-                work,
+                &mut work,
                 jobs,
                 Some(source),
                 recursion_left,
                 source.len(),
                 promote,
-                stats,
+                &mut stats,
             )?;
             rebuild_span.finish();
             if !promoted {
@@ -450,7 +274,7 @@ impl<I: Impurity + Clone> Boat<I> {
         self.metrics
             .gauge("boat.work.spilled_tuples")
             .set(stats.spilled_tuples);
-        Ok(())
+        Ok((work, stats))
     }
 
     /// Execute completion jobs: gather each job's records (from retained
@@ -690,37 +514,6 @@ impl<I: Impurity + Clone> Boat<I> {
         let _ = std::fs::remove_file(&path);
         result
     }
-}
-
-/// Per-shard sample quotas, proportional to each range's row count
-/// (largest-remainder apportionment, ties to the earlier shard). Quotas sum
-/// to `total` whenever the ranges are non-empty; a shard's reservoir then
-/// clamps its own quota to the rows it actually has.
-fn shard_sample_quotas(total: usize, ranges: &[RowRange]) -> Vec<usize> {
-    let n: u64 = ranges.iter().map(|r| r.len()).sum();
-    if n == 0 || total == 0 {
-        return vec![0; ranges.len()];
-    }
-    let mut quotas = Vec::with_capacity(ranges.len());
-    let mut remainders: Vec<(u128, usize)> = Vec::with_capacity(ranges.len());
-    let mut assigned = 0usize;
-    for (i, r) in ranges.iter().enumerate() {
-        let num = total as u128 * r.len() as u128;
-        let q = (num / n as u128) as usize;
-        quotas.push(q);
-        assigned += q;
-        remainders.push((num % n as u128, i));
-    }
-    remainders.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    let mut leftover = total.saturating_sub(assigned);
-    for (_, i) in remainders {
-        if leftover == 0 {
-            break;
-        }
-        quotas[i] += 1;
-        leftover -= 1;
-    }
-    quotas
 }
 
 /// Mirror an [`IoSnapshot`] delta into registry counters under `prefix`

@@ -133,18 +133,6 @@ pub struct BoatConfig {
     /// Bit-identical output either way; [`SampleEngine::Columnar`] is the
     /// fast default, [`SampleEngine::Rows`] the legacy reference path.
     pub sample_engine: SampleEngine,
-    /// Shards for the partitioned fit (`Boat::fit_sharded`): the source is
-    /// split into this many chunk-aligned row ranges, each scanned by its
-    /// own reader/router thread pair with statistics merged at the
-    /// coordinator. `0` means "use the machine's available parallelism";
-    /// `1` is an unsharded scan. The final model is byte-identical at every
-    /// shard count (enforced by the partitioned differential oracle), so
-    /// this is purely a performance knob.
-    pub fit_shards: usize,
-    /// Chunks each shard's reader thread may decode ahead of its router
-    /// (bounded-channel capacity). `2` is classic double buffering; must be
-    /// at least 1.
-    pub prefetch_depth: usize,
     /// Directory for spill and rebuild temporary files. `None` (default)
     /// uses [`std::env::temp_dir`]. The first spill into a directory also
     /// sweeps temp files orphaned there by dead processes.
@@ -181,8 +169,6 @@ impl Default for BoatConfig {
             cleanup_threads: 0,
             cleanup_chunk_size: 8_192,
             sample_engine: SampleEngine::default(),
-            fit_shards: 1,
-            prefetch_depth: 2,
             spill_dir: None,
             split_subsample: 1.0 / 16.0,
             split_subsample_min_node: 256,
@@ -235,18 +221,6 @@ impl BoatConfig {
         self
     }
 
-    /// Builder-style shard-count override (`0` = auto-detect).
-    pub fn with_fit_shards(mut self, shards: usize) -> Self {
-        self.fit_shards = shards;
-        self
-    }
-
-    /// Builder-style prefetch-depth override.
-    pub fn with_prefetch_depth(mut self, depth: usize) -> Self {
-        self.prefetch_depth = depth;
-        self
-    }
-
     /// Builder-style spill-directory override.
     pub fn with_spill_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.spill_dir = Some(dir.into());
@@ -272,18 +246,6 @@ impl BoatConfig {
             fraction: self.split_subsample,
             min_node: self.split_subsample_min_node,
         })
-    }
-
-    /// The shard count a partitioned fit will actually use: the configured
-    /// `fit_shards`, with `0` resolved to the machine's available
-    /// parallelism (and `1` if even that is unknown).
-    pub fn effective_fit_shards(&self) -> usize {
-        match self.fit_shards {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            s => s,
-        }
     }
 
     /// The worker count the cleanup scan will actually use: the configured
@@ -333,9 +295,6 @@ impl BoatConfig {
         }
         if self.cleanup_chunk_size == 0 {
             return Err("cleanup_chunk_size must be positive".into());
-        }
-        if self.prefetch_depth == 0 {
-            return Err("prefetch_depth must be at least 1".into());
         }
         if !self.split_subsample.is_finite() || !(0.0..=1.0).contains(&self.split_subsample) {
             return Err("split_subsample must be a finite fraction in [0, 1]".into());
@@ -403,10 +362,6 @@ mod tests {
                 ..Default::default()
             },
             BoatConfig {
-                prefetch_depth: 0,
-                ..Default::default()
-            },
-            BoatConfig {
                 split_subsample: -0.1,
                 ..Default::default()
             },
@@ -442,17 +397,9 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_fit_knobs_default_and_build() {
-        let c = BoatConfig::default();
-        assert_eq!(c.fit_shards, 1);
-        assert_eq!(c.prefetch_depth, 2);
-        assert!(c.spill_dir.is_none());
-        let c = BoatConfig::default()
-            .with_fit_shards(0)
-            .with_prefetch_depth(3)
-            .with_spill_dir("/tmp/boat-spills");
-        assert!(c.effective_fit_shards() >= 1);
-        assert_eq!(c.prefetch_depth, 3);
+    fn spill_dir_defaults_to_temp_and_builds() {
+        assert!(BoatConfig::default().spill_dir.is_none());
+        let c = BoatConfig::default().with_spill_dir("/tmp/boat-spills");
         assert_eq!(
             c.spill_dir.as_deref(),
             Some(std::path::Path::new("/tmp/boat-spills"))

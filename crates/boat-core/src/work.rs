@@ -18,9 +18,7 @@ use crate::coarse::{CoarseCriterion, CoarseTree, FrontierReason};
 use crate::config::BoatConfig;
 use crate::verify::bucket_passes;
 use boat_data::spill::SpillBuffer;
-use boat_data::{
-    spawn_prefetch, AttrType, DataError, IoStats, Record, RecordSource, Result, RowRange, Schema,
-};
+use boat_data::{AttrType, DataError, IoStats, Record, RecordSource, Result, Schema};
 use boat_obs::Registry;
 use boat_tree::split::{best_categorical_split, cmp_splits, sweep_numeric};
 use boat_tree::{AvcGroup, CatAvc, GrowthLimits, Impurity, NumAvc, SplitEval, Tree};
@@ -28,7 +26,7 @@ use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Stopping rules for a subtree grown at absolute depth `base_depth`.
@@ -983,10 +981,13 @@ impl WorkTree {
             let (chunk_tx, chunk_rx) =
                 std::sync::mpsc::sync_channel::<boat_data::RecordChunk>(2 * threads);
             let (out_tx, out_rx) = std::sync::mpsc::channel::<RoutedChunk>();
-            let chunk_rx = std::sync::Mutex::new(chunk_rx);
+            // Only the routers hold the receiver. Once the last one exits,
+            // even by panicking, `send` below fails instead of blocking on a
+            // full channel, and the scope re-raises the router's panic.
+            let chunk_rx = Arc::new(Mutex::new(chunk_rx));
             std::thread::scope(|scope| {
                 for shard in shards.iter_mut() {
-                    let rx = &chunk_rx;
+                    let rx = Arc::clone(&chunk_rx);
                     let tx = out_tx.clone();
                     let route_hist = route_hist.clone();
                     let wait_hist = wait_hist.clone();
@@ -1026,6 +1027,7 @@ impl WorkTree {
                         routed_counter.add(n_routed);
                     });
                 }
+                drop(chunk_rx);
                 drop(out_tx);
                 // Produce chunks on this thread: the scan itself is a
                 // single sequential pass over the source.
@@ -1058,140 +1060,6 @@ impl WorkTree {
         }
         // Reduce. Shard order is fixed for good measure, though any order
         // produces identical counts; chunk order is the serial scan order.
-        let merge_span = self.metrics.span("boat.cleanup.merge");
-        for shard in &shards {
-            self.merge_shard(shard);
-        }
-        routed.sort_unstable_by_key(|c| c.index);
-        for chunk in routed {
-            self.apply_deposits(chunk.deposits)?;
-        }
-        merge_span.finish();
-        Ok(())
-    }
-
-    /// The sharded (partitioned) cleanup scan: one reader/router thread
-    /// pair per row-range shard.
-    ///
-    /// Where [`WorkTree::parallel_cleanup`] keeps a single sequential scan
-    /// and fans chunks out to routing workers, this variant gives every
-    /// shard its **own** scan over its row range, double-buffered by a
-    /// dedicated prefetch reader ([`boat_data::spawn_prefetch`]) so routing
-    /// is never I/O-stalled. Ranges come from a
-    /// [`boat_data::Partitioner`] and are chunk-aligned, so shard-local
-    /// chunks keep their global indices; the reduction is then identical to
-    /// the parallel path — shard statistics merge in any order, deposits
-    /// apply in ascending global chunk index — and the resulting state is
-    /// bit-identical to a serial [`WorkTree::absorb`] loop at every shard
-    /// count.
-    ///
-    /// Records per-shard route time (`boat.cleanup.shard_route`) and
-    /// prefetch stall time (`boat.partition.prefetch_stall` histogram,
-    /// `boat.partition.max_stall_ns` gauge).
-    pub fn partitioned_cleanup(
-        &mut self,
-        source: &(dyn RecordSource + Sync),
-        ranges: &[RowRange],
-        chunk_size: usize,
-        prefetch_depth: usize,
-    ) -> Result<()> {
-        let active: Vec<RowRange> = ranges.iter().copied().filter(|r| !r.is_empty()).collect();
-        if active.len() <= 1 {
-            // Zero or one populated shard: the serial absorb loop is the
-            // exact semantics, with nothing to overlap. Empty shards spawn
-            // nothing by construction.
-            let mut n_routed = 0u64;
-            if let Some(range) = active.first() {
-                for r in source.scan_range(*range)? {
-                    self.absorb(&r?, false)?;
-                    n_routed += 1;
-                }
-            }
-            self.metrics
-                .counter("boat.cleanup.records_routed")
-                .add(n_routed);
-            return Ok(());
-        }
-        let route_hist = self.metrics.histogram("boat.cleanup.shard_route");
-        let stall_hist = self.metrics.histogram("boat.partition.prefetch_stall");
-        let chunks_counter = self.metrics.counter("boat.cleanup.chunks");
-        let routed_counter = self.metrics.counter("boat.cleanup.records_routed");
-        let mut shards: Vec<CleanupShard> = (0..active.len()).map(|_| self.new_shard()).collect();
-        let mut routed: Vec<RoutedChunk> = Vec::new();
-        let mut first_err: Option<DataError> = None;
-        let mut max_stall = 0u64;
-        {
-            let (out_tx, out_rx) = std::sync::mpsc::channel::<RoutedChunk>();
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(active.len());
-                for (shard, range) in shards.iter_mut().zip(active.iter().copied()) {
-                    let tx = out_tx.clone();
-                    let route_hist = route_hist.clone();
-                    let stall_hist = stall_hist.clone();
-                    let chunks_counter = chunks_counter.clone();
-                    let routed_counter = routed_counter.clone();
-                    handles.push(scope.spawn(move || -> (u64, Result<()>) {
-                        // The router spawns its own reader on the same
-                        // scope; dropping the consumer (early exit below)
-                        // hangs up the channel and cancels the reader.
-                        let mut scan =
-                            spawn_prefetch(scope, source, range, chunk_size, prefetch_depth);
-                        let mut route_ns = 0u64;
-                        let (mut n_chunks, mut n_routed) = (0u64, 0u64);
-                        let mut res: Result<()> = Ok(());
-                        for item in &mut scan {
-                            let chunk = match item {
-                                Ok(c) => c,
-                                Err(e) => {
-                                    res = Err(e);
-                                    break;
-                                }
-                            };
-                            let index = chunk.index;
-                            let t_route = Instant::now();
-                            n_routed += chunk.records.len() as u64;
-                            let mut deposits = Vec::new();
-                            for r in chunk.records {
-                                shard.route(r, &mut deposits);
-                            }
-                            route_ns = route_ns.saturating_add(
-                                t_route.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-                            );
-                            n_chunks += 1;
-                            if tx.send(RoutedChunk { index, deposits }).is_err() {
-                                break;
-                            }
-                        }
-                        route_hist.record(route_ns);
-                        stall_hist.record(scan.stall_ns());
-                        chunks_counter.add(n_chunks);
-                        routed_counter.add(n_routed);
-                        (scan.stall_ns(), res)
-                    }));
-                }
-                drop(out_tx);
-                // The out channel is unbounded, so routers never block on
-                // it; draining it here ends when the last router exits.
-                for r in out_rx {
-                    routed.push(r);
-                }
-                for h in handles {
-                    let (stall, res) = h.join().expect("partitioned cleanup shard panicked");
-                    max_stall = max_stall.max(stall);
-                    if let Err(e) = res {
-                        first_err.get_or_insert(e);
-                    }
-                }
-            });
-        }
-        self.metrics
-            .gauge("boat.partition.max_stall_ns")
-            .set(max_stall);
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        // Reduce, exactly as the parallel path does: shard merges commute,
-        // deposits replay in global (= serial) chunk order.
         let merge_span = self.metrics.span("boat.cleanup.merge");
         for shard in &shards {
             self.merge_shard(shard);
@@ -1659,6 +1527,65 @@ impl WorkTree {
             })
             .sum()
     }
+
+    /// Assert the count-conservation identities that the cleanup scan and
+    /// [`WorkTree::absorb`] maintain at every node:
+    ///
+    /// * an internal node's class totals equal its children's totals plus
+    ///   the labels of its parked tuples;
+    /// * a numeric node's `edge_left` equals its left child's totals;
+    /// * every bucket set and categorical AVC sums to the node's totals;
+    /// * a retained frontier family holds exactly the node's tuples;
+    /// * every buffer's length matches the records it yields.
+    #[cfg(test)]
+    pub(crate) fn check_invariants(&mut self) {
+        fn label_counts(buf: &mut SpillBuffer, k: usize, what: &str, i: usize) -> Vec<u64> {
+            let records = buf.to_vec().expect("read buffer");
+            assert_eq!(records.len() as u64, buf.len(), "{what} length at node {i}");
+            let mut counts = vec![0u64; k];
+            for r in &records {
+                counts[r.label() as usize] += 1;
+            }
+            counts
+        }
+        for i in 0..self.nodes.len() {
+            let state = &mut self.nodes[i].state;
+            let totals = state.class_totals.clone();
+            let k = totals.len();
+            let parked = match state.parked.as_mut() {
+                Some(p) => label_counts(p, k, "parked", i),
+                None => vec![0; k],
+            };
+            if let Some(f) = state.family.as_mut() {
+                assert_eq!(
+                    label_counts(f, k, "family", i),
+                    totals,
+                    "family at node {i}"
+                );
+            }
+            for b in state.buckets.iter().flatten() {
+                assert_eq!(b.totals(), totals, "bucket totals at node {i}");
+            }
+            for avc in state.cat.iter().flatten() {
+                let mut sum = vec![0u64; k];
+                for c in 0..avc.cardinality() {
+                    for (s, n) in sum.iter_mut().zip(avc.counts_for(c)) {
+                        *s += n;
+                    }
+                }
+                assert_eq!(sum, totals, "categorical AVC totals at node {i}");
+            }
+            let node = &self.nodes[i];
+            let Some(crit) = &node.crit else { continue };
+            let left = &self.nodes[node.left.expect("internal")].state.class_totals;
+            let right = &self.nodes[node.right.expect("internal")].state.class_totals;
+            let children: Vec<u64> = (0..k).map(|c| left[c] + right[c] + parked[c]).collect();
+            assert_eq!(totals, children, "children + parked at node {i}");
+            if let CoarseCriterion::Num { .. } = crit {
+                assert_eq!(&node.state.edge_left, left, "edge_left at node {i}");
+            }
+        }
+    }
 }
 
 /// Build maintained BOAT state *exactly* from an in-memory family: every
@@ -2006,7 +1933,6 @@ fn widen_interval(
 mod tests {
     use super::*;
     use crate::coarse::build_coarse_tree;
-    use boat_data::Partitioner;
     use boat_data::{Attribute, Field, MemoryDataset, RecordSource};
     use boat_tree::{Gini, ImpuritySelector};
     use rand::rngs::StdRng;
@@ -2104,10 +2030,13 @@ mod tests {
         for r in &records {
             work.absorb(r, false).unwrap();
         }
+        work.check_invariants();
         let counts_before = work.nodes[0].state.class_totals.clone();
         let extra = rec(333.0, 0);
         work.absorb(&extra, false).unwrap();
+        work.check_invariants();
         work.absorb(&extra, true).unwrap();
+        work.check_invariants();
         assert_eq!(work.nodes[0].state.class_totals, counts_before);
     }
 
@@ -2195,70 +2124,14 @@ mod tests {
         for r in &records {
             serial.absorb(r, false).unwrap();
         }
+        serial.check_invariants();
         for threads in [2usize, 4, 8] {
             let mut parallel = prepare();
             parallel
                 .parallel_cleanup(&ds, threads, cfg.cleanup_chunk_size)
                 .unwrap();
+            parallel.check_invariants();
             assert_same_state(&mut serial, &mut parallel);
-        }
-    }
-
-    #[test]
-    fn partitioned_cleanup_state_matches_serial_exactly() {
-        // Same richness as the parallel oracle, but sharded row ranges with
-        // prefetch readers instead of a single fanned-out scan.
-        let gen = boat_datagen::GeneratorConfig::new(boat_datagen::LabelFunction::F6).with_seed(78);
-        let records = gen.generate_vec(4_000);
-        let ds = MemoryDataset::new(gen.schema(), records.clone());
-        let cfg = BoatConfig {
-            sample_size: 800,
-            bootstrap_reps: 8,
-            bootstrap_sample_size: 400,
-            in_memory_threshold: 100,
-            spill_budget: 16,
-            cleanup_chunk_size: 123, // odd size → ragged final chunk
-            seed: 7,
-            ..BoatConfig::default()
-        };
-        let prepare = || {
-            let mut rng = StdRng::seed_from_u64(cfg.seed);
-            let sample =
-                boat_data::sample::reservoir_sample(&ds, cfg.sample_size, &mut rng).unwrap();
-            let selector = ImpuritySelector::new(Gini);
-            let coarse = build_coarse_tree(
-                &gen.schema(),
-                &sample,
-                &selector,
-                &cfg,
-                ds.len(),
-                &mut rng,
-                &Registry::new(),
-            );
-            WorkTree::prepare(
-                &coarse,
-                gen.schema(),
-                &sample,
-                &Gini,
-                &cfg,
-                ds.len(),
-                false,
-                boat_data::IoStats::new(),
-                boat_obs::Registry::new(),
-            )
-        };
-        let mut serial = prepare();
-        for r in &records {
-            serial.absorb(r, false).unwrap();
-        }
-        for shards in [1usize, 2, 4, 8, 64] {
-            let ranges =
-                boat_data::RowRangePartitioner.partition(ds.len(), cfg.cleanup_chunk_size, shards);
-            let mut partitioned = prepare();
-            partitioned
-                .partitioned_cleanup(&ds, &ranges, cfg.cleanup_chunk_size, 2)
-                .unwrap();
-            assert_same_state(&mut serial, &mut partitioned);
         }
     }
 

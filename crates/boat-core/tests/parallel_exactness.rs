@@ -6,11 +6,13 @@
 //! counts, parked/spilled tuples, verification outcomes, input I/O) must be
 //! identical, because verification is supposed to see bit-identical state.
 //! This suite sweeps a grid of generator functions × noise levels ×
-//! `cleanup_threads ∈ {1, 2, 4, 8}` against both oracles.
+//! `cleanup_threads ∈ {1, 2, 4, 8}` against both oracles, plus the
+//! degenerate shapes: class-sorted input (whole chunks of one class), the
+//! auto thread count, and more workers than chunks.
 
 use boat_core::{reference_tree, Boat, BoatConfig, BoatRunStats};
 use boat_data::dataset::RecordSource;
-use boat_data::IoStats;
+use boat_data::{IoStats, MemoryDataset};
 use boat_datagen::{GeneratorConfig, LabelFunction};
 use boat_tree::{Gini, Tree};
 
@@ -70,13 +72,20 @@ impl DeterministicStats {
 /// Fit BOAT at every thread count, assert every tree equals both the serial
 /// tree and the greedy reference, and that deterministic stats agree.
 fn check_grid_point(gen: &GeneratorConfig, n: u64, base: BoatConfig) {
-    let source = gen.source(n);
+    check_thread_counts(|| gen.source(n), base, &THREADS);
+}
+
+/// Fit BOAT on a fresh source from `make` at every count in `threads`
+/// (the first is the baseline), assert every tree equals both the baseline
+/// tree and the greedy reference, and that deterministic stats agree.
+fn check_thread_counts<S: RecordSource>(make: impl Fn() -> S, base: BoatConfig, threads: &[usize]) {
+    let source = make();
     let reference = reference_tree(&source, Gini, base.limits).expect("reference fit");
 
     let mut serial: Option<(Tree, DeterministicStats)> = None;
-    for threads in THREADS {
+    for &threads in threads {
         // A fresh source per run so `stats.io` counts this run only.
-        let source = gen.source(n);
+        let source = make();
         let cfg = base.clone().with_cleanup_threads(threads);
         let fit = Boat::new(cfg).fit(&source).expect("boat fit");
         assert_eq!(
@@ -93,11 +102,11 @@ fn check_grid_point(gen: &GeneratorConfig, n: u64, base: BoatConfig) {
             Some((tree1, det1)) => {
                 assert_eq!(
                     &fit.tree, tree1,
-                    "threads={threads}: tree differs from the serial (1-thread) tree"
+                    "threads={threads}: tree differs from the baseline tree"
                 );
                 assert_eq!(
                     &det, det1,
-                    "threads={threads}: run statistics differ from the serial run"
+                    "threads={threads}: run statistics differ from the baseline run"
                 );
             }
         }
@@ -208,4 +217,25 @@ fn threads_beyond_chunks_degenerate_gracefully() {
     let fit = Boat::new(cfg.clone()).fit(&source).unwrap();
     let reference = reference_tree(&source, Gini, cfg.limits).unwrap();
     assert_eq!(fit.tree, reference);
+}
+
+#[test]
+fn class_sorted_input_keeps_one_class_per_chunk_exact() {
+    // Sorted by class, so whole chunks (and whole workers' shares of the
+    // scan) see a single class.
+    let gen = GeneratorConfig::new(LabelFunction::F1).with_seed(28);
+    let mut records = gen.generate_vec(5_000);
+    records.sort_by_key(|r| r.label());
+    check_thread_counts(
+        || MemoryDataset::new(gen.schema(), records.clone()),
+        grid_config(2_800),
+        &[1, 2, 4, 8],
+    );
+}
+
+#[test]
+fn auto_thread_count_matches_serial() {
+    // `cleanup_threads: 0` resolves to the machine's parallelism.
+    let gen = GeneratorConfig::new(LabelFunction::F2).with_seed(29);
+    check_thread_counts(|| gen.source(4_000), grid_config(2_900), &[1, 0]);
 }

@@ -5,7 +5,9 @@
 //! hands out the scan's chunks in a freshly shuffled order on every scan,
 //! and every fit must still serialize ([`boat_tree::Tree::to_bytes`]) to
 //! the same bytes as the serial run — the merge is order-independent and
-//! the deposit application restores chunk order by index.
+//! the deposit application restores chunk order by index. A second wrapper
+//! makes every router panic, and the fit must re-raise that panic instead
+//! of hanging.
 
 use boat_core::{Boat, BoatConfig};
 use boat_data::dataset::{ChunkScan, RecordScan, RecordSource};
@@ -15,7 +17,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::cell::Cell;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 /// A [`RecordSource`] whose `scan_chunks` yields the inner dataset's chunks
 /// in a different shuffled order on every call. Record scans (`scan`) are
@@ -152,4 +155,60 @@ fn wrapper_shuffles_are_actually_different_orders() {
         "every chunk exactly once"
     );
     assert_ne!(a, b, "two scans should deliver different chunk orders");
+}
+
+/// A [`RecordSource`] whose record scans are clean but whose chunked scan
+/// relabels every record with an out-of-range class: the sampling phase
+/// succeeds, then every cleanup router panics on its first chunk.
+struct BadChunkSource(MemoryDataset);
+
+impl RecordSource for BadChunkSource {
+    fn schema(&self) -> &Arc<Schema> {
+        self.0.schema()
+    }
+
+    fn scan(&self) -> Result<Box<dyn RecordScan + '_>> {
+        self.0.scan()
+    }
+
+    fn len(&self) -> u64 {
+        self.0.len()
+    }
+
+    fn stats(&self) -> &IoStats {
+        self.0.stats()
+    }
+
+    fn scan_chunks(&self, chunk_size: usize) -> Result<Box<dyn ChunkScan + '_>> {
+        let bad_label = self.0.schema().n_classes() as u16;
+        Ok(Box::new(self.0.scan_chunks(chunk_size)?.map(move |c| {
+            c.map(|mut chunk| {
+                chunk.records = chunk
+                    .records
+                    .into_iter()
+                    .map(|r| r.with_label(bad_label))
+                    .collect();
+                chunk
+            })
+        })))
+    }
+}
+
+#[test]
+fn router_panics_surface_instead_of_hanging() {
+    // Far more chunks than the 2 × threads channel slots, so the scan would
+    // block on a full channel if a dead router's receiver stayed alive.
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let source = BadChunkSource(dataset(LabelFunction::F1, 34, 4_000));
+        let mut cfg = stress_config(3_400).with_cleanup_threads(2);
+        cfg.cleanup_chunk_size = 32;
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| Boat::new(cfg).fit(&source)));
+        let _ = tx.send(outcome.is_err());
+    });
+    match rx.recv_timeout(Duration::from_secs(60)) {
+        Ok(panicked) => assert!(panicked, "a fit whose routers all panic must panic"),
+        Err(_) => panic!("fit hung after every cleanup router panicked"),
+    }
 }

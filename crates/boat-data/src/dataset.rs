@@ -8,7 +8,6 @@
 
 use crate::codec;
 use crate::iostats::{IoSnapshot, IoStats};
-use crate::partition::RowRange;
 use crate::record::Record;
 use crate::schema::{AttrType, Attribute, Schema};
 use crate::{DataError, Result};
@@ -67,52 +66,6 @@ pub trait RecordSource {
             chunk_size,
         )))
     }
-
-    /// Begin a fresh scan over only the rows in `range` (scan-order
-    /// positions, clamped to the source length). Counts as one scan.
-    ///
-    /// The default implementation skips the prefix of a full
-    /// [`RecordSource::scan`] record by record — correct for any source,
-    /// but linear in `range.start`. Seekable sources ([`FileDataset`]) and
-    /// sliceable ones ([`MemoryDataset`]) override it with O(1) positioning,
-    /// which is what makes per-shard scans of a partitioned fit start in
-    /// the middle of a 100M-row file without re-reading the prefix.
-    fn scan_range(&self, range: RowRange) -> Result<Box<dyn RecordScan + '_>> {
-        let mut scan = self.scan()?;
-        for _ in 0..range.start.min(self.len()) {
-            match scan.next() {
-                Some(Ok(_)) => {}
-                Some(Err(e)) => return Err(e),
-                None => break,
-            }
-        }
-        Ok(Box::new(scan.take(range.len() as usize)))
-    }
-
-    /// Begin a chunked scan over only the rows in `range`, numbering chunks
-    /// as the full [`RecordSource::scan_chunks`] would: the first chunk gets
-    /// index `range.start / chunk_size` and `first_record = range.start`.
-    ///
-    /// When `range.start` is a multiple of `chunk_size` (which the
-    /// [`crate::partition::RowRangePartitioner`] guarantees), the chunks a
-    /// shard sees are *identical* — same index, same rows — to the
-    /// corresponding chunks of a serial full scan, so order-sensitive
-    /// consumers can merge shard outputs by chunk index. Counts as one scan.
-    fn scan_chunks_range(
-        &self,
-        chunk_size: usize,
-        range: RowRange,
-    ) -> Result<Box<dyn ChunkScan + '_>> {
-        let chunk_size = chunk_size.max(1);
-        let first_index = (range.start / chunk_size as u64) as usize;
-        Ok(Box::new(Chunks::with_origin(
-            self.scan_range(range)?,
-            self.stats().clone(),
-            chunk_size,
-            first_index,
-            range.start,
-        )))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -167,25 +120,12 @@ impl<'a> Chunks<'a> {
     /// Wrap `scan`, reporting per-chunk I/O deltas against `stats`.
     /// `chunk_size` is clamped to at least 1.
     pub fn new(scan: Box<dyn RecordScan + 'a>, stats: IoStats, chunk_size: usize) -> Self {
-        Self::with_origin(scan, stats, chunk_size, 0, 0)
-    }
-
-    /// Like [`Chunks::new`] but numbering chunks from `first_index` /
-    /// `first_record` instead of zero — the chunk coordinates a range-scan
-    /// of a shard would have had inside a full serial scan.
-    pub fn with_origin(
-        scan: Box<dyn RecordScan + 'a>,
-        stats: IoStats,
-        chunk_size: usize,
-        first_index: usize,
-        first_record: u64,
-    ) -> Self {
         Chunks {
             inner: scan,
             stats,
             chunk_size: chunk_size.max(1),
-            index: first_index,
-            first_record,
+            index: 0,
+            first_record: 0,
             done: false,
         }
     }
@@ -302,20 +242,6 @@ impl RecordSource for MemoryDataset {
 
     fn stats(&self) -> &IoStats {
         &self.stats
-    }
-
-    fn scan_range(&self, range: RowRange) -> Result<Box<dyn RecordScan + '_>> {
-        self.stats.record_scan();
-        let start = (range.start.min(self.len())) as usize;
-        let end = (range.end.min(self.len())) as usize;
-        let width = self.schema.record_width() as u64;
-        let stats = self.stats.clone();
-        Ok(Box::new(self.records[start..end.max(start)].iter().map(
-            move |r| {
-                stats.record_read(1, width);
-                Ok(r.clone())
-            },
-        )))
     }
 }
 
@@ -492,22 +418,6 @@ impl RecordSource for FileDataset {
 
     fn stats(&self) -> &IoStats {
         &self.stats
-    }
-
-    fn scan_range(&self, range: RowRange) -> Result<Box<dyn RecordScan + '_>> {
-        self.stats.record_scan();
-        let start = range.start.min(self.n_records);
-        let end = range.end.min(self.n_records).max(start);
-        let width = self.schema.record_width() as u64;
-        let mut reader = BufReader::with_capacity(1 << 18, File::open(&self.path)?);
-        reader.seek(SeekFrom::Start(self.data_offset + start * width))?;
-        Ok(Box::new(FileScan {
-            reader,
-            schema: self.schema.clone(),
-            remaining: end - start,
-            buf: vec![0u8; self.schema.record_width()],
-            stats: self.stats.clone(),
-        }))
     }
 }
 
@@ -825,115 +735,6 @@ mod tests {
             .unwrap();
         assert_eq!(chunks.len(), 3);
         assert!(chunks.iter().all(|c| c.len() == 1));
-    }
-
-    #[test]
-    fn scan_range_slices_memory_and_file_identically() {
-        let dir = std::env::temp_dir().join("boat-data-test-range");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("r.boat");
-        let mem = MemoryDataset::new(schema(), records(30));
-        let mut w = FileDatasetWriter::create(&path, schema(), IoStats::new()).unwrap();
-        for r in records(30) {
-            w.append(&r).unwrap();
-        }
-        let file = w.finish().unwrap();
-        for (start, end) in [(0u64, 30u64), (8, 24), (29, 30), (12, 12), (24, 99)] {
-            let range = RowRange { start, end };
-            let from_mem: Vec<Record> = mem
-                .scan_range(range)
-                .unwrap()
-                .collect::<Result<Vec<_>>>()
-                .unwrap();
-            let from_file: Vec<Record> = file
-                .scan_range(range)
-                .unwrap()
-                .collect::<Result<Vec<_>>>()
-                .unwrap();
-            let want = &records(30)[start as usize..(end.min(30)).max(start) as usize];
-            assert_eq!(from_mem, want, "memory range {start}..{end}");
-            assert_eq!(from_file, want, "file range {start}..{end}");
-        }
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn scan_range_file_reads_only_the_range() {
-        let dir = std::env::temp_dir().join("boat-data-test-range-io");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ri.boat");
-        let stats = IoStats::new();
-        let mut w = FileDatasetWriter::create(&path, schema(), stats.clone()).unwrap();
-        for r in records(50) {
-            w.append(&r).unwrap();
-        }
-        let ds = w.finish().unwrap();
-        let before = stats.snapshot();
-        let n = ds
-            .scan_range(RowRange { start: 40, end: 50 })
-            .unwrap()
-            .count();
-        assert_eq!(n, 10);
-        let delta = stats.snapshot() - before;
-        assert_eq!(delta.records_read, 10, "seek must skip the prefix");
-        assert_eq!(delta.scans, 1);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn scan_chunks_range_keeps_global_chunk_coordinates() {
-        let ds = MemoryDataset::new(schema(), records(20));
-        // Second shard of a chunk_size-3 partition: rows 9..20.
-        let chunks: Vec<_> = ds
-            .scan_chunks_range(3, RowRange { start: 9, end: 20 })
-            .unwrap()
-            .collect::<Result<Vec<_>>>()
-            .unwrap();
-        assert_eq!(
-            chunks.iter().map(|c| c.index).collect::<Vec<_>>(),
-            vec![3, 4, 5, 6]
-        );
-        assert_eq!(
-            chunks.iter().map(|c| c.first_record).collect::<Vec<_>>(),
-            vec![9, 12, 15, 18]
-        );
-        // Identical to the same chunks of a full serial scan.
-        let serial: Vec<_> = ds
-            .scan_chunks(3)
-            .unwrap()
-            .collect::<Result<Vec<_>>>()
-            .unwrap();
-        for c in &chunks {
-            assert_eq!(c.records, serial[c.index].records);
-        }
-    }
-
-    #[test]
-    fn default_scan_range_skips_by_reading() {
-        // DatasetLog-style sources fall back to the skip-based default; it
-        // must deliver the same rows as the overrides.
-        struct Plain(MemoryDataset);
-        impl RecordSource for Plain {
-            fn schema(&self) -> &Arc<Schema> {
-                self.0.schema()
-            }
-            fn scan(&self) -> Result<Box<dyn RecordScan + '_>> {
-                self.0.scan()
-            }
-            fn len(&self) -> u64 {
-                self.0.len()
-            }
-            fn stats(&self) -> &IoStats {
-                self.0.stats()
-            }
-        }
-        let src = Plain(MemoryDataset::new(schema(), records(12)));
-        let got: Vec<Record> = src
-            .scan_range(RowRange { start: 5, end: 9 })
-            .unwrap()
-            .collect::<Result<Vec<_>>>()
-            .unwrap();
-        assert_eq!(got, records(12)[5..9]);
     }
 
     #[test]

@@ -15,10 +15,6 @@
 //!   counters so the same numbers feed registry snapshots; every experiment
 //!   in the bench harness reports these alongside wall time.
 //! * [`sample`] — reservoir sampling over a stream and bootstrap resampling.
-//! * [`partition`] — row-range partitioning of a source into shard-owned,
-//!   chunk-aligned ranges for the sharded out-of-core fit.
-//! * [`prefetch`] — double-buffered chunk prefetch: a dedicated reader
-//!   thread per shard staging decoded chunks ahead of the consumer.
 //! * [`spill`] — memory-budgeted record buffers that transparently spill to
 //!   temporary files (the paper's `S_n` files), batched as columnar
 //!   segments.
@@ -44,8 +40,6 @@ pub mod dataset;
 pub mod error;
 pub mod iostats;
 pub mod log;
-pub mod partition;
-pub mod prefetch;
 pub mod record;
 pub mod sample;
 pub mod schema;
@@ -59,8 +53,6 @@ pub use dataset::{
 };
 pub use error::{DataError, Result};
 pub use iostats::{IoSnapshot, IoStats};
-pub use partition::{Partitioner, RowRange, RowRangePartitioner};
-pub use prefetch::{spawn_prefetch, PrefetchScan};
 pub use record::{Field, Record};
 pub use schema::{AttrType, Attribute, Schema};
 pub use spill::{sweep_stale_spill_files, SpillBuffer};

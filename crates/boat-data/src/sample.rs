@@ -39,36 +39,6 @@ pub fn reservoir_sample<R: Rng + ?Sized>(
     Ok(reservoir)
 }
 
-/// [`reservoir_sample`] restricted to a shard's row range: one sequential
-/// scan of `range` via [`RecordSource::scan_range`]. The sharded fit draws
-/// a per-shard sample this way (quota proportional to the range length) and
-/// concatenates in shard order; BOAT's exactness guarantee makes the final
-/// tree independent of which sample the optimistic phase happened to see.
-pub fn reservoir_sample_range<R: Rng + ?Sized>(
-    source: &dyn RecordSource,
-    range: crate::partition::RowRange,
-    k: usize,
-    rng: &mut R,
-) -> Result<Vec<Record>> {
-    if k == 0 || range.is_empty() {
-        return Ok(Vec::new());
-    }
-    let mut reservoir: Vec<Record> = Vec::with_capacity(k.min(range.len() as usize));
-    for (i, r) in source.scan_range(range)?.enumerate() {
-        let r = r?;
-        let seen = i as u64 + 1;
-        if reservoir.len() < k {
-            reservoir.push(r);
-        } else {
-            let j = rng.random_range(0..seen);
-            if (j as usize) < k {
-                reservoir[j as usize] = r;
-            }
-        }
-    }
-    Ok(reservoir)
-}
-
 /// Draw `size` records *with replacement* from `sample` (a bootstrap
 /// resample, paper §3.2). Panics if `sample` is empty and `size > 0`.
 pub fn bootstrap_resample<R: Rng + ?Sized>(
@@ -146,25 +116,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let sample = reservoir_sample(&ds, 100, &mut rng).unwrap();
         assert_eq!(sample.len(), 7);
-    }
-
-    #[test]
-    fn reservoir_range_stays_inside_the_range() {
-        use crate::partition::RowRange;
-        let ds = dataset(1000);
-        let mut rng = StdRng::seed_from_u64(9);
-        let range = RowRange {
-            start: 200,
-            end: 450,
-        };
-        let sample = reservoir_sample_range(&ds, range, 50, &mut rng).unwrap();
-        assert_eq!(sample.len(), 50);
-        assert!(sample
-            .iter()
-            .all(|r| (200..450).contains(&(r.num(0) as i64))));
-        // A quota larger than the range returns the whole range.
-        let all = reservoir_sample_range(&ds, range, 10_000, &mut rng).unwrap();
-        assert_eq!(all.len(), 250);
     }
 
     #[test]

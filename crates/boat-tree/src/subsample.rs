@@ -543,10 +543,9 @@ pub fn gated_numeric_split(
 /// count of the entry in its own stream; entries are stride-spaced, so a
 /// sketch of capacity `c` answers any rank query within `⌈total / c⌉` and
 /// any quantile query within that many ranks. [`QuantileSketch::merge`]
-/// combines sketches of disjoint sorted streams (e.g. the per-shard scans
-/// of the partitioned fit) with rank errors adding — the standard
-/// mergeability bound — which is what lets wide-column candidate
-/// generation run per shard and combine at the coordinator.
+/// combines sketches of disjoint sorted streams with rank errors adding —
+/// the standard mergeability bound — which is what lets wide-column
+/// candidate generation run per stream and combine afterwards.
 ///
 /// The gated split search uses the same stride-picking scheme directly on
 /// node row positions (it needs positions, not just values); this type is
