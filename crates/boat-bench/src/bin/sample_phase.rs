@@ -1,18 +1,19 @@
-//! Sampling-phase engine comparison: Rows (materialized bootstrap
-//! resamples + per-node re-sorting) vs Columnar (presorted attribute
-//! indices + weighted bootstrap) vs Columnar with the confidence-gated
-//! subsampled split search (the shipped default), across a `sample size ×
-//! numeric attributes × bootstrap reps` grid plus the adversarial datagen
+//! Sampling-phase comparison: the reference coarse builder (materialized
+//! bootstrap resamples + per-node re-sorting, `reference_coarse_tree`) vs
+//! the columnar engine (presorted attribute indices + weighted bootstrap)
+//! vs the columnar engine with the confidence-gated subsampled split
+//! search (the shipped default), across a `sample size × numeric
+//! attributes × bootstrap reps` grid plus the adversarial datagen
 //! scenarios (heavy ties, high-cardinality categoricals, skewed class
 //! priors, wide schemas).
 //!
-//! All three engines are required to produce **identical coarse trees**
-//! for the same seed (the gate's exactness contract); any mismatch makes
-//! the run exit non-zero, so CI's smoke invocation is a differential test
-//! as well as a perf gate. `--min-speedup X` turns the largest-config
-//! subsample-vs-rows speedup into a hard assertion and
-//! `--min-columnar-speedup Y` does the same for the gate-off columnar
-//! engine (the pre-existing 1.56x non-regression gate).
+//! All three builds are required to produce **identical coarse trees**
+//! for the same seed (the columnar determinism and gate exactness
+//! contracts); any mismatch makes the run exit non-zero, so CI's smoke
+//! invocation is a differential test as well as a perf gate.
+//! `--min-speedup X` turns the largest-config subsample-vs-reference
+//! speedup into a hard assertion and `--min-columnar-speedup Y` does the
+//! same for the gate-off columnar engine.
 //!
 //! ```sh
 //! cargo run --release -p boat-bench --bin sample_phase
@@ -24,8 +25,8 @@
 use boat_bench::obs::json_array;
 use boat_bench::table::fmt_duration;
 use boat_bench::{print_metrics_summary, Args, BenchReport, Table};
-use boat_core::coarse::build_coarse_tree;
-use boat_core::{BoatConfig, SampleEngine};
+use boat_core::coarse::{build_coarse_tree, reference_coarse_tree, CoarseTree};
+use boat_core::BoatConfig;
 use boat_data::{Attribute, Field, Record, Schema};
 use boat_datagen::adversarial;
 use boat_obs::Registry;
@@ -122,7 +123,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let csv = args.flag("csv");
 
     println!(
-        "# Sampling-phase engines — Rows vs Columnar vs Columnar+subsample, best of {reps}, seed {seed}\n\
+        "# Sampling phase — reference (rows) vs Columnar vs Columnar+subsample, best of {reps}, seed {seed}\n\
          # grid: sizes={sizes:?} numeric attrs={attr_counts:?} bootstrap reps={boot_reps_list:?}\n\
          # adversarial scenarios: {}\n",
         if no_scenarios { "off" } else { "ties / high-card / skew / wide" }
@@ -188,20 +189,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..BoatConfig::default()
         };
         let full_size = (c.size as u64) * 20;
-        let time_of = |cfg: BoatConfig| {
-            let mut best: Option<(Duration, _)> = None;
+        let time_of = |build: &dyn Fn(&mut StdRng) -> CoarseTree| {
+            let mut best: Option<(Duration, CoarseTree)> = None;
             for _ in 0..reps {
                 let mut rng = StdRng::seed_from_u64(seed ^ 0xC0A5);
                 let t0 = Instant::now();
-                let coarse = build_coarse_tree(
-                    &c.schema,
-                    &c.sample,
-                    &selector,
-                    &cfg,
-                    full_size,
-                    &mut rng,
-                    Registry::global(),
-                );
+                let coarse = build(&mut rng);
                 let dt = t0.elapsed();
                 if best.as_ref().is_none_or(|(b, _)| dt < *b) {
                     best = Some((dt, coarse));
@@ -209,22 +202,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
             best.expect("reps >= 1")
         };
-        let (rows_time, rows_coarse) =
-            time_of(config.clone().with_sample_engine(SampleEngine::Rows));
-        // Gate off: the pure columnar engine (pre-PR-8 behaviour).
-        let (columnar_time, columnar_coarse) = time_of(
-            config
-                .clone()
-                .with_sample_engine(SampleEngine::Columnar)
-                .with_split_subsample(0.0),
-        );
+        let columnar_of = |cfg: BoatConfig| {
+            time_of(&|rng: &mut StdRng| {
+                build_coarse_tree(
+                    &c.schema,
+                    &c.sample,
+                    &selector,
+                    &cfg,
+                    full_size,
+                    rng,
+                    Registry::global(),
+                )
+            })
+        };
+        let (rows_time, rows_coarse) = time_of(&|rng: &mut StdRng| {
+            reference_coarse_tree(&c.schema, &c.sample, &selector, &config, full_size, rng)
+        });
+        // Gate off: the pure columnar engine.
+        let (columnar_time, columnar_coarse) =
+            columnar_of(config.clone().with_split_subsample(0.0));
         // Gate on: the shipped default.
-        let (subsample_time, subsample_coarse) =
-            time_of(config.clone().with_sample_engine(SampleEngine::Columnar));
+        let (subsample_time, subsample_coarse) = columnar_of(config.clone());
         assert_eq!(
             rows_coarse, columnar_coarse,
             "ENGINE MISMATCH ({}, size={}, attrs={}, boot={}): \
-             rows vs columnar coarse trees differ",
+             reference vs columnar coarse trees differ",
             c.scenario, c.size, c.attrs, c.boot_reps
         );
         assert_eq!(
@@ -275,10 +277,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     table.print(csv);
 
-    // Whole-process metrics: every build at every grid point recorded into
-    // the global registry, so the boat.sample.* spans/counters of all
-    // three engines (and the subsample gate's swept/pruned/fallback
-    // counts) appear in the JSON artifact.
+    // Whole-process metrics: every columnar build at every grid point
+    // recorded into the global registry, so the boat.sample.* spans and
+    // counters (and the subsample gate's swept/pruned/fallback counts)
+    // appear in the JSON artifact.
     let snapshot = Registry::global().snapshot();
     print_metrics_summary(&snapshot);
 
@@ -351,10 +353,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .field_u64(
             "subsample_exact_points",
             snapshot.counter("boat.sample.subsample.exact_points"),
-        )
-        .field_u64(
-            "selector_fallbacks",
-            snapshot.counter("boat.sample.selector_fallbacks"),
         )
         .field_raw("results", json_array(&results))
         .metrics(&snapshot);

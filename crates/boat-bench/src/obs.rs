@@ -156,9 +156,6 @@ pub fn print_metrics_summary(snap: &Snapshot) {
     // Sampling-engine counters, shown only when a sampling phase ran.
     for name in [
         "boat.sample.columnar_builds",
-        "boat.sample.rows_builds",
-        "boat.sample.clone_bytes_avoided",
-        "boat.sample.selector_fallbacks",
         "boat.sample.subsample.swept",
         "boat.sample.subsample.pruned",
         "boat.sample.subsample.fallbacks",

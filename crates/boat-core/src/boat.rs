@@ -9,7 +9,7 @@
 //! the in-memory builder, exactly as §3.5 prescribes.
 
 use crate::coarse::build_coarse_tree;
-use crate::config::{BoatConfig, SampleEngine};
+use crate::config::BoatConfig;
 use crate::stats::BoatRunStats;
 use crate::work::{limits_for_subtree, Job, Resolution, WorkTree};
 use boat_data::dataset::RecordSource;
@@ -93,10 +93,9 @@ impl<I: Impurity + Clone> Boat<I> {
         &self.metrics
     }
 
-    /// Grow an in-memory family with the configured sample engine (§3.5's
-    /// in-memory switch). Bit-identical output either way — the columnar
-    /// engine's determinism contract (`boat_tree::columnar`) — so this is
-    /// purely the per-family analogue of the bootstrap-phase engine choice.
+    /// Grow an in-memory family (§3.5's in-memory switch) with the columnar
+    /// engine — bit-identical to the reference builder on `records`, per
+    /// the engine's determinism contract (`boat_tree::columnar`).
     fn inmem_tree(
         &self,
         schema: &boat_data::Schema,
@@ -104,20 +103,14 @@ impl<I: Impurity + Clone> Boat<I> {
         limits: GrowthLimits,
     ) -> Tree {
         let selector = ImpuritySelector::new(self.impurity.clone());
-        match self.config.sample_engine {
-            SampleEngine::Columnar => {
-                self.metrics.counter("boat.sample.inmem_columnar").inc();
-                let cs = boat_tree::ColumnarSample::from_records(schema, records);
-                let weights = vec![1u32; records.len()];
-                let stats = boat_tree::SubsampleStats::default();
-                let rt = crate::coarse::subsample_runtime(&self.config, &stats);
-                let tree =
-                    boat_tree::grow_weighted_gated(&cs, &weights, &selector, limits, rt.as_ref());
-                crate::coarse::record_subsample_stats(&stats, &self.metrics);
-                tree
-            }
-            SampleEngine::Rows => TdTreeBuilder::new(&selector, limits).fit(schema, records),
-        }
+        self.metrics.counter("boat.sample.inmem_columnar").inc();
+        let cs = boat_tree::ColumnarSample::from_records(schema, records);
+        let weights = vec![1u32; records.len()];
+        let stats = boat_tree::SubsampleStats::default();
+        let rt = crate::coarse::subsample_runtime(&self.config, &stats);
+        let tree = boat_tree::grow_weighted_gated(&cs, &weights, &selector, limits, rt.as_ref());
+        crate::coarse::record_subsample_stats(&stats, &self.metrics);
+        tree
     }
 
     /// Build the exact decision tree for `source`.
@@ -487,13 +480,6 @@ impl<I: Impurity + Clone> Boat<I> {
             .clone()
             .unwrap_or_else(std::env::temp_dir);
         let path = dir.join(format!("boat-rebuild-{}-{id}.boat", std::process::id()));
-        let mut writer =
-            FileDatasetWriter::create(&path, work.schema.clone(), work.spill_stats.clone())?;
-        for r in &records {
-            writer.append(r)?;
-        }
-        drop(records);
-        let partition = writer.finish()?;
         let sub = Boat {
             config: BoatConfig {
                 limits: sub_limits,
@@ -506,7 +492,16 @@ impl<I: Impurity + Clone> Boat<I> {
             // metrics snapshot covers its whole recursive pipeline.
             metrics: self.metrics.clone(),
         };
+        // Every step that can fail after the file exists runs inside the
+        // closure, so the partition file is removed on every path.
         let result = (|| -> Result<Tree> {
+            let mut writer =
+                FileDatasetWriter::create(&path, work.schema.clone(), work.spill_stats.clone())?;
+            for r in &records {
+                writer.append(r)?;
+            }
+            drop(records);
+            let partition = writer.finish()?;
             let (w, sub_stats) = sub.fit_work(&partition, sub_recursion, false)?;
             stats.absorb(&sub_stats);
             Ok(w.extract_tree())
@@ -580,4 +575,51 @@ pub fn reference_tree<I: Impurity + Clone>(
     let records = source.collect_records()?;
     let selector = ImpuritySelector::new(impurity);
     Ok(TdTreeBuilder::new(&selector, limits).fit(source.schema(), &records))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use boat_data::{Attribute, Field, Schema};
+
+    #[test]
+    fn grow_records_removes_its_partition_file_when_writing_fails() {
+        let dir = std::env::temp_dir().join(format!("boat-rebuild-leak-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let config = BoatConfig {
+            in_memory_threshold: 4,
+            spill_dir: Some(dir.clone()),
+            ..BoatConfig::default()
+        };
+        let boat = Boat::new(config.clone());
+        let schema = Schema::shared(vec![Attribute::numeric("x")], 2).unwrap();
+        let work = crate::work::build_exact_work(
+            schema,
+            Vec::new(),
+            &Gini,
+            &config,
+            GrowthLimits::default(),
+            IoStats::new(),
+            Registry::new(),
+        )
+        .unwrap();
+        // More records than the in-memory threshold, so the family goes to
+        // a partition file; the last one has the wrong arity, so encoding
+        // it fails halfway through the write.
+        let mut records: Vec<Record> = (0..8)
+            .map(|i| Record::new(vec![Field::Num(i as f64)], (i % 2) as u16))
+            .collect();
+        records.push(Record::new(vec![Field::Num(1.0), Field::Num(2.0)], 0));
+        let mut stats = BoatRunStats::default();
+        let result = boat.grow_records(&work, 0, records, 1, 100, &mut stats);
+        assert!(matches!(result, Err(DataError::Schema(_))), "{result:?}");
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.starts_with("boat-rebuild-"))
+            .collect();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(left.is_empty(), "partition files left behind: {left:?}");
+    }
 }

@@ -14,7 +14,7 @@
 //!   points give a confidence interval `[lo, hi]` that contains the final
 //!   split point with high probability.
 
-use crate::config::{AgreementRule, BoatConfig, SampleEngine};
+use crate::config::{AgreementRule, BoatConfig};
 use boat_data::{Record, Schema};
 use boat_obs::Registry;
 use boat_tree::grow::SplitSelector;
@@ -100,6 +100,22 @@ impl CoarseTree {
         self.nodes.len() == 1 && self.nodes[0].crit.is_none()
     }
 
+    /// The degenerate coarse tree of an empty sample: a single frontier
+    /// leaf (everything resolves via the completion machinery).
+    fn sample_leaf() -> CoarseTree {
+        CoarseTree {
+            nodes: vec![CoarseNode {
+                crit: None,
+                reason: Some(FrontierReason::SampleLeaf),
+                left: None,
+                right: None,
+                parent: None,
+                depth: 0,
+                bootstrap_points: Vec::new(),
+            }],
+        }
+    }
+
     /// Count internal (criterion-bearing) nodes.
     pub fn n_internal(&self) -> usize {
         self.nodes.iter().filter(|n| n.crit.is_some()).count()
@@ -141,15 +157,13 @@ pub fn bootstrap_limits(config: &BoatConfig, full_size: u64) -> GrowthLimits {
 /// `full_size` is `|D|` (used to scale the bootstrap trees' stopping
 /// threshold). The selector must be the same split-selection method the
 /// final tree uses. `metrics` receives the `boat.sample.*` phase spans and
-/// counters (transpose/presort/grow timings, resample-clone bytes avoided).
+/// counters (transpose/presort/resample/grow timings, build counts).
 ///
-/// The engine ([`BoatConfig::sample_engine`]) is a pure performance knob:
-/// both paths produce bit-identical bootstrap trees — and hence the same
-/// coarse tree — for the same seeded rng, because the columnar path draws
-/// its multiplicity vectors with the *same rng call sequence* as
-/// [`bootstrap_resample`] and grows through the same shared split code
-/// (see `boat_tree::columnar`). Selectors without columnar support (e.g.
-/// QUEST) silently use the row path.
+/// The bootstrap trees grow on the columnar engine. For the same seeded rng
+/// the result is node for node [`reference_coarse_tree`]'s, because the
+/// multiplicity vectors are drawn with the *same rng call sequence* as
+/// [`bootstrap_resample`] and every node selects its split through the
+/// columnar determinism contract (see `boat_tree::columnar`).
 ///
 /// [`bootstrap_resample`]: boat_data::sample::bootstrap_resample
 pub fn build_coarse_tree<S: SplitSelector + ?Sized>(
@@ -162,41 +176,47 @@ pub fn build_coarse_tree<S: SplitSelector + ?Sized>(
     metrics: &Registry,
 ) -> CoarseTree {
     if sample.is_empty() {
-        // Degenerate input: a single frontier leaf (everything resolves via
-        // the completion machinery).
-        return CoarseTree {
-            nodes: vec![CoarseNode {
-                crit: None,
-                reason: Some(FrontierReason::SampleLeaf),
-                left: None,
-                right: None,
-                parent: None,
-                depth: 0,
-                bootstrap_points: Vec::new(),
-            }],
-        };
+        return CoarseTree::sample_leaf();
     }
     let limits = bootstrap_limits(config, full_size);
-    let use_columnar =
-        config.sample_engine == SampleEngine::Columnar && selector.supports_columnar();
-    if config.sample_engine == SampleEngine::Columnar && !selector.supports_columnar() {
-        // The configured engine was silently overridden — surface it so a
-        // "columnar" run that quietly built row-oriented trees (e.g. under
-        // a QUEST-style selector) is visible in the metrics.
-        metrics.counter("boat.sample.selector_fallbacks").add(1);
+    let trees = bootstrap_trees_columnar(schema, sample, selector, config, limits, rng, metrics);
+    agree_all(&trees, config)
+}
+
+/// The reference coarse tree: materialize each bootstrap resample as a
+/// `Vec<Record>` (drawn sequentially, deterministic in the rng), grow the
+/// `b` trees with the reference in-memory builder, and run the same
+/// agreement walk as [`build_coarse_tree`]. Like
+/// [`reference_tree`](crate::reference_tree), it exists for tests and
+/// benches to compare against.
+pub fn reference_coarse_tree<S: SplitSelector + ?Sized>(
+    schema: &Schema,
+    sample: &[Record],
+    selector: &S,
+    config: &BoatConfig,
+    full_size: u64,
+    rng: &mut StdRng,
+) -> CoarseTree {
+    if sample.is_empty() {
+        return CoarseTree::sample_leaf();
     }
-    let trees: Vec<Tree> = if use_columnar {
-        bootstrap_trees_columnar(schema, sample, selector, config, limits, rng, metrics)
-    } else {
-        bootstrap_trees_rows(schema, sample, selector, config, limits, rng, metrics)
-    };
+    let builder = TdTreeBuilder::new(selector, bootstrap_limits(config, full_size));
+    let resamples: Vec<Vec<Record>> = (0..config.bootstrap_reps)
+        .map(|_| boat_data::sample::bootstrap_resample(sample, config.bootstrap_sample_size, rng))
+        .collect();
+    let trees = build_parallel(resamples.len(), |i| builder.fit(schema, &resamples[i]));
+    agree_all(&trees, config)
+}
+
+/// The agreement walk over every bootstrap tree from its root.
+fn agree_all(trees: &[Tree], config: &BoatConfig) -> CoarseTree {
     let mut coarse = CoarseTree { nodes: Vec::new() };
     let cursors: Vec<(usize, NodeId)> = trees
         .iter()
         .enumerate()
         .map(|(i, t)| (i, t.root()))
         .collect();
-    agree(&trees, cursors, None, 0, config, &mut coarse);
+    agree(trees, cursors, None, 0, config, &mut coarse);
     coarse
 }
 
@@ -245,36 +265,9 @@ where
         .collect()
 }
 
-/// Row-oriented bootstrap path: materialize each resample as a
-/// `Vec<Record>` (drawn sequentially, deterministic in the rng) and grow
-/// the `b` trees in parallel with the reference in-memory builder.
-fn bootstrap_trees_rows<S: SplitSelector + ?Sized>(
-    schema: &Schema,
-    sample: &[Record],
-    selector: &S,
-    config: &BoatConfig,
-    limits: GrowthLimits,
-    rng: &mut StdRng,
-    metrics: &Registry,
-) -> Vec<Tree> {
-    let builder = TdTreeBuilder::new(selector, limits);
-    let resample_span = metrics.span("boat.sample.resample");
-    let resamples: Vec<Vec<Record>> = (0..config.bootstrap_reps)
-        .map(|_| boat_data::sample::bootstrap_resample(sample, config.bootstrap_sample_size, rng))
-        .collect();
-    resample_span.finish();
-    metrics
-        .counter("boat.sample.rows_builds")
-        .add(resamples.len() as u64);
-    let grow_span = metrics.span("boat.sample.grow");
-    let trees = build_parallel(resamples.len(), |i| builder.fit(schema, &resamples[i]));
-    grow_span.finish();
-    trees
-}
-
-/// Columnar bootstrap path: transpose the sample once into dense columns,
+/// Columnar bootstrap trees: transpose the sample once into dense columns,
 /// presort the numeric attributes once, draw per-resample *multiplicity
-/// vectors* (same rng call sequence as the row path — one
+/// vectors* (same rng call sequence as the reference — one
 /// `random_range(0..len)` per draw), and grow the `b` trees in parallel
 /// over the shared immutable `(columns, presorted indices)` with zero
 /// record clones.
@@ -307,9 +300,6 @@ fn bootstrap_trees_columnar<S: SplitSelector + ?Sized>(
     metrics
         .counter("boat.sample.columnar_builds")
         .add(weight_sets.len() as u64);
-    metrics
-        .counter("boat.sample.clone_bytes_avoided")
-        .add((weight_sets.len() * config.bootstrap_sample_size) as u64 * cs.record_bytes() as u64);
     let grow_span = metrics.span("boat.sample.grow");
     let stats = boat_tree::SubsampleStats::default();
     let base = subsample_runtime(config, &stats);
@@ -858,102 +848,50 @@ mod tests {
     }
 
     #[test]
-    fn columnar_and_rows_engines_build_identical_coarse_trees() {
-        // Same seed, both engines, metrics inspected for the new counters.
+    fn build_coarse_tree_matches_reference_coarse_tree() {
+        // Same seed, columnar build vs the row-materializing reference;
+        // metrics inspected for the sampling-phase spans and counters.
         let schema = schema();
         let sample = clean_sample(900);
         let sel = ImpuritySelector::new(Gini);
-        let mut cfg = config();
+        let cfg = config();
 
-        cfg.sample_engine = SampleEngine::Columnar;
-        let columnar_metrics = Registry::new();
+        let metrics = Registry::new();
         let mut rng = StdRng::seed_from_u64(99);
-        let columnar = build_coarse_tree(
-            &schema,
-            &sample,
-            &sel,
-            &cfg,
-            100_000,
-            &mut rng,
-            &columnar_metrics,
-        );
-
-        cfg.sample_engine = SampleEngine::Rows;
-        let rows_metrics = Registry::new();
+        let columnar = build_coarse_tree(&schema, &sample, &sel, &cfg, 100_000, &mut rng, &metrics);
         let mut rng = StdRng::seed_from_u64(99);
-        let rows = build_coarse_tree(
-            &schema,
-            &sample,
-            &sel,
-            &cfg,
-            100_000,
-            &mut rng,
-            &rows_metrics,
-        );
+        let reference = reference_coarse_tree(&schema, &sample, &sel, &cfg, 100_000, &mut rng);
 
-        assert_eq!(columnar, rows, "engines must agree node for node");
+        assert_eq!(columnar, reference, "must agree node for node");
 
-        let snap = columnar_metrics.snapshot();
+        let snap = metrics.snapshot();
         assert_eq!(
             snap.counter("boat.sample.columnar_builds"),
             cfg.bootstrap_reps as u64
         );
-        assert!(snap.counter("boat.sample.clone_bytes_avoided") > 0);
         assert!(snap.histogram("boat.sample.transpose").is_some());
         assert!(snap.histogram("boat.sample.presort").is_some());
         assert!(snap.histogram("boat.sample.grow").is_some());
-        let rows_snap = rows_metrics.snapshot();
-        assert_eq!(
-            rows_snap.counter("boat.sample.rows_builds"),
-            cfg.bootstrap_reps as u64
-        );
-        assert_eq!(rows_snap.counter("boat.sample.columnar_builds"), 0);
     }
 
     #[test]
-    fn quest_selector_falls_back_to_rows_engine() {
-        // QUEST has no columnar path; the dispatch must silently use the
-        // row-oriented builder instead of panicking.
+    fn quest_coarse_tree_matches_reference() {
+        // QUEST has no columnar override: its bootstrap trees grow through
+        // the default (materializing) `select_columnar`.
         let schema = schema();
         let sample = clean_sample(600);
         let sel = boat_tree::QuestSelector;
-        let cfg = config(); // sample_engine: Columnar (default)
+        let cfg = config();
         let metrics = Registry::new();
         let mut rng = StdRng::seed_from_u64(5);
         let coarse = build_coarse_tree(&schema, &sample, &sel, &cfg, 50_000, &mut rng, &metrics);
-        assert!(!coarse.nodes.is_empty());
-        let snap = metrics.snapshot();
-        assert_eq!(snap.counter("boat.sample.columnar_builds"), 0);
+        let mut rng = StdRng::seed_from_u64(5);
+        let reference = reference_coarse_tree(&schema, &sample, &sel, &cfg, 50_000, &mut rng);
+        assert_eq!(coarse, reference);
+        assert!(coarse.n_internal() > 0, "QUEST should agree on the root");
         assert_eq!(
-            snap.counter("boat.sample.rows_builds"),
+            metrics.snapshot().counter("boat.sample.columnar_builds"),
             cfg.bootstrap_reps as u64
-        );
-        assert_eq!(
-            snap.counter("boat.sample.selector_fallbacks"),
-            1,
-            "the silent engine override must be counted"
-        );
-    }
-
-    #[test]
-    fn columnar_selector_does_not_count_a_fallback() {
-        let schema = schema();
-        let sample = clean_sample(400);
-        let sel = ImpuritySelector::new(Gini);
-        let metrics = Registry::new();
-        let mut rng = StdRng::seed_from_u64(6);
-        build_coarse_tree(
-            &schema,
-            &sample,
-            &sel,
-            &config(),
-            50_000,
-            &mut rng,
-            &metrics,
-        );
-        assert_eq!(
-            metrics.snapshot().counter("boat.sample.selector_fallbacks"),
-            0
         );
     }
 

@@ -65,25 +65,6 @@ impl Default for AgreementRule {
     }
 }
 
-/// Which engine grows the in-memory (bootstrap and §3.5) trees.
-///
-/// Both engines produce **bit-identical** trees — the columnar engine's
-/// determinism contract (see `boat_tree::columnar`) is asserted end to end
-/// by the differential oracle — so this is purely a performance knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SampleEngine {
-    /// Columnar sample-phase engine (default): transpose the sample once
-    /// into dense per-attribute columns with presorted numeric indices,
-    /// draw bootstrap *multiplicity vectors* instead of cloned resamples,
-    /// and grow each tree with rank-preserving partitions (no per-node
-    /// re-sorting, no record clones).
-    #[default]
-    Columnar,
-    /// Row-oriented legacy path: materialize each bootstrap resample as a
-    /// `Vec<Record>` and grow with the reference in-memory builder.
-    Rows,
-}
-
 /// Tuning parameters of the BOAT algorithm (paper §3, defaults mirror the
 /// §5.1 experimental setup at a configurable scale).
 #[derive(Debug, Clone)]
@@ -129,10 +110,6 @@ pub struct BoatConfig {
     /// Records per chunk handed to a cleanup worker. Large enough to
     /// amortize channel traffic, small enough to keep all workers busy.
     pub cleanup_chunk_size: usize,
-    /// Engine for bootstrap tree construction and §3.5 in-memory builds.
-    /// Bit-identical output either way; [`SampleEngine::Columnar`] is the
-    /// fast default, [`SampleEngine::Rows`] the legacy reference path.
-    pub sample_engine: SampleEngine,
     /// Directory for spill and rebuild temporary files. `None` (default)
     /// uses [`std::env::temp_dir`]. The first spill into a directory also
     /// sweeps temp files orphaned there by dead processes.
@@ -143,7 +120,7 @@ pub struct BoatConfig {
     /// `boat_tree::subsample`). `0.0` disables the gate; any enabled value
     /// yields **bit-identical trees** (the gate only prunes candidates it
     /// *proves* lose, and falls back to the exact sweep otherwise), so this
-    /// is purely a performance knob. Only the columnar engine consults it.
+    /// is purely a performance knob.
     pub split_subsample: f64,
     /// Nodes with fewer member rows than this skip the subsampled search
     /// and run the exact sweep directly (small nodes are cheap; the gate's
@@ -168,7 +145,6 @@ impl Default for BoatConfig {
             seed: 0xB0A7,
             cleanup_threads: 0,
             cleanup_chunk_size: 8_192,
-            sample_engine: SampleEngine::default(),
             spill_dir: None,
             split_subsample: 1.0 / 16.0,
             split_subsample_min_node: 256,
@@ -212,12 +188,6 @@ impl BoatConfig {
     /// Builder-style cleanup-thread override (`0` = auto-detect).
     pub fn with_cleanup_threads(mut self, threads: usize) -> Self {
         self.cleanup_threads = threads;
-        self
-    }
-
-    /// Builder-style sample-engine override.
-    pub fn with_sample_engine(mut self, engine: SampleEngine) -> Self {
-        self.sample_engine = engine;
         self
     }
 
@@ -386,14 +356,6 @@ mod tests {
             ..Default::default()
         };
         assert!(full_quorum.validate().is_ok());
-    }
-
-    #[test]
-    fn sample_engine_defaults_to_columnar() {
-        assert_eq!(BoatConfig::default().sample_engine, SampleEngine::Columnar);
-        let legacy = BoatConfig::default().with_sample_engine(SampleEngine::Rows);
-        assert_eq!(legacy.sample_engine, SampleEngine::Rows);
-        legacy.validate().unwrap();
     }
 
     #[test]

@@ -51,7 +51,7 @@ mod work;
 
 pub use boat::{reference_tree, Boat, BoatFit};
 pub use coarse::{CoarseCriterion, CoarseTree, FrontierReason};
-pub use config::{BoatConfig, DiscretizeStrategy, SampleEngine};
+pub use config::{BoatConfig, DiscretizeStrategy};
 pub use incremental::{BoatModel, MaintainReport, UpdateReport};
 pub use stats::BoatRunStats;
 pub use stream::{

@@ -30,7 +30,7 @@
 //! order (addition is commutative), distinct-value grouping uses the same
 //! bit-pattern runs over the same `total_cmp` order, and split evaluation,
 //! tie-breaking and midpoints go through the same shared code. The
-//! differential oracle (`boat-core/tests/columnar_exactness.rs`) asserts
+//! differential oracle (`boat-core/tests/subsample_exactness.rs`) asserts
 //! this end to end.
 //!
 //! [`sweep_numeric`]: crate::split::sweep_numeric
@@ -163,11 +163,19 @@ impl ColumnarSample {
         self.sorted[attr].as_deref()
     }
 
-    /// Approximate heap bytes of one row-oriented [`Record`] of this
-    /// schema — what each *draw* of a materialized bootstrap resample
-    /// would clone. Used for the `boat.sample.clone_bytes_avoided` metric.
-    pub fn record_bytes(&self) -> usize {
-        std::mem::size_of::<Record>() + self.schema.n_attributes() * std::mem::size_of::<Field>()
+    /// Rebuild sample row `row` as a row-oriented [`Record`] (the inverse of
+    /// [`ColumnarSample::transpose`]).
+    pub(crate) fn record(&self, row: u32) -> Record {
+        let r = row as usize;
+        let fields: Vec<Field> = self
+            .columns
+            .iter()
+            .map(|col| match col {
+                Column::Num(v) => Field::Num(v[r]),
+                Column::Cat(v) => Field::Cat(v[r]),
+            })
+            .collect();
+        Record::new(fields, self.labels[r])
     }
 
     /// Whether `row` routes left under `split` (same predicate semantics as
@@ -275,9 +283,9 @@ impl NodeRows {
 /// multiset (row `r` repeated `weights[r]` times), per the module-level
 /// determinism contract.
 ///
-/// The selector must support the columnar path
-/// ([`SplitSelector::supports_columnar`]); panics otherwise. `cs` must be
-/// presorted.
+/// Any selector works: one without a columnar override selects through the
+/// default [`SplitSelector::select_columnar`], which materializes each
+/// node's multiset. `cs` must be presorted.
 pub fn grow_weighted<S: SplitSelector + ?Sized>(
     cs: &ColumnarSample,
     weights: &[u32],
@@ -301,10 +309,6 @@ pub fn grow_weighted_gated<S: SplitSelector + ?Sized>(
     limits: GrowthLimits,
     gate: Option<&crate::subsample::SubsampleRuntime<'_>>,
 ) -> Tree {
-    assert!(
-        selector.supports_columnar(),
-        "selector does not support the columnar sample engine"
-    );
     let k = cs.schema.n_classes();
     let mut counts = vec![0u64; k];
     for (r, &w) in weights.iter().enumerate() {
@@ -499,18 +503,34 @@ mod tests {
 
     #[test]
     fn bootstrap_weights_match_reference_on_materialized_resample() {
+        // The impurity selector's columnar override and QUEST's default
+        // (materializing) `select_columnar` must both equal the reference
+        // builder on the materialized multiset.
+        let selectors: [&dyn SplitSelector; 2] = [&selector(), &crate::quest::QuestSelector];
         let schema = mixed_schema();
         let records = random_records(&schema, 200, 23);
-        let sel = selector();
         let cs = ColumnarSample::from_records(&schema, &records);
-        for seed in 0..5u64 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let weights = boat_data::sample::bootstrap_multiplicities(records.len(), 150, &mut rng);
-            let expanded = materialize(&records, &weights);
-            let reference =
-                TdTreeBuilder::new(&sel, GrowthLimits::default()).fit(&schema, &expanded);
-            let columnar = grow_weighted(&cs, &weights, &sel, GrowthLimits::default());
-            assert_eq!(columnar, reference, "seed {seed}");
+        for sel in selectors {
+            for seed in 0..5u64 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let weights =
+                    boat_data::sample::bootstrap_multiplicities(records.len(), 150, &mut rng);
+                let expanded = materialize(&records, &weights);
+                let reference =
+                    TdTreeBuilder::new(sel, GrowthLimits::default()).fit(&schema, &expanded);
+                let columnar = grow_weighted(&cs, &weights, sel, GrowthLimits::default());
+                assert_eq!(columnar, reference, "{sel:?} seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn record_inverts_transpose() {
+        let schema = mixed_schema();
+        let records = random_records(&schema, 50, 5);
+        let cs = ColumnarSample::transpose(&schema, &records);
+        for (row, record) in records.iter().enumerate() {
+            assert_eq!(&cs.record(row as u32), record);
         }
     }
 

@@ -34,13 +34,6 @@ pub trait SplitSelector: Debug + Send + Sync {
         self.select(schema, &group)
     }
 
-    /// Whether [`SplitSelector::select_columnar`] is implemented for this
-    /// selector. Callers (e.g. BOAT's sampling phase) fall back to the
-    /// row-oriented path when this returns `false`.
-    fn supports_columnar(&self) -> bool {
-        false
-    }
-
     /// Choose the best split for one node of the columnar weighted engine
     /// (see [`crate::columnar`]): `node` holds the member rows (row-id order
     /// plus each numeric attribute's presorted order), `weights` the
@@ -48,8 +41,10 @@ pub trait SplitSelector: Debug + Send + Sync {
     /// counts. Implementations must return exactly what
     /// [`SplitSelector::select_records`] would on the materialized multiset.
     ///
-    /// The default panics; only call when
-    /// [`SplitSelector::supports_columnar`] is `true`.
+    /// The default *is* that contract: it materializes the node's multiset
+    /// from the columns (row-id order, each row repeated by its weight) and
+    /// calls [`SplitSelector::select_records`]. Selectors override it only
+    /// to skip the materialization.
     fn select_columnar(
         &self,
         sample: &crate::columnar::ColumnarSample,
@@ -57,8 +52,15 @@ pub trait SplitSelector: Debug + Send + Sync {
         weights: &[u32],
         totals: &[u64],
     ) -> Option<SplitEval> {
-        let _ = (sample, node, weights, totals);
-        unimplemented!("selector does not support the columnar sample engine")
+        let _ = totals;
+        let records: Vec<Record> = node.rows.iter().map(|&row| sample.record(row)).collect();
+        let multiset: Vec<&Record> = node
+            .rows
+            .iter()
+            .zip(&records)
+            .flat_map(|(&row, record)| std::iter::repeat_n(record, weights[row as usize] as usize))
+            .collect();
+        self.select_records(sample.schema(), &multiset)
     }
 
     /// [`SplitSelector::select_columnar`] plus the node's engine context
@@ -140,10 +142,6 @@ impl<I: Impurity> SplitSelector for ImpuritySelector<I> {
             }
         }
         best
-    }
-
-    fn supports_columnar(&self) -> bool {
-        true
     }
 
     fn select_columnar(

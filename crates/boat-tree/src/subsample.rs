@@ -1,7 +1,7 @@
 //! Confidence-gated subsampled split search for the columnar sample phase.
 //!
 //! The columnar engine (see [`crate::columnar`]) already evaluates split
-//! points *faster* than the row engine; this module makes it evaluate
+//! points *faster* than the row builder; this module makes it evaluate
 //! *fewer* of them while keeping the selected [`SplitEval`] byte-identical
 //! to the full exact sweep. The device is the same one BOAT's cleanup-phase
 //! verification uses (paper Lemma 3.1), applied one level earlier, inside
