@@ -4,7 +4,7 @@
 //! The parallel cleanup scan is bit-exact at every thread count (the
 //! shard merge is an exact commutative reduction), so this sweep asserts
 //! identical trees while measuring only performance. Results go to a
-//! `BENCH_*.json` file (speedups relative to the 1-thread serial scan)
+//! `BENCH_*.json` file (speedups relative to the 1-thread scan)
 //! together with the machine's available parallelism — on a single-core
 //! container the expected speedup is ~1.0×; on ≥4 hardware threads the
 //! routing work dominates the producer's decode loop and 4 workers

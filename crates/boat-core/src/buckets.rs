@@ -78,7 +78,7 @@ impl BucketSet {
     /// underflowing a cell: the bucket count, and the exact boundary count
     /// when `v` sits on a boundary, must both be positive. Incremental
     /// deletions check this along the whole routing path *before* mutating
-    /// anything (`WorkTree::validate_delete`).
+    /// anything (`NodeCounts::check_sub`).
     #[inline]
     pub fn can_sub(&self, v: f64, label: u16) -> bool {
         let b = self.bucket_of(v);

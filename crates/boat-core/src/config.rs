@@ -103,9 +103,9 @@ pub struct BoatConfig {
     /// Seed for sampling and bootstrapping.
     pub seed: u64,
     /// Worker threads for the cleanup scan. `0` means "use the machine's
-    /// available parallelism"; `1` runs the serial scan in-place. The
-    /// output is bit-identical at every thread count (the shard merge is
-    /// exact), so this is purely a performance knob.
+    /// available parallelism"; `1` runs the same fan-out with one router.
+    /// The output is bit-identical at every thread count (the shard merge
+    /// is exact), so this is purely a performance knob.
     pub cleanup_threads: usize,
     /// Records per chunk handed to a cleanup worker. Large enough to
     /// amortize channel traffic, small enough to keep all workers busy.

@@ -139,6 +139,11 @@ impl<I: Impurity + Clone> BoatModel<I> {
         let t0 = Instant::now();
         let mut report = UpdateReport::default();
         let mut err: Option<DataError> = None;
+        // Every record's shape is checked before its walk moves a counter:
+        // the walk indexes counters by label and category code.
+        let schema = self.work.schema.clone();
+        let checked =
+            |r: Result<Record>| r.and_then(|rec| rec.validate_shape(&schema).map(|()| rec));
         if delete {
             // Deletions go through the batched path: per-record validation
             // and counter updates are unchanged, but every touched spill
@@ -147,7 +152,7 @@ impl<I: Impurity + Clone> BoatModel<I> {
             // D-record chunk.
             let mut victims: Vec<Record> = Vec::new();
             for r in chunk.scan()? {
-                match r {
+                match checked(r) {
                     Ok(rec) => victims.push(rec),
                     Err(e) => {
                         err = Some(e);
@@ -157,21 +162,19 @@ impl<I: Impurity + Clone> BoatModel<I> {
             }
             let (applied, batch_err) = self.work.absorb_delete_batch(&victims);
             report.deleted = applied;
-            // A batch error happened on an earlier record than any scan
-            // error (the scan stopped collecting there), so it wins —
-            // matching the serial loop, which never reaches the scan error
-            // once an absorb fails.
+            // A batch error happened on an earlier record than any scan or
+            // shape error (collecting stopped there), so it wins.
             err = batch_err.or(err);
         } else {
             for r in chunk.scan()? {
-                let rec = match r {
+                let rec = match checked(r) {
                     Ok(rec) => rec,
                     Err(e) => {
                         err = Some(e);
                         break;
                     }
                 };
-                match self.work.absorb(&rec, false) {
+                match self.work.absorb(&rec) {
                     Ok(()) => report.inserted += 1,
                     Err(e) => {
                         err = Some(e);
@@ -187,12 +190,15 @@ impl<I: Impurity + Clone> BoatModel<I> {
             .counter("boat.incremental.deletes")
             .add(report.deleted);
         // Only invalidate the materialized tree when this chunk actually
-        // mutated state. An *empty* chunk (or a validated-delete failure on
-        // the first record, which is a guaranteed no-op) leaves the tree
-        // current — invalidating it anyway would force a full needless
-        // re-verification pass on the next `tree()`.
+        // mutated state. An *empty* chunk (or a validated-delete or shape
+        // failure on the first record, which is a guaranteed no-op) leaves
+        // the tree current — invalidating it anyway would force a full
+        // needless re-verification pass on the next `tree()`.
         let clean_failure = report.inserted + report.deleted == 0
-            && matches!(err, None | Some(DataError::Invalid(_)));
+            && matches!(
+                err,
+                None | Some(DataError::Invalid(_) | DataError::Schema(_))
+            );
         if !clean_failure {
             self.tree = None; // maintenance pending
         }
@@ -286,6 +292,14 @@ impl<I: Impurity + Clone> BoatModel<I> {
     /// [`Boat`] instance that built it).
     pub fn metrics(&self) -> &boat_obs::Registry {
         self.algo.metrics()
+    }
+
+    /// Assert the count-conservation identities of the maintained state;
+    /// panics on a violation. A test hook: integration suites run it after
+    /// every mutation.
+    #[doc(hidden)]
+    pub fn check_invariants(&mut self) {
+        self.work.check_invariants();
     }
 
     /// Total records currently parked in confidence-interval buffers.

@@ -37,9 +37,32 @@ pub(crate) fn limits_for_subtree(limits: GrowthLimits, base_depth: u32) -> Growt
     }
 }
 
-/// Per-node statistics accumulated during the cleanup scan (and maintained
-/// by incremental updates).
+/// Per-node state accumulated during the cleanup scan (and maintained by
+/// incremental updates).
 pub(crate) struct NodeState {
+    /// The node's split statistics.
+    pub counts: NodeCounts,
+    /// Parked tuples `S_n` (numeric criteria only).
+    pub parked: Option<SpillBuffer>,
+    /// Retained family records (frontier nodes that may need growth).
+    pub family: Option<SpillBuffer>,
+    /// Incremental: the node's retained records changed since last grow.
+    pub dirty: bool,
+}
+
+impl NodeState {
+    /// The buffer that holds the records whose walk stops at this node:
+    /// `S_n` at a numeric node, the retained family at a frontier node.
+    fn buffer(&mut self) -> Option<&mut SpillBuffer> {
+        self.parked.as_mut().or(self.family.as_mut())
+    }
+}
+
+/// The split statistics of one node. One per-tuple update ([`NodeCounts::add`]
+/// and [`NodeCounts::sub`]) maintains all of them. Every cell is an integer
+/// count, so merging shard copies is exact in any order.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct NodeCounts {
     /// Per-class totals of tuples that reached this node (`N^i` minus
     /// ancestor-parked).
     pub class_totals: Vec<u64>,
@@ -51,12 +74,165 @@ pub(crate) struct NodeState {
     /// Class counts of tuples with splitting-attribute value `< lo`
     /// (numeric criteria only).
     pub edge_left: Vec<u64>,
-    /// Parked tuples `S_n` (numeric criteria only).
-    pub parked: Option<SpillBuffer>,
-    /// Retained family records (frontier nodes that may need growth).
-    pub family: Option<SpillBuffer>,
-    /// Incremental: the node's retained records changed since last grow.
-    pub dirty: bool,
+}
+
+impl NodeCounts {
+    /// Zeroed counts over `k` classes with the given per-attribute slots
+    /// (both empty at a frontier node).
+    fn new(k: usize, cat: Vec<Option<CatAvc>>, buckets: Vec<Option<BucketSet>>) -> Self {
+        NodeCounts {
+            class_totals: vec![0; k],
+            cat,
+            buckets,
+            edge_left: vec![0; k],
+        }
+    }
+
+    /// Count `r`, which takes `step` at this node.
+    #[inline]
+    fn add(&mut self, r: &Record, step: Step) {
+        let label = r.label();
+        self.class_totals[label as usize] += 1;
+        for (a, slot) in self.cat.iter_mut().enumerate() {
+            if let Some(avc) = slot {
+                avc.add(r.cat(a), label);
+            }
+        }
+        for (a, slot) in self.buckets.iter_mut().enumerate() {
+            if let Some(b) = slot {
+                b.add(r.num(a), label);
+            }
+        }
+        if step == Step::LeftEdge {
+            self.edge_left[label as usize] += 1;
+        }
+    }
+
+    /// Uncount `r`, which takes `step` at this node. The caller has checked
+    /// [`NodeCounts::check_sub`] first.
+    fn sub(&mut self, r: &Record, step: Step) {
+        let label = r.label();
+        self.class_totals[label as usize] -= 1;
+        for (a, slot) in self.cat.iter_mut().enumerate() {
+            if let Some(avc) = slot {
+                avc.sub(r.cat(a), label);
+            }
+        }
+        for (a, slot) in self.buckets.iter_mut().enumerate() {
+            if let Some(b) = slot {
+                b.sub(r.num(a), label);
+            }
+        }
+        if step == Step::LeftEdge {
+            self.edge_left[label as usize] -= 1;
+        }
+    }
+
+    /// Check, without mutating, that [`NodeCounts::sub`] of `r` would not
+    /// underflow any cell: every cell it decrements must be positive.
+    fn check_sub(&self, r: &Record, step: Step) -> Result<()> {
+        let label = r.label();
+        let missing = |what: &str| Err(DataError::Invalid(format!("deletion of a record {what}")));
+        if self.class_totals[label as usize] == 0 {
+            return missing("not present at a node");
+        }
+        for (a, slot) in self.cat.iter().enumerate() {
+            if slot
+                .as_ref()
+                .is_some_and(|avc| avc.counts_for(r.cat(a))[label as usize] == 0)
+            {
+                return missing("not counted in a node's AVC-set");
+            }
+        }
+        for (a, slot) in self.buckets.iter().enumerate() {
+            if slot.as_ref().is_some_and(|b| !b.can_sub(r.num(a), label)) {
+                return missing("not counted in a node's buckets");
+            }
+        }
+        if step == Step::LeftEdge && self.edge_left[label as usize] == 0 {
+            return missing("not counted at a node's left edge");
+        }
+        Ok(())
+    }
+
+    /// Counts of the same shape with every cell zero.
+    fn zeroed_like(&self) -> Self {
+        NodeCounts::new(
+            self.class_totals.len(),
+            self.cat
+                .iter()
+                .map(|s| s.as_ref().map(CatAvc::zeroed_like))
+                .collect(),
+            self.buckets
+                .iter()
+                .map(|s| s.as_ref().map(BucketSet::zeroed_like))
+                .collect(),
+        )
+    }
+
+    /// Add every cell of `other`, which has the same shape, into `self`.
+    fn merge_from(&mut self, other: &NodeCounts) {
+        for (a, b) in self.class_totals.iter_mut().zip(&other.class_totals) {
+            *a += b;
+        }
+        for (a, b) in self.edge_left.iter_mut().zip(&other.edge_left) {
+            *a += b;
+        }
+        for (slot, other) in self.cat.iter_mut().zip(&other.cat) {
+            if let (Some(avc), Some(o)) = (slot.as_mut(), other.as_ref()) {
+                avc.merge_from(o);
+            }
+        }
+        for (slot, other) in self.buckets.iter_mut().zip(&other.buckets) {
+            if let (Some(b), Some(o)) = (slot.as_mut(), other.as_ref()) {
+                b.merge_from(o);
+            }
+        }
+    }
+}
+
+/// Where one tuple goes at one node under the parking rule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// Numeric criterion, value below the interval: the left child, and
+    /// the tuple counts in `edge_left`.
+    LeftEdge,
+    /// Categorical criterion, category in the subset: the left child.
+    Left,
+    /// The right child.
+    Right,
+    /// Numeric criterion, value inside the closed interval: the tuple
+    /// parks in `S_n` and goes no further.
+    Park,
+    /// Frontier node: the walk ends here.
+    Leaf,
+}
+
+impl Step {
+    /// The step `r` takes at a node with criterion `crit`.
+    #[inline]
+    fn of(crit: Option<&CoarseCriterion>, r: &Record) -> Step {
+        match crit {
+            None => Step::Leaf,
+            Some(CoarseCriterion::Num { attr, lo, hi }) => {
+                let v = r.num(*attr);
+                if v < *lo {
+                    Step::LeftEdge
+                } else if v <= *hi {
+                    Step::Park
+                } else {
+                    Step::Right
+                }
+            }
+            Some(CoarseCriterion::Cat { attr, subset }) => {
+                if subset.contains(r.cat(*attr)) {
+                    Step::Left
+                } else {
+                    Step::Right
+                }
+            }
+        }
+    }
 }
 
 /// How a node was resolved by the verification pass.
@@ -129,6 +305,19 @@ pub(crate) struct WorkNode {
     pub promotions: u32,
 }
 
+impl WorkNode {
+    /// The child a tuple taking `step` here moves to; `None` where its walk
+    /// stops.
+    #[inline]
+    fn child(&self, step: Step) -> Option<usize> {
+        match step {
+            Step::LeftEdge | Step::Left => Some(self.left.expect("internal")),
+            Step::Right => Some(self.right.expect("internal")),
+            Step::Park | Step::Leaf => None,
+        }
+    }
+}
+
 /// The working tree: coarse structure + cleanup state + resolutions.
 pub(crate) struct WorkTree {
     pub schema: Arc<Schema>,
@@ -139,28 +328,11 @@ pub(crate) struct WorkTree {
     pub metrics: Registry,
 }
 
-/// One node of a [`CleanupShard`]: the routing fields of the corresponding
-/// [`WorkNode`] plus zeroed clones of its mergeable statistics.
-struct ShardNode {
-    crit: Option<CoarseCriterion>,
-    left: Option<usize>,
-    right: Option<usize>,
-    /// Whether the frontier node retains family records.
-    keep_family: bool,
-    /// The shard routed at least one tuple through this node (drives the
-    /// dirty flag on merge, mirroring serial `absorb`).
-    touched: bool,
-    class_totals: Vec<u64>,
-    cat: Vec<Option<CatAvc>>,
-    buckets: Vec<Option<BucketSet>>,
-    edge_left: Vec<u64>,
-}
-
 /// Thread-local accumulator for one worker of the parallel cleanup scan.
 ///
-/// A shard carries a private copy of the coarse routing structure plus
-/// zeroed clones of every node's statistics. Routing a record updates the
-/// shard only; records the serial scan would store in a spill buffer
+/// A shard holds zeroed clones of every node's statistics and routes
+/// against the work tree's shared coarse structure. Routing a record
+/// updates the shard only; records the scan stores in a spill buffer
 /// (parked `S_n` tuples, retained frontier families) are emitted as
 /// `(node, record)` *deposits* for the caller to apply in chunk order.
 /// Two invariants make the reduction exact (see `WorkTree::merge_shard`
@@ -171,58 +343,29 @@ struct ShardNode {
 ///   accumulation;
 /// * deposits preserve record order within a chunk, and chunks are applied
 ///   in ascending index (= serial scan order), so spill-buffer contents
-///   and spill behaviour are byte-identical to the serial path.
+///   and spill behaviour are byte-identical to [`WorkTree::absorb`] on
+///   every record in scan order.
 pub(crate) struct CleanupShard {
-    nodes: Vec<ShardNode>,
+    nodes: Vec<NodeCounts>,
 }
 
 impl CleanupShard {
-    /// Route one record down the shard (the insertion half of
-    /// [`WorkTree::absorb`], against thread-local state). Records that
-    /// park at a numeric criterion or land in a retained frontier family
-    /// are appended to `deposits` as `(node index, record)`.
-    pub fn route(&mut self, r: Record, deposits: &mut Vec<(u32, Record)>) {
+    /// Route one record down `tree`, counting it in this shard. A record
+    /// that parks or lands in a retained frontier family is appended to
+    /// `deposits` as `(node index, record)`.
+    fn route(&mut self, tree: &[WorkNode], r: Record, deposits: &mut Vec<(u32, Record)>) {
         let mut idx = 0usize;
         loop {
-            let node = &mut self.nodes[idx];
-            node.touched = true;
-            let label = r.label() as usize;
-            node.class_totals[label] += 1;
-            let Some(crit) = node.crit.clone() else {
-                if node.keep_family {
-                    deposits.push((idx as u32, r));
-                }
-                return;
-            };
-            for (a, slot) in node.cat.iter_mut().enumerate() {
-                if let Some(avc) = slot {
-                    avc.add(r.cat(a), r.label());
-                }
-            }
-            for (a, slot) in node.buckets.iter_mut().enumerate() {
-                if let Some(b) = slot {
-                    b.add(r.num(a), r.label());
-                }
-            }
-            match crit {
-                CoarseCriterion::Num { attr, lo, hi } => {
-                    let v = r.num(attr);
-                    if v < lo {
-                        node.edge_left[label] += 1;
-                        idx = node.left.expect("internal");
-                    } else if v <= hi {
+            let node = &tree[idx];
+            let step = Step::of(node.crit.as_ref(), &r);
+            self.nodes[idx].add(&r, step);
+            match node.child(step) {
+                Some(child) => idx = child,
+                None => {
+                    if step == Step::Park || node.state.family.is_some() {
                         deposits.push((idx as u32, r));
-                        return;
-                    } else {
-                        idx = node.right.expect("internal");
                     }
-                }
-                CoarseCriterion::Cat { attr, subset } => {
-                    idx = if subset.contains(r.cat(attr)) {
-                        node.left.expect("internal")
-                    } else {
-                        node.right.expect("internal")
-                    };
+                    return;
                 }
             }
         }
@@ -388,10 +531,7 @@ impl WorkTree {
                         _ => None,
                     };
                     NodeState {
-                        class_totals: vec![0; k],
-                        cat,
-                        buckets,
-                        edge_left: vec![0; k],
+                        counts: NodeCounts::new(k, cat, buckets),
                         parked,
                         family: None,
                         dirty: false,
@@ -404,10 +544,7 @@ impl WorkTree {
                             Some(t) => est_family.saturating_mul(2) > t,
                         };
                     NodeState {
-                        class_totals: vec![0; k],
-                        cat: Vec::new(),
-                        buckets: Vec::new(),
-                        edge_left: vec![0; k],
+                        counts: NodeCounts::new(k, Vec::new(), Vec::new()),
                         parked: None,
                         family: keep.then(|| {
                             SpillBuffer::new_in(
@@ -444,189 +581,39 @@ impl WorkTree {
         }
     }
 
-    /// Stream one tuple down the tree, updating statistics (the cleanup
-    /// scan of §3.3/§3.5 and the §4 incremental update, unified).
-    /// `delete` subtracts instead of adding.
-    pub fn absorb(&mut self, r: &Record, delete: bool) -> Result<()> {
-        if delete {
-            // Deletions are validated along the whole routing path *before*
-            // any counter is touched. Without this, deleting a record that
-            // was never inserted decrements `u64` cells that may already be
-            // zero several levels down — a panic under overflow checks and
-            // silent count corruption in release — after the ancestors were
-            // already mutated. Validate-first makes a failed delete a no-op,
-            // so the model stays usable after the error.
-            self.validate_delete(r)?;
-        }
+    /// Stream `r` from the root under the parking rule, handing every node
+    /// on its path, and the step taken there, to `visit`. Returns the node
+    /// where the walk stops: the numeric node whose `S_n` the record parks
+    /// in, or its frontier leaf.
+    fn walk(
+        &mut self,
+        r: &Record,
+        mut visit: impl FnMut(&mut NodeState, Step) -> Result<()>,
+    ) -> Result<usize> {
         let mut idx = 0usize;
         loop {
             let node = &mut self.nodes[idx];
-            node.state.dirty = true;
-            let label = r.label() as usize;
-            if delete {
-                if node.state.class_totals[label] == 0 {
-                    return Err(DataError::Invalid(
-                        "deletion of a record not present at a node".into(),
-                    ));
-                }
-                node.state.class_totals[label] -= 1;
-            } else {
-                node.state.class_totals[label] += 1;
-            }
-            match node.crit.clone() {
-                None => {
-                    if let Some(family) = node.state.family.as_mut() {
-                        if delete {
-                            if !family.remove_one(r)? {
-                                return Err(DataError::Invalid(
-                                    "deletion of a record missing from a frontier family".into(),
-                                ));
-                            }
-                        } else {
-                            family.push(r.clone())?;
-                        }
-                    }
-                    return Ok(());
-                }
-                Some(crit) => {
-                    // Update the verification statistics.
-                    for (a, slot) in node.state.cat.iter_mut().enumerate() {
-                        if let Some(avc) = slot {
-                            if delete {
-                                avc.sub(r.cat(a), r.label());
-                            } else {
-                                avc.add(r.cat(a), r.label());
-                            }
-                        }
-                    }
-                    for (a, slot) in node.state.buckets.iter_mut().enumerate() {
-                        if let Some(b) = slot {
-                            if delete {
-                                b.sub(r.num(a), r.label());
-                            } else {
-                                b.add(r.num(a), r.label());
-                            }
-                        }
-                    }
-                    match crit {
-                        CoarseCriterion::Num { attr, lo, hi } => {
-                            let v = r.num(attr);
-                            if v < lo {
-                                if delete {
-                                    node.state.edge_left[label] -= 1;
-                                } else {
-                                    node.state.edge_left[label] += 1;
-                                }
-                                idx = node.left.expect("internal");
-                            } else if v <= hi {
-                                let parked =
-                                    node.state.parked.as_mut().expect("numeric node parks");
-                                if delete {
-                                    if !parked.remove_one(r)? {
-                                        return Err(DataError::Invalid(
-                                            "deletion of a record missing from S_n".into(),
-                                        ));
-                                    }
-                                } else {
-                                    parked.push(r.clone())?;
-                                }
-                                return Ok(());
-                            } else {
-                                idx = node.right.expect("internal");
-                            }
-                        }
-                        CoarseCriterion::Cat { attr, subset } => {
-                            idx = if subset.contains(r.cat(attr)) {
-                                node.left.expect("internal")
-                            } else {
-                                node.right.expect("internal")
-                            };
-                        }
-                    }
-                }
+            let step = Step::of(node.crit.as_ref(), r);
+            visit(&mut node.state, step)?;
+            match node.child(step) {
+                Some(child) => idx = child,
+                None => return Ok(idx),
             }
         }
     }
 
-    /// Check that deleting `r` cannot underflow any statistic along its
-    /// routing path, without mutating anything.
-    ///
-    /// Mirrors the routing walk of [`WorkTree::absorb`] with `delete =
-    /// true`: at every visited node the class total, every maintained
-    /// AVC/bucket cell the deletion would decrement, and (on the left
-    /// numeric branch) the edge count must be positive; where the record
-    /// would be removed from a spill buffer (parked `S_n`, retained
-    /// family), the buffer must actually contain it. `&mut self` only
-    /// because probing a spilled buffer flushes its writer.
-    fn validate_delete(&mut self, r: &Record) -> Result<()> {
-        let label = r.label() as usize;
-        let mut idx = 0usize;
-        loop {
-            let crit = self.nodes[idx].crit.clone();
-            let node = &mut self.nodes[idx];
-            if node.state.class_totals.get(label).copied().unwrap_or(0) == 0 {
-                return Err(DataError::Invalid(
-                    "deletion of a record not present at a node".into(),
-                ));
-            }
-            let Some(crit) = crit else {
-                if let Some(family) = node.state.family.as_mut() {
-                    if !family.contains(r)? {
-                        return Err(DataError::Invalid(
-                            "deletion of a record missing from a frontier family".into(),
-                        ));
-                    }
-                }
-                return Ok(());
-            };
-            for (a, slot) in node.state.cat.iter().enumerate() {
-                if let Some(avc) = slot {
-                    if avc.counts_for(r.cat(a))[label] == 0 {
-                        return Err(DataError::Invalid(
-                            "deletion of a record not counted in a node's AVC-set".into(),
-                        ));
-                    }
-                }
-            }
-            for (a, slot) in node.state.buckets.iter().enumerate() {
-                if let Some(b) = slot {
-                    if !b.can_sub(r.num(a), r.label()) {
-                        return Err(DataError::Invalid(
-                            "deletion of a record not counted in a node's buckets".into(),
-                        ));
-                    }
-                }
-            }
-            match crit {
-                CoarseCriterion::Num { attr, lo, hi } => {
-                    let v = r.num(attr);
-                    if v < lo {
-                        if node.state.edge_left[label] == 0 {
-                            return Err(DataError::Invalid(
-                                "deletion of a record not counted at a node's left edge".into(),
-                            ));
-                        }
-                        idx = node.left.expect("internal");
-                    } else if v <= hi {
-                        let parked = node.state.parked.as_mut().expect("numeric node parks");
-                        if !parked.contains(r)? {
-                            return Err(DataError::Invalid(
-                                "deletion of a record missing from S_n".into(),
-                            ));
-                        }
-                        return Ok(());
-                    } else {
-                        idx = node.right.expect("internal");
-                    }
-                }
-                CoarseCriterion::Cat { attr, subset } => {
-                    idx = if subset.contains(r.cat(attr)) {
-                        node.left.expect("internal")
-                    } else {
-                        node.right.expect("internal")
-                    };
-                }
-            }
+    /// Stream one inserted tuple down the tree, updating statistics (the
+    /// per-tuple update of the §3.3/§3.5 cleanup scan, applied in place for
+    /// the §4 incremental insert).
+    pub fn absorb(&mut self, r: &Record) -> Result<()> {
+        let end = self.walk(r, |state, step| {
+            state.dirty = true;
+            state.counts.add(r, step);
+            Ok(())
+        })?;
+        match self.nodes[end].state.buffer() {
+            Some(buf) => buf.push(r.clone()),
+            None => Ok(()),
         }
     }
 
@@ -634,21 +621,23 @@ impl WorkTree {
     /// spill-buffer removal so each buffer is rewritten **once** instead of
     /// once per deleted record.
     ///
-    /// Semantically identical to calling [`WorkTree::absorb`] with `delete =
-    /// true` on every record in order — counters are validated and mutated
-    /// per record, and [`SpillBuffer::remove_many`] replicates the exact
-    /// sequential `remove_one` ordering — but a D-record chunk rewrites each
-    /// touched spilled buffer once (`O(n)`) instead of `D` times (`O(D·n)`).
+    /// Each record is validated along its whole routing path before any
+    /// counter moves. Otherwise deleting a record that was never inserted
+    /// would underflow a `u64` cell several levels down after its ancestors
+    /// were already decremented. A failed delete is therefore a no-op and
+    /// the model stays usable. [`SpillBuffer::remove_many`] replicates the exact sequential
+    /// `remove_one` ordering, but a D-record chunk rewrites each touched
+    /// spilled buffer once (`O(n)`) instead of `D` times (`O(D·n)`).
     ///
     /// Returns how many records were fully applied, plus the error that
     /// stopped the batch (if any). On an error the prefix before the failing
-    /// record is still applied, exactly like the serial loop.
+    /// record is still applied.
     pub fn absorb_delete_batch(&mut self, records: &[Record]) -> (u64, Option<DataError>) {
         let mut pending: BTreeMap<usize, Vec<Record>> = BTreeMap::new();
         let mut applied = 0u64;
         let mut err: Option<DataError> = None;
         for r in records {
-            match self.absorb_delete_deferred(r, &mut pending) {
+            match self.delete_deferred(r, &mut pending) {
                 Ok(()) => applied += 1,
                 Err(e) => {
                     err = Some(e);
@@ -658,7 +647,7 @@ impl WorkTree {
         }
         // Apply the deferred removals even after a mid-batch error: the
         // records before the failure already had their counters decremented,
-        // so their buffer entries must go too (serial equivalence).
+        // so their buffer entries must go too.
         if let Err(e) = self.apply_pending_removals(pending) {
             if err.is_none() {
                 err = Some(e);
@@ -667,174 +656,47 @@ impl WorkTree {
         (applied, err)
     }
 
-    /// One deletion of [`WorkTree::absorb_delete_batch`]: validate the whole
-    /// routing path (buffer membership is checked net of already-`pending`
-    /// removals), then decrement counters, pushing spill-buffer removals
-    /// into `pending` instead of performing them.
-    fn absorb_delete_deferred(
+    /// One deletion of [`WorkTree::absorb_delete_batch`]. Validates the whole
+    /// routing path first. Buffer membership is checked net of the removals
+    /// already in `pending`: the buffer must hold **more** copies than are
+    /// earmarked, or a duplicate deletion in one chunk would validate
+    /// against the same stored record twice. Then decrements the counters
+    /// and queues the buffer removal in `pending`.
+    fn delete_deferred(
         &mut self,
         r: &Record,
         pending: &mut BTreeMap<usize, Vec<Record>>,
     ) -> Result<()> {
-        self.validate_delete_pending(r, pending)?;
-        let mut idx = 0usize;
-        loop {
-            let node = &mut self.nodes[idx];
-            node.state.dirty = true;
-            let label = r.label() as usize;
-            if node.state.class_totals[label] == 0 {
+        // `&mut` walk only because probing a spilled buffer flushes its
+        // writer; validation mutates no statistic.
+        let end = self.walk(r, |state, step| state.counts.check_sub(r, step))?;
+        if let Some(buf) = self.nodes[end].state.buffer() {
+            let held = pending
+                .get(&end)
+                .map_or(0, |queued| queued.iter().filter(|p| *p == r).count() as u64);
+            if buf.count_matching(r)? <= held {
                 return Err(DataError::Invalid(
-                    "deletion of a record not present at a node".into(),
+                    "deletion of a record missing from its S_n or frontier family".into(),
                 ));
             }
-            node.state.class_totals[label] -= 1;
-            match node.crit.clone() {
-                None => {
-                    if node.state.family.is_some() {
-                        pending.entry(idx).or_default().push(r.clone());
-                    }
-                    return Ok(());
-                }
-                Some(crit) => {
-                    for (a, slot) in node.state.cat.iter_mut().enumerate() {
-                        if let Some(avc) = slot {
-                            avc.sub(r.cat(a), r.label());
-                        }
-                    }
-                    for (a, slot) in node.state.buckets.iter_mut().enumerate() {
-                        if let Some(b) = slot {
-                            b.sub(r.num(a), r.label());
-                        }
-                    }
-                    match crit {
-                        CoarseCriterion::Num { attr, lo, hi } => {
-                            let v = r.num(attr);
-                            if v < lo {
-                                node.state.edge_left[label] -= 1;
-                                idx = node.left.expect("internal");
-                            } else if v <= hi {
-                                pending.entry(idx).or_default().push(r.clone());
-                                return Ok(());
-                            } else {
-                                idx = node.right.expect("internal");
-                            }
-                        }
-                        CoarseCriterion::Cat { attr, subset } => {
-                            idx = if subset.contains(r.cat(attr)) {
-                                node.left.expect("internal")
-                            } else {
-                                node.right.expect("internal")
-                            };
-                        }
-                    }
-                }
-            }
+            pending.entry(end).or_default().push(r.clone());
         }
-    }
-
-    /// [`WorkTree::validate_delete`], aware of removals already queued in
-    /// `pending`: where the serial path checks `contains`, the batched path
-    /// must check that the buffer holds **more** copies than are already
-    /// earmarked for removal, or a duplicate deletion in one chunk would
-    /// validate against the same stored record twice.
-    fn validate_delete_pending(
-        &mut self,
-        r: &Record,
-        pending: &BTreeMap<usize, Vec<Record>>,
-    ) -> Result<()> {
-        let label = r.label() as usize;
-        let held = |idx: usize| {
-            pending
-                .get(&idx)
-                .map(|v| v.iter().filter(|p| *p == r).count() as u64)
-                .unwrap_or(0)
-        };
-        let mut idx = 0usize;
-        loop {
-            let crit = self.nodes[idx].crit.clone();
-            let node = &mut self.nodes[idx];
-            if node.state.class_totals.get(label).copied().unwrap_or(0) == 0 {
-                return Err(DataError::Invalid(
-                    "deletion of a record not present at a node".into(),
-                ));
-            }
-            let Some(crit) = crit else {
-                if let Some(family) = node.state.family.as_mut() {
-                    if family.count_matching(r)? <= held(idx) {
-                        return Err(DataError::Invalid(
-                            "deletion of a record missing from a frontier family".into(),
-                        ));
-                    }
-                }
-                return Ok(());
-            };
-            for (a, slot) in node.state.cat.iter().enumerate() {
-                if let Some(avc) = slot {
-                    if avc.counts_for(r.cat(a))[label] == 0 {
-                        return Err(DataError::Invalid(
-                            "deletion of a record not counted in a node's AVC-set".into(),
-                        ));
-                    }
-                }
-            }
-            for (a, slot) in node.state.buckets.iter().enumerate() {
-                if let Some(b) = slot {
-                    if !b.can_sub(r.num(a), r.label()) {
-                        return Err(DataError::Invalid(
-                            "deletion of a record not counted in a node's buckets".into(),
-                        ));
-                    }
-                }
-            }
-            match crit {
-                CoarseCriterion::Num { attr, lo, hi } => {
-                    let v = r.num(attr);
-                    if v < lo {
-                        if node.state.edge_left[label] == 0 {
-                            return Err(DataError::Invalid(
-                                "deletion of a record not counted at a node's left edge".into(),
-                            ));
-                        }
-                        idx = node.left.expect("internal");
-                    } else if v <= hi {
-                        let parked = node.state.parked.as_mut().expect("numeric node parks");
-                        if parked.count_matching(r)? <= held(idx) {
-                            return Err(DataError::Invalid(
-                                "deletion of a record missing from S_n".into(),
-                            ));
-                        }
-                        return Ok(());
-                    } else {
-                        idx = node.right.expect("internal");
-                    }
-                }
-                CoarseCriterion::Cat { attr, subset } => {
-                    idx = if subset.contains(r.cat(attr)) {
-                        node.left.expect("internal")
-                    } else {
-                        node.right.expect("internal")
-                    };
-                }
-            }
-        }
+        self.walk(r, |state, step| {
+            state.dirty = true;
+            state.counts.sub(r, step);
+            Ok(())
+        })?;
+        Ok(())
     }
 
     /// Flush the removals a delete batch queued up: one
     /// [`SpillBuffer::remove_many`] per touched buffer.
     fn apply_pending_removals(&mut self, pending: BTreeMap<usize, Vec<Record>>) -> Result<()> {
         for (idx, targets) in pending {
-            let node = &mut self.nodes[idx];
-            let buf = match &node.crit {
-                Some(CoarseCriterion::Num { .. }) => {
-                    node.state.parked.as_mut().expect("numeric node parks")
-                }
-                None => node
-                    .state
-                    .family
-                    .as_mut()
-                    .expect("family-less frontier queued removals"),
-                Some(_) => unreachable!("categorical nodes hold no removable buffers"),
-            };
+            let buf = self.nodes[idx]
+                .state
+                .buffer()
+                .expect("removals are queued only at nodes with a buffer");
             let removed = buf.remove_many(&targets)?;
             if removed != targets.len() as u64 {
                 return Err(DataError::Invalid(
@@ -845,66 +707,21 @@ impl WorkTree {
         Ok(())
     }
 
-    /// A fresh thread-local shard for the parallel cleanup scan: the node
-    /// routing structure plus zeroed clones of every mergeable statistic.
-    pub fn new_shard(&self) -> CleanupShard {
-        let nodes = self
-            .nodes
-            .iter()
-            .map(|n| ShardNode {
-                crit: n.crit.clone(),
-                left: n.left,
-                right: n.right,
-                keep_family: n.state.family.is_some(),
-                touched: false,
-                class_totals: vec![0; n.state.class_totals.len()],
-                cat: n
-                    .state
-                    .cat
-                    .iter()
-                    .map(|s| s.as_ref().map(CatAvc::zeroed_like))
-                    .collect(),
-                buckets: n
-                    .state
-                    .buckets
-                    .iter()
-                    .map(|s| s.as_ref().map(BucketSet::zeroed_like))
-                    .collect(),
-                edge_left: vec![0; n.state.edge_left.len()],
-            })
-            .collect();
-        CleanupShard { nodes }
-    }
-
     /// Fold one shard's statistics into the tree.
     ///
     /// Every statistic is an integer count, so this is exactly associative
     /// and commutative: merging any number of shards in any order yields
     /// bit-identical state to a single serial accumulation. Nodes the shard
-    /// visited are marked dirty, mirroring [`WorkTree::absorb`].
-    pub fn merge_shard(&mut self, shard: &CleanupShard) {
+    /// visited are marked dirty, as [`WorkTree::absorb`] marks them.
+    fn merge_shard(&mut self, shard: &CleanupShard) {
         debug_assert_eq!(self.nodes.len(), shard.nodes.len(), "shard shape mismatch");
-        for (node, s) in self.nodes.iter_mut().zip(&shard.nodes) {
-            if !s.touched {
+        for (node, counts) in self.nodes.iter_mut().zip(&shard.nodes) {
+            // Every visit counts one tuple, so zero totals mean no visit.
+            if counts.class_totals.iter().all(|&c| c == 0) {
                 continue;
             }
             node.state.dirty = true;
-            for (a, b) in node.state.class_totals.iter_mut().zip(&s.class_totals) {
-                *a += b;
-            }
-            for (a, b) in node.state.edge_left.iter_mut().zip(&s.edge_left) {
-                *a += b;
-            }
-            for (slot, sslot) in node.state.cat.iter_mut().zip(&s.cat) {
-                if let (Some(avc), Some(savc)) = (slot.as_mut(), sslot.as_ref()) {
-                    avc.merge_from(savc);
-                }
-            }
-            for (slot, sslot) in node.state.buckets.iter_mut().zip(&s.buckets) {
-                if let (Some(b), Some(sb)) = (slot.as_mut(), sslot.as_ref()) {
-                    b.merge_from(sb);
-                }
-            }
+            node.state.counts.merge_from(counts);
         }
     }
 
@@ -913,60 +730,37 @@ impl WorkTree {
     ///
     /// Deposits preserve scan order within a chunk; the caller applies
     /// chunks in ascending chunk index — i.e. serial scan order — so every
-    /// spill buffer receives its records in exactly the sequence the serial
-    /// scan would have pushed them (bit-identical buffer and spill state).
-    pub fn apply_deposits(&mut self, deposits: Vec<(u32, Record)>) -> Result<()> {
+    /// spill buffer receives its records in exactly the sequence
+    /// [`WorkTree::absorb`] would have pushed them.
+    fn apply_deposits(&mut self, deposits: Vec<(u32, Record)>) -> Result<()> {
         for (idx, r) in deposits {
-            let node = &mut self.nodes[idx as usize];
-            match &node.crit {
-                Some(CoarseCriterion::Num { .. }) => {
-                    node.state
-                        .parked
-                        .as_mut()
-                        .expect("numeric node parks")
-                        .push(r)?;
-                }
-                None => {
-                    node.state
-                        .family
-                        .as_mut()
-                        .expect("deposit to a family-less frontier")
-                        .push(r)?;
-                }
-                Some(_) => unreachable!("categorical nodes never receive deposits"),
-            }
+            self.nodes[idx as usize]
+                .state
+                .buffer()
+                .expect("deposits go only to nodes with a buffer")
+                .push(r)?;
         }
         Ok(())
     }
 
-    /// The parallel cleanup scan (insertions only).
+    /// The cleanup scan (insertions only).
     ///
     /// The main thread drives the sequential chunked scan (I/O stays one
     /// sequential pass, exactly as the paper requires) and fans
     /// [`boat_data::RecordChunk`]s out over a bounded channel to `threads`
-    /// scoped workers. Each worker routes its chunks down a private
-    /// [`CleanupShard`] and emits per-chunk deposits. Afterwards the main
-    /// thread reduces: shard statistics merge in any order (integer sums),
-    /// and deposits apply in ascending chunk index. The result is
+    /// scoped workers (at least one). Each worker routes its chunks down a
+    /// private [`CleanupShard`] and emits per-chunk deposits. Afterwards the
+    /// main thread reduces: shard statistics merge in any order (integer
+    /// sums), and deposits apply in ascending chunk index. The result is
     /// bit-identical to calling [`WorkTree::absorb`] on every record in
-    /// scan order — verification sees exactly the serial state.
+    /// scan order, at every thread count.
     pub fn parallel_cleanup(
         &mut self,
         source: &dyn RecordSource,
         threads: usize,
         chunk_size: usize,
     ) -> Result<()> {
-        if threads <= 1 {
-            let mut n_routed = 0u64;
-            for r in source.scan()? {
-                self.absorb(&r?, false)?;
-                n_routed += 1;
-            }
-            self.metrics
-                .counter("boat.cleanup.records_routed")
-                .add(n_routed);
-            return Ok(());
-        }
+        let threads = threads.max(1);
         // Per-shard accumulation is local (plain u64s); each worker records
         // once at exit, so the histograms describe how route time and
         // queue-wait distribute *across shards* without hot-path atomics.
@@ -974,7 +768,15 @@ impl WorkTree {
         let wait_hist = self.metrics.histogram("boat.cleanup.queue_wait");
         let chunks_counter = self.metrics.counter("boat.cleanup.chunks");
         let routed_counter = self.metrics.counter("boat.cleanup.records_routed");
-        let mut shards: Vec<CleanupShard> = (0..threads).map(|_| self.new_shard()).collect();
+        let mut shards: Vec<CleanupShard> = (0..threads)
+            .map(|_| CleanupShard {
+                nodes: self
+                    .nodes
+                    .iter()
+                    .map(|n| n.state.counts.zeroed_like())
+                    .collect(),
+            })
+            .collect();
         let mut routed: Vec<RoutedChunk> = Vec::new();
         let mut scan_err: Option<DataError> = None;
         {
@@ -985,6 +787,7 @@ impl WorkTree {
             // even by panicking, `send` below fails instead of blocking on a
             // full channel, and the scope re-raises the router's panic.
             let chunk_rx = Arc::new(Mutex::new(chunk_rx));
+            let tree = &self.nodes;
             std::thread::scope(|scope| {
                 for shard in shards.iter_mut() {
                     let rx = Arc::clone(&chunk_rx);
@@ -1011,7 +814,7 @@ impl WorkTree {
                             let t_route = Instant::now();
                             n_routed += chunk.records.len() as u64;
                             for r in chunk.records {
-                                shard.route(r, &mut deposits);
+                                shard.route(tree, r, &mut deposits);
                             }
                             route_ns = route_ns.saturating_add(
                                 t_route.elapsed().as_nanos().min(u64::MAX as u128) as u64,
@@ -1096,10 +899,19 @@ impl WorkTree {
         let depth = self.nodes[idx].depth;
         let k = self.schema.n_classes();
 
-        let mut combined = self.nodes[idx].state.class_totals.clone();
+        // Full-family statistics: the stored counts plus every carried
+        // ancestor-parked tuple, counted as if it had reached this node.
+        let crit = self.nodes[idx].crit.clone();
+        let mut full = self.nodes[idx].state.counts.clone();
+        let mut carried_parked = Vec::new();
         for r in &carried {
-            combined[r.label() as usize] += 1;
+            let step = Step::of(crit.as_ref(), r);
+            full.add(r, step);
+            if step == Step::Park {
+                carried_parked.push(r.clone());
+            }
         }
+        let combined = full.class_totals.clone();
 
         if limits.must_stop(&combined, depth) {
             self.metrics.counter("boat.verify.leaf").inc();
@@ -1107,7 +919,7 @@ impl WorkTree {
             return Ok(());
         }
 
-        let Some(crit) = self.nodes[idx].crit.clone() else {
+        let Some(crit) = crit else {
             let fp = fingerprint(&self.schema, &carried);
             self.metrics.counter("boat.verify.frontier").inc();
             self.nodes[idx].resolution = Resolution::Frontier { counts: combined };
@@ -1119,26 +931,10 @@ impl WorkTree {
             return Ok(());
         };
 
-        // ---- build full-family views (stored + carried) ----
-        let mut full_cat: Vec<Option<CatAvc>> = self.nodes[idx].state.cat.clone();
-        let mut full_buckets: Vec<Option<BucketSet>> = self.nodes[idx].state.buckets.clone();
-        for r in &carried {
-            for (a, slot) in full_cat.iter_mut().enumerate() {
-                if let Some(avc) = slot {
-                    avc.add(r.cat(a), r.label());
-                }
-            }
-            for (a, slot) in full_buckets.iter_mut().enumerate() {
-                if let Some(b) = slot {
-                    b.add(r.num(a), r.label());
-                }
-            }
-        }
-
         // ---- derive the exact split for the coarse criterion ----
         let chosen: Option<SplitEval> = match &crit {
             CoarseCriterion::Cat { attr, subset } => {
-                let avc = full_cat[*attr].as_ref().expect("cat attr has AVC");
+                let avc = full.cat[*attr].as_ref().expect("cat attr has AVC");
                 match best_categorical_split(*attr, avc, imp) {
                     Some(eval) => {
                         let same = matches!(
@@ -1150,28 +946,14 @@ impl WorkTree {
                     None => None,
                 }
             }
-            CoarseCriterion::Num { attr, lo, hi } => {
+            CoarseCriterion::Num { attr, .. } => {
                 let mut full_parked: Vec<Record> = self.nodes[idx]
                     .state
                     .parked
                     .as_mut()
                     .expect("numeric node parks")
                     .to_vec()?;
-                full_parked.extend(
-                    carried
-                        .iter()
-                        .filter(|r| {
-                            let v = r.num(*attr);
-                            v >= *lo && v <= *hi
-                        })
-                        .cloned(),
-                );
-                let mut edge = self.nodes[idx].state.edge_left.clone();
-                for r in &carried {
-                    if r.num(*attr) < *lo {
-                        edge[r.label() as usize] += 1;
-                    }
-                }
+                full_parked.extend(carried_parked);
                 let mut interval_avc = NumAvc::new(k);
                 for r in &full_parked {
                     interval_avc.add(r.num(*attr), r.label());
@@ -1179,7 +961,7 @@ impl WorkTree {
                 sweep_numeric(
                     *attr,
                     interval_avc.iter(),
-                    Some(&edge),
+                    Some(&full.edge_left),
                     None,
                     &combined,
                     imp,
@@ -1202,7 +984,7 @@ impl WorkTree {
                     if a == chosen.split.attr {
                         continue;
                     }
-                    let avc = full_cat[a].as_ref().expect("cat attr has AVC");
+                    let avc = full.cat[a].as_ref().expect("cat attr has AVC");
                     if let Some(cand) = best_categorical_split(a, avc, imp) {
                         if cmp_splits(&cand, &chosen) == Ordering::Less {
                             if std::env::var("BOAT_DEBUG_VERIFY").is_ok() {
@@ -1217,7 +999,7 @@ impl WorkTree {
                     }
                 }
                 AttrType::Numeric => {
-                    let bset = full_buckets[a].as_ref().expect("numeric attr has buckets");
+                    let bset = full.buckets[a].as_ref().expect("numeric attr has buckets");
                     let stamps = bset.stamps();
                     let boundaries = bset.boundaries();
                     // For the splitting attribute, candidates inside the
@@ -1390,7 +1172,12 @@ impl WorkTree {
                 stack.push(self.nodes[i].left.expect("internal"));
                 stack.push(self.nodes[i].right.expect("internal"));
             } else if self.nodes[i].state.family.is_none()
-                && self.nodes[i].state.class_totals.iter().any(|&c| c > 0)
+                && self.nodes[i]
+                    .state
+                    .counts
+                    .class_totals
+                    .iter()
+                    .any(|&c| c > 0)
             {
                 return Ok(None);
             }
@@ -1506,7 +1293,7 @@ impl WorkTree {
 
     /// Size of the root family (the current logical dataset size).
     pub fn root_family(&self) -> u64 {
-        self.nodes[0].state.class_totals.iter().sum()
+        self.nodes[0].state.counts.class_totals.iter().sum()
     }
 
     /// Total parked tuples across all nodes.
@@ -1537,7 +1324,8 @@ impl WorkTree {
     /// * every bucket set and categorical AVC sums to the node's totals;
     /// * a retained frontier family holds exactly the node's tuples;
     /// * every buffer's length matches the records it yields.
-    #[cfg(test)]
+    ///
+    /// Panics on a violation. Tests run it after every mutation.
     pub(crate) fn check_invariants(&mut self) {
         fn label_counts(buf: &mut SpillBuffer, k: usize, what: &str, i: usize) -> Vec<u64> {
             let records = buf.to_vec().expect("read buffer");
@@ -1550,7 +1338,7 @@ impl WorkTree {
         }
         for i in 0..self.nodes.len() {
             let state = &mut self.nodes[i].state;
-            let totals = state.class_totals.clone();
+            let totals = state.counts.class_totals.clone();
             let k = totals.len();
             let parked = match state.parked.as_mut() {
                 Some(p) => label_counts(p, k, "parked", i),
@@ -1563,10 +1351,10 @@ impl WorkTree {
                     "family at node {i}"
                 );
             }
-            for b in state.buckets.iter().flatten() {
+            for b in state.counts.buckets.iter().flatten() {
                 assert_eq!(b.totals(), totals, "bucket totals at node {i}");
             }
-            for avc in state.cat.iter().flatten() {
+            for avc in state.counts.cat.iter().flatten() {
                 let mut sum = vec![0u64; k];
                 for c in 0..avc.cardinality() {
                     for (s, n) in sum.iter_mut().zip(avc.counts_for(c)) {
@@ -1577,12 +1365,18 @@ impl WorkTree {
             }
             let node = &self.nodes[i];
             let Some(crit) = &node.crit else { continue };
-            let left = &self.nodes[node.left.expect("internal")].state.class_totals;
-            let right = &self.nodes[node.right.expect("internal")].state.class_totals;
+            let left = &self.nodes[node.left.expect("internal")]
+                .state
+                .counts
+                .class_totals;
+            let right = &self.nodes[node.right.expect("internal")]
+                .state
+                .counts
+                .class_totals;
             let children: Vec<u64> = (0..k).map(|c| left[c] + right[c] + parked[c]).collect();
             assert_eq!(totals, children, "children + parked at node {i}");
             if let CoarseCriterion::Num { .. } = crit {
-                assert_eq!(&node.state.edge_left, left, "edge_left at node {i}");
+                assert_eq!(&node.state.counts.edge_left, left, "edge_left at node {i}");
             }
         }
     }
@@ -1662,10 +1456,10 @@ fn build_exact_node(
             depth,
             est_family: class_totals.iter().sum(),
             state: NodeState {
-                class_totals,
-                cat: Vec::new(),
-                buckets: Vec::new(),
-                edge_left: vec![0; k],
+                counts: NodeCounts {
+                    class_totals,
+                    ..NodeCounts::new(k, Vec::new(), Vec::new())
+                },
                 parked: None,
                 family: Some(family),
                 dirty: true,
@@ -1705,17 +1499,13 @@ fn build_exact_node(
         },
     };
 
-    // Exact per-attribute statistics from the family.
+    // Per-attribute statistics, discretized from the family itself.
     let mut cat: Vec<Option<CatAvc>> = Vec::with_capacity(schema.n_attributes());
     let mut buckets: Vec<Option<BucketSet>> = Vec::with_capacity(schema.n_attributes());
     for (a, attr) in schema.attributes().iter().enumerate() {
         match attr.ty() {
             AttrType::Categorical { cardinality } => {
-                let mut avc = CatAvc::new(cardinality, k);
-                for r in &records {
-                    avc.add(r.cat(a), r.label());
-                }
-                cat.push(Some(avc));
+                cat.push(Some(CatAvc::new(cardinality, k)));
                 buckets.push(None);
             }
             AttrType::Numeric => {
@@ -1736,45 +1526,28 @@ fn build_exact_node(
                     config.discretize,
                     &must_include,
                 );
-                let mut bset = BucketSet::new(bounds, k);
-                for r in &records {
-                    bset.add(r.num(a), r.label());
-                }
-                buckets.push(Some(bset));
+                buckets.push(Some(BucketSet::new(bounds, k)));
             }
         }
     }
 
-    // Partition by the exact criterion with parking.
-    let mut edge_left = vec![0u64; k];
+    // Partition by the exact criterion with parking, counting every record
+    // as the cleanup scan would.
+    let mut counts = NodeCounts::new(k, cat, buckets);
     let mut parked = SpillBuffer::new(
         schema.clone(),
         config.spill_budget,
         work.spill_stats.clone(),
     );
     let (mut left_recs, mut right_recs) = (Vec::new(), Vec::new());
-    match &crit {
-        CoarseCriterion::Num { attr, lo, hi } => {
-            for r in records {
-                let v = r.num(*attr);
-                if v < *lo {
-                    edge_left[r.label() as usize] += 1;
-                    left_recs.push(r);
-                } else if v <= *hi {
-                    parked.push(r)?;
-                } else {
-                    right_recs.push(r);
-                }
-            }
-        }
-        CoarseCriterion::Cat { attr, subset } => {
-            for r in records {
-                if subset.contains(r.cat(*attr)) {
-                    left_recs.push(r);
-                } else {
-                    right_recs.push(r);
-                }
-            }
+    for r in records {
+        let step = Step::of(Some(&crit), &r);
+        counts.add(&r, step);
+        match step {
+            Step::LeftEdge | Step::Left => left_recs.push(r),
+            Step::Right => right_recs.push(r),
+            Step::Park => parked.push(r)?,
+            Step::Leaf => unreachable!("an internal criterion routes every record"),
         }
     }
 
@@ -1787,10 +1560,7 @@ fn build_exact_node(
         depth,
         est_family: class_totals.iter().sum(),
         state: NodeState {
-            class_totals,
-            cat,
-            buckets,
-            edge_left,
+            counts,
             parked: matches!(crit, CoarseCriterion::Num { .. }).then_some(parked),
             family: None,
             dirty: true,
@@ -2001,7 +1771,7 @@ mod tests {
         let cfg = small_cfg();
         let mut work = prepared(&records, &cfg);
         for r in &records {
-            work.absorb(r, false).unwrap();
+            work.absorb(r).unwrap();
         }
         assert_eq!(work.root_family(), 4000);
         let jobs = work.finalize(&Gini, cfg.limits).unwrap();
@@ -2028,16 +1798,17 @@ mod tests {
         let cfg = small_cfg();
         let mut work = prepared(&records, &cfg);
         for r in &records {
-            work.absorb(r, false).unwrap();
+            work.absorb(r).unwrap();
         }
         work.check_invariants();
-        let counts_before = work.nodes[0].state.class_totals.clone();
+        let counts_before = work.nodes[0].state.counts.class_totals.clone();
         let extra = rec(333.0, 0);
-        work.absorb(&extra, false).unwrap();
+        work.absorb(&extra).unwrap();
         work.check_invariants();
-        work.absorb(&extra, true).unwrap();
+        let (applied, err) = work.absorb_delete_batch(std::slice::from_ref(&extra));
+        assert_eq!((applied, err.is_none()), (1, true));
         work.check_invariants();
-        assert_eq!(work.nodes[0].state.class_totals, counts_before);
+        assert_eq!(work.nodes[0].state.counts.class_totals, counts_before);
     }
 
     /// Assert complete per-node state equality between two work trees.
@@ -2045,10 +1816,7 @@ mod tests {
         assert_eq!(a.nodes.len(), b.nodes.len());
         for i in 0..a.nodes.len() {
             let (sa, sb) = (&a.nodes[i].state, &b.nodes[i].state);
-            assert_eq!(sa.class_totals, sb.class_totals, "class_totals at node {i}");
-            assert_eq!(sa.edge_left, sb.edge_left, "edge_left at node {i}");
-            assert_eq!(sa.cat, sb.cat, "cat AVCs at node {i}");
-            assert_eq!(sa.buckets, sb.buckets, "buckets at node {i}");
+            assert_eq!(sa.counts, sb.counts, "counts at node {i}");
             assert_eq!(sa.dirty, sb.dirty, "dirty at node {i}");
             let (sa, sb) = (&mut a.nodes[i].state, &mut b.nodes[i].state);
             match (sa.parked.as_mut(), sb.parked.as_mut()) {
@@ -2079,8 +1847,9 @@ mod tests {
     #[test]
     fn parallel_cleanup_state_matches_serial_exactly() {
         // Rich multi-attribute data (numeric + categorical criteria, parked
-        // buffers, frontier families) — the parallel scan must leave the
-        // work tree in *identical* state to the serial scan.
+        // buffers, frontier families) — the cleanup scan must leave the
+        // work tree in *identical* state to serial `absorb` at every thread
+        // count.
         let gen = boat_datagen::GeneratorConfig::new(boat_datagen::LabelFunction::F6).with_seed(77);
         let records = gen.generate_vec(4_000);
         let ds = MemoryDataset::new(gen.schema(), records.clone());
@@ -2122,10 +1891,10 @@ mod tests {
         };
         let mut serial = prepare();
         for r in &records {
-            serial.absorb(r, false).unwrap();
+            serial.absorb(r).unwrap();
         }
         serial.check_invariants();
-        for threads in [2usize, 4, 8] {
+        for threads in [1usize, 2, 4, 8] {
             let mut parallel = prepare();
             parallel
                 .parallel_cleanup(&ds, threads, cfg.cleanup_chunk_size)
@@ -2175,7 +1944,7 @@ mod tests {
                 boat_obs::Registry::new(),
             );
             for r in &records {
-                work.absorb(r, false).unwrap();
+                work.absorb(r).unwrap();
             }
             work
         };
@@ -2187,12 +1956,11 @@ mod tests {
         let mut serial_applied = 0u64;
         let mut serial_err: Option<DataError> = None;
         for v in &victims {
-            match serial.absorb(v, true) {
-                Ok(()) => serial_applied += 1,
-                Err(e) => {
-                    serial_err = Some(e);
-                    break;
-                }
+            let (applied, err) = serial.absorb_delete_batch(std::slice::from_ref(v));
+            serial_applied += applied;
+            if err.is_some() {
+                serial_err = err;
+                break;
             }
         }
         let mut batched = prepare();
@@ -2210,9 +1978,11 @@ mod tests {
         let cfg = small_cfg();
         let mut work = prepared(&records, &cfg);
         for r in &records {
-            work.absorb(r, false).unwrap();
+            work.absorb(r).unwrap();
         }
-        assert!(work.absorb(&rec(3.0, 1), true).is_err());
+        let (applied, err) = work.absorb_delete_batch(&[rec(3.0, 1)]);
+        assert_eq!(applied, 0);
+        assert!(err.is_some());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use boat_core::{reference_tree, Boat, BoatConfig};
 use boat_data::dataset::{RecordScan, RecordSource};
-use boat_data::{Attribute, Field, IoStats, MemoryDataset, Record, Result, Schema};
+use boat_data::{Attribute, DataError, Field, IoStats, MemoryDataset, Record, Result, Schema};
 use boat_datagen::{GeneratorConfig, LabelFunction};
 use boat_tree::{Gini, GrowthLimits};
 use std::sync::Arc;
@@ -141,6 +141,7 @@ fn model_on_tiny_base_then_large_inserts() {
         model
             .insert(&MemoryDataset::new(schema.clone(), chunk.to_vec()))
             .unwrap();
+        model.check_invariants();
     }
     let reference = reference_tree(
         &MemoryDataset::new(schema, all),
@@ -149,6 +150,7 @@ fn model_on_tiny_base_then_large_inserts() {
     )
     .unwrap();
     assert_eq!(model.tree().unwrap(), &reference);
+    model.check_invariants();
 }
 
 #[test]
@@ -160,14 +162,76 @@ fn delete_everything_then_reinsert() {
     let algo = Boat::new(tiny_config(10));
     let (mut model, _) = algo.fit_model(&ds).unwrap();
     model.delete(&ds).unwrap();
+    model.check_invariants();
     {
         let tree = model.tree().unwrap();
         assert_eq!(tree.n_nodes(), 1);
         assert_eq!(tree.node(tree.root()).n_records(), 0);
     }
+    model.check_invariants();
     model.insert(&ds).unwrap();
+    model.check_invariants();
     let reference = reference_tree(&ds, Gini, GrowthLimits::default()).unwrap();
     assert_eq!(model.tree().unwrap(), &reference);
+    model.check_invariants();
+}
+
+/// Malformed records (wrong arity, wrong field type, category code or label
+/// out of range) must fail the update with `DataError::Schema` before any
+/// counter moves. Records ahead of the bad one stay applied, and the model
+/// stays exact over exactly the applied records.
+#[test]
+fn malformed_update_records_are_rejected_before_any_counter_moves() {
+    let gen = GeneratorConfig::new(LabelFunction::F2).with_seed(13);
+    let schema = gen.schema();
+    let all = gen.generate_vec(2_400);
+    let (base, extra) = all.split_at(2_000);
+    let mut net = base.to_vec();
+    let algo = Boat::new(tiny_config(13));
+    let (mut model, _) = algo
+        .fit_model(&MemoryDataset::new(schema.clone(), net.clone()))
+        .unwrap();
+    let with_field = |r: &Record, a: usize, f: Field| {
+        let mut fields = r.fields().to_vec();
+        fields[a] = f;
+        Record::new(fields, r.label())
+    };
+    let malformed = [
+        extra[0].clone().with_label(5),
+        Record::new(vec![Field::Num(1.0)], 0),
+        with_field(&extra[0], 3, Field::Cat(5)),
+        with_field(&extra[0], 0, Field::Cat(0)),
+    ];
+    for (i, bad) in malformed.iter().enumerate() {
+        // Insert: two good records, then the bad one.
+        let good = &extra[2 * i..2 * i + 2];
+        let mut chunk = good.to_vec();
+        chunk.push(bad.clone());
+        let err = model
+            .insert(&MemoryDataset::new(schema.clone(), chunk))
+            .unwrap_err();
+        assert!(matches!(err, DataError::Schema(_)), "insert {i}: {err:?}");
+        net.extend_from_slice(good);
+        model.check_invariants();
+        // Delete: one present record, then the bad one.
+        let victim = net.remove(i);
+        let err = model
+            .delete(&MemoryDataset::new(
+                schema.clone(),
+                vec![victim, bad.clone()],
+            ))
+            .unwrap_err();
+        assert!(matches!(err, DataError::Schema(_)), "delete {i}: {err:?}");
+        model.check_invariants();
+    }
+    let reference = reference_tree(
+        &MemoryDataset::new(schema.clone(), net),
+        Gini,
+        GrowthLimits::default(),
+    )
+    .unwrap();
+    assert_eq!(model.tree().unwrap(), &reference);
+    model.check_invariants();
 }
 
 // ---------------------------------------------------------------------------
@@ -267,4 +331,5 @@ fn model_update_io_error_is_propagated() {
     };
     let err = model.insert(&chunk).unwrap_err();
     assert!(err.to_string().contains("chunk truncated"), "{err}");
+    model.check_invariants();
 }

@@ -40,6 +40,7 @@ fn insertions_match_rebuild() {
     for chunk_end in [7_000, 9_000] {
         let chunk = mem(&schema, all[upto..chunk_end].to_vec());
         let report = model.insert(&chunk).unwrap();
+        model.check_invariants();
         assert_eq!(report.inserted, (chunk_end - upto) as u64);
         upto = chunk_end;
         let net = mem(&schema, all[..upto].to_vec());
@@ -49,6 +50,7 @@ fn insertions_match_rebuild() {
             &reference,
             "after inserting up to {upto}: maintained tree != rebuild"
         );
+        model.check_invariants();
     }
 }
 
@@ -64,10 +66,12 @@ fn deletions_match_rebuild() {
     // Delete the *most recent* chunk (the paper's expiry scenario).
     let expired = mem(&schema, all[6_000..].to_vec());
     let report = model.delete(&expired).unwrap();
+    model.check_invariants();
     assert_eq!(report.deleted, 2_000);
     let net = mem(&schema, all[..6_000].to_vec());
     let reference = reference_tree(&net, Gini, GrowthLimits::default()).unwrap();
     assert_eq!(model.tree().unwrap(), &reference);
+    model.check_invariants();
 }
 
 #[test]
@@ -83,15 +87,19 @@ fn interleaved_inserts_and_deletes_match_rebuild() {
     model
         .insert(&mem(&schema, all[4_000..7_000].to_vec()))
         .unwrap();
+    model.check_invariants();
     model
         .delete(&mem(&schema, all[1_000..2_000].to_vec()))
         .unwrap();
+    model.check_invariants();
     model
         .insert(&mem(&schema, all[7_000..10_000].to_vec()))
         .unwrap();
+    model.check_invariants();
     model
         .delete(&mem(&schema, all[5_000..6_000].to_vec()))
         .unwrap();
+    model.check_invariants();
 
     let mut net: Vec<Record> = Vec::new();
     net.extend_from_slice(&all[..1_000]);
@@ -99,6 +107,7 @@ fn interleaved_inserts_and_deletes_match_rebuild() {
     net.extend_from_slice(&all[6_000..10_000]);
     let reference = reference_tree(&mem(&schema, net), Gini, GrowthLimits::default()).unwrap();
     assert_eq!(model.tree().unwrap(), &reference);
+    model.check_invariants();
 }
 
 #[test]
@@ -115,6 +124,7 @@ fn same_distribution_updates_do_not_rescan_base() {
 
     let chunk = mem(&schema, all[6_000..].to_vec());
     model.insert(&chunk).unwrap();
+    model.check_invariants();
     model.maintain().unwrap();
     assert_eq!(
         base.stats().snapshot().scans,
@@ -142,12 +152,14 @@ fn drift_chunk_still_yields_exact_tree() {
     let algo = Boat::new(config(2500));
     let (mut model, _) = algo.fit_model(&mem(&schema, base_records.clone())).unwrap();
     model.insert(&mem(&schema, drift_records.clone())).unwrap();
+    model.check_invariants();
 
     let report = model.maintain().unwrap();
     let mut net = base_records;
     net.extend(drift_records);
     let reference = reference_tree(&mem(&schema, net), Gini, GrowthLimits::default()).unwrap();
     assert_eq!(model.tree().unwrap(), &reference);
+    model.check_invariants();
     let _ = report; // drift may or may not surface as Failed at this scale
 }
 
@@ -160,15 +172,19 @@ fn insert_then_delete_roundtrips_to_original_tree() {
     let algo = Boat::new(config(2600));
     let (mut model, _) = algo.fit_model(&base).unwrap();
     let original = model.tree().unwrap().clone();
+    model.check_invariants();
 
     let chunk = mem(&schema, all[5_000..].to_vec());
     model.insert(&chunk).unwrap();
+    model.check_invariants();
     model.delete(&chunk).unwrap();
+    model.check_invariants();
     assert_eq!(
         model.tree().unwrap(),
         &original,
         "insert followed by delete must round-trip"
     );
+    model.check_invariants();
 }
 
 #[test]
@@ -183,6 +199,7 @@ fn deleting_a_missing_record_errors() {
         .with_seed(999)
         .generate_vec(1);
     let result = model.delete(&mem(&schema, foreign));
+    model.check_invariants();
     assert!(
         result.is_err(),
         "deleting a record that was never inserted must fail"
@@ -191,7 +208,7 @@ fn deleting_a_missing_record_errors() {
 
 /// Regression: deleting a never-inserted record used to subtract from
 /// per-class counters unconditionally, underflowing `u64`s (caught by
-/// `-C overflow-checks`, silent corruption in release). `validate_delete`
+/// `-C overflow-checks`, silent corruption in release). The delete path
 /// must reject the record *before* any counter is touched, leaving the
 /// model fully usable.
 #[test]
@@ -203,12 +220,14 @@ fn failed_delete_leaves_model_usable() {
     let algo = Boat::new(config(3100));
     let (mut model, _) = algo.fit_model(&base).unwrap();
     let before = model.tree().unwrap().clone();
+    model.check_invariants();
 
     // A foreign record: same schema, different generator stream.
     let foreign = GeneratorConfig::new(LabelFunction::F1)
         .with_seed(4_242)
         .generate_vec(3);
     let err = model.delete(&mem(&schema, foreign)).unwrap_err();
+    model.check_invariants();
     assert!(
         matches!(err, boat_data::DataError::Invalid(_)),
         "absent delete must surface as DataError::Invalid, got {err:?}"
@@ -221,9 +240,12 @@ fn failed_delete_leaves_model_usable() {
         &before,
         "failed delete must not mutate"
     );
+    model.check_invariants();
     model.insert(&mem(&schema, all[5_000..].to_vec())).unwrap();
+    model.check_invariants();
     let reference = reference_tree(&mem(&schema, all), Gini, GrowthLimits::default()).unwrap();
     assert_eq!(model.tree().unwrap(), &reference);
+    model.check_invariants();
 }
 
 /// Same regression at the bucket level: a record whose class exists at the
@@ -238,6 +260,7 @@ fn failed_delete_of_unseen_value_is_rejected() {
     let algo = Boat::new(config(3200));
     let (mut model, _) = algo.fit_model(&base).unwrap();
     let before = model.tree().unwrap().clone();
+    model.check_invariants();
 
     // Take a real record but nudge its numeric attributes far outside the
     // observed range — the class totals still match, the cells don't.
@@ -249,11 +272,13 @@ fn failed_delete_of_unseen_value_is_rejected() {
         .collect();
     let phantom = Record::new(fields, all[0].label());
     let result = model.delete(&mem(&schema, vec![phantom]));
+    model.check_invariants();
     assert!(
         result.is_err(),
         "unseen-value delete must fail, not underflow"
     );
     assert_eq!(model.tree().unwrap(), &before);
+    model.check_invariants();
 }
 
 /// Round-trip identity must also hold when the cleanup scan ran sharded
@@ -270,24 +295,31 @@ fn roundtrip_under_parallel_cleanup() {
     let algo = Boat::new(cfg);
     let (mut model, _) = algo.fit_model(&base).unwrap();
     let original = model.tree().unwrap().clone();
+    model.check_invariants();
 
     let chunk = mem(&schema, all[5_000..].to_vec());
     model.insert(&chunk).unwrap();
+    model.check_invariants();
     let reference = reference_tree(&mem(&schema, all.clone()), Gini, GrowthLimits::default());
     assert_eq!(model.tree().unwrap(), &reference.unwrap());
+    model.check_invariants();
     model.delete(&chunk).unwrap();
+    model.check_invariants();
     assert_eq!(
         model.tree().unwrap(),
         &original,
         "insert(C); delete(C) must round-trip under sharded cleanup"
     );
+    model.check_invariants();
 
     // And an absent delete still errors cleanly on the merged state.
     let foreign = GeneratorConfig::new(LabelFunction::F6)
         .with_seed(5_555)
         .generate_vec(1);
     assert!(model.delete(&mem(&schema, foreign)).is_err());
+    model.check_invariants();
     assert_eq!(model.tree().unwrap(), &original);
+    model.check_invariants();
 }
 
 /// Regression: `MaintainReport::regrown_subtrees` only counted the jobs of
@@ -303,11 +335,13 @@ fn regrown_subtrees_counts_every_promotion_round() {
     let algo = Boat::new(config(3400));
     let (mut model, _) = algo.fit_model(&base).unwrap();
     let _ = model.tree().unwrap();
+    model.check_invariants();
 
     // Triple the data: frontier families outgrow in_memory_threshold=400,
     // forcing promotions — which splice subtrees and trigger follow-up
     // rounds whose jobs the old accounting dropped.
     model.insert(&mem(&schema, all[4_000..].to_vec())).unwrap();
+    model.check_invariants();
     let before = model.metrics().snapshot();
     let report = model.maintain().unwrap();
     let executed = model
@@ -325,6 +359,7 @@ fn regrown_subtrees_counts_every_promotion_round() {
     );
     let reference = reference_tree(&mem(&schema, all), Gini, GrowthLimits::default()).unwrap();
     assert_eq!(model.tree().unwrap(), &reference);
+    model.check_invariants();
 }
 
 /// Regression: an empty (or cleanly failed) chunk used to invalidate the
@@ -341,16 +376,20 @@ fn empty_chunk_does_not_invalidate_tree() {
 
     let before = model.metrics().snapshot();
     let report = model.insert(&mem(&schema, Vec::new())).unwrap();
+    model.check_invariants();
     assert_eq!(report.inserted, 0);
     model.delete(&mem(&schema, Vec::new())).unwrap();
+    model.check_invariants();
     // An absent delete that fails validation on its first record is a
     // guaranteed no-op too.
     let foreign = GeneratorConfig::new(LabelFunction::F1)
         .with_seed(6_060)
         .generate_vec(1);
     let _ = model.delete(&mem(&schema, foreign)).unwrap_err();
+    model.check_invariants();
 
     let _ = model.tree().unwrap();
+    model.check_invariants();
     let delta = model.metrics().snapshot().since(&before);
     assert_eq!(
         delta.counter("boat.incremental.maintain_runs"),
@@ -370,6 +409,7 @@ fn update_with_mismatched_schema_errors() {
     let other = GeneratorConfig::new(LabelFunction::F1).with_extra_attrs(1);
     let chunk = MemoryDataset::new(other.schema(), other.generate_vec(10));
     assert!(model.insert(&chunk).is_err());
+    model.check_invariants();
 }
 
 #[test]
@@ -388,6 +428,7 @@ fn many_small_chunks_match_one_big_chunk() {
         small_chunks
             .insert(&mem(&schema, all[start..start + 1_000].to_vec()))
             .unwrap();
+        small_chunks.check_invariants();
     }
 
     let (mut one_chunk, _) = algo
@@ -396,10 +437,14 @@ fn many_small_chunks_match_one_big_chunk() {
     one_chunk
         .insert(&mem(&schema, all[3_000..].to_vec()))
         .unwrap();
+    one_chunk.check_invariants();
 
     assert_eq!(small_chunks.tree().unwrap(), one_chunk.tree().unwrap());
+    small_chunks.check_invariants();
+    one_chunk.check_invariants();
     let reference = reference_tree(&mem(&schema, all), Gini, GrowthLimits::default()).unwrap();
     assert_eq!(small_chunks.tree().unwrap(), &reference);
+    small_chunks.check_invariants();
 }
 
 /// Batched-deletion regression (the `remove_many` fix): deleting a chunk
@@ -428,7 +473,11 @@ fn batch_delete_shrinks_spill_write_traffic() {
             model.delete(&mem(&schema, chunk)).unwrap();
         }
         let delta = registry.snapshot().since(&before);
+        // Checked once the spill counters are read: reading a buffer
+        // flushes its staged records, which would skew them.
+        model.check_invariants();
         let tree = model.tree().unwrap().clone();
+        model.check_invariants();
         (
             delta.counter("data.spill.records_written"),
             delta.counter("data.spill.bytes_written"),

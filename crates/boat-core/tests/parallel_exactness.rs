@@ -1,7 +1,7 @@
 //! Exactness oracle for the parallel cleanup scan.
 //!
 //! The parallel scan must be *invisible*: at every thread count BOAT must
-//! produce the same tree as the serial scan — which in turn must equal the
+//! produce the same tree as the one-router scan — which in turn must equal the
 //! greedy reference tree — and the deterministic run statistics (scan
 //! counts, parked/spilled tuples, verification outcomes, input I/O) must be
 //! identical, because verification is supposed to see bit-identical state.

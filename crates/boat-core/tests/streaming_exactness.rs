@@ -216,6 +216,8 @@ fn crash_recovery_is_exact_over_the_durable_prefix() {
         streaming.insert(chunk.to_vec()).unwrap();
     }
     streaming.delete(all[4_000..4_500].to_vec()).unwrap();
+    // The appender opens its first segment asynchronously; quiesce first.
+    streaming.quiesce().unwrap();
     let segments = streaming.wal_segments();
     streaming.finish().unwrap();
     assert_eq!(segments.len(), 1);

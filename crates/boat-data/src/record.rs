@@ -89,6 +89,23 @@ impl Record {
     /// Check that this record conforms to `schema`: field count, field types,
     /// category codes in range, label in range, numeric values finite.
     pub fn validate(&self, schema: &Schema) -> crate::Result<()> {
+        self.validate_shape(schema)?;
+        for (i, f) in self.fields.iter().enumerate() {
+            if let Field::Num(v) = f {
+                if !v.is_finite() {
+                    return Err(crate::DataError::Schema(format!(
+                        "attribute {i} has non-finite value {v}"
+                    )));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The structural part of [`Record::validate`]: field count, field
+    /// types, category codes in range and label in range. Non-finite
+    /// numeric values pass.
+    pub fn validate_shape(&self, schema: &Schema) -> crate::Result<()> {
         if self.fields.len() != schema.n_attributes() {
             return Err(crate::DataError::Schema(format!(
                 "record has {} fields, schema has {} attributes",
@@ -98,13 +115,7 @@ impl Record {
         }
         for (i, f) in self.fields.iter().enumerate() {
             match (schema.attribute(i).ty(), f) {
-                (AttrType::Numeric, Field::Num(v)) => {
-                    if !v.is_finite() {
-                        return Err(crate::DataError::Schema(format!(
-                            "attribute {i} has non-finite value {v}"
-                        )));
-                    }
-                }
+                (AttrType::Numeric, Field::Num(_)) => {}
                 (AttrType::Categorical { cardinality }, Field::Cat(c)) => {
                     if *c >= cardinality {
                         return Err(crate::DataError::Schema(format!(
@@ -196,6 +207,7 @@ mod tests {
         assert!(rec(1.0, 3, 0).validate(&s).is_err()); // category out of range
         assert!(rec(1.0, 0, 2).validate(&s).is_err()); // label out of range
         assert!(rec(f64::NAN, 0, 0).validate(&s).is_err());
+        rec(f64::NAN, 0, 0).validate_shape(&s).unwrap();
         let swapped = Record::new(vec![Field::Cat(0), Field::Cat(0)], 0);
         assert!(swapped.validate(&s).is_err());
     }
