@@ -4,7 +4,8 @@
 //! In the typical case the whole tree is built in **two** sequential scans
 //! of the training database: one to draw the sample, one to clean up. A
 //! third scan happens only when a completion job's records were not
-//! retained (a failed subtree whose frontier kept no family buffers). Huge
+//! retained: a frontier whose sample was pure but whose full family is
+//! not, or a failed subtree over a frontier that kept no family. Huge
 //! unfinished partitions recurse into BOAT itself; small ones finish with
 //! the in-memory builder, exactly as §3.5 prescribes.
 

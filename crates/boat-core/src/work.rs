@@ -17,8 +17,9 @@ use crate::buckets::{build_boundaries, BucketSet};
 use crate::coarse::{CoarseCriterion, CoarseTree, FrontierReason};
 use crate::config::BoatConfig;
 use crate::verify::bucket_passes;
+use boat_data::codec::RowLayout;
 use boat_data::spill::SpillBuffer;
-use boat_data::{AttrType, DataError, IoStats, Record, RecordSource, Result, Schema};
+use boat_data::{AttrType, DataError, IoStats, Record, RecordChunk, RecordSource, Result, Schema};
 use boat_obs::Registry;
 use boat_tree::split::{best_categorical_split, cmp_splits, sweep_numeric};
 use boat_tree::{AvcGroup, CatAvc, GrowthLimits, Impurity, NumAvc, SplitEval, Tree};
@@ -34,6 +35,55 @@ pub(crate) fn limits_for_subtree(limits: GrowthLimits, base_depth: u32) -> Growt
     GrowthLimits {
         max_depth: limits.max_depth.map(|d| d.saturating_sub(base_depth)),
         ..limits
+    }
+}
+
+/// Read access to one tuple's fields, for the per-tuple step and count
+/// update: a decoded [`Record`] (insert, delete, verification) or an
+/// encoded row read in place (the cleanup scan).
+trait Fields {
+    /// The numeric value of attribute `attr`.
+    fn num(&self, attr: usize) -> f64;
+    /// The category code of attribute `attr`.
+    fn cat(&self, attr: usize) -> u32;
+    /// The class label.
+    fn label(&self) -> u16;
+}
+
+impl Fields for Record {
+    #[inline]
+    fn num(&self, attr: usize) -> f64 {
+        Record::num(self, attr)
+    }
+    #[inline]
+    fn cat(&self, attr: usize) -> u32 {
+        Record::cat(self, attr)
+    }
+    #[inline]
+    fn label(&self) -> u16 {
+        Record::label(self)
+    }
+}
+
+/// One encoded row that has passed [`RowLayout::check`], read through its
+/// layout's precomputed offsets.
+struct EncodedRow<'a> {
+    layout: &'a RowLayout,
+    bytes: &'a [u8],
+}
+
+impl Fields for EncodedRow<'_> {
+    #[inline]
+    fn num(&self, attr: usize) -> f64 {
+        self.layout.num(self.bytes, attr)
+    }
+    #[inline]
+    fn cat(&self, attr: usize) -> u32 {
+        self.layout.cat(self.bytes, attr)
+    }
+    #[inline]
+    fn label(&self) -> u16 {
+        self.layout.label(self.bytes)
     }
 }
 
@@ -90,7 +140,7 @@ impl NodeCounts {
 
     /// Count `r`, which takes `step` at this node.
     #[inline]
-    fn add(&mut self, r: &Record, step: Step) {
+    fn add(&mut self, r: &impl Fields, step: Step) {
         let label = r.label();
         self.class_totals[label as usize] += 1;
         for (a, slot) in self.cat.iter_mut().enumerate() {
@@ -211,7 +261,7 @@ enum Step {
 impl Step {
     /// The step `r` takes at a node with criterion `crit`.
     #[inline]
-    fn of(crit: Option<&CoarseCriterion>, r: &Record) -> Step {
+    fn of(crit: Option<&CoarseCriterion>, r: &impl Fields) -> Step {
         match crit {
             None => Step::Leaf,
             Some(CoarseCriterion::Num { attr, lo, hi }) => {
@@ -231,6 +281,17 @@ impl Step {
                     Step::Right
                 }
             }
+        }
+    }
+
+    /// The child of a node with children `left` and `right` that a tuple
+    /// taking this step moves to; `None` where its walk stops.
+    #[inline]
+    fn child(self, left: Option<usize>, right: Option<usize>) -> Option<usize> {
+        match self {
+            Step::LeftEdge | Step::Left => Some(left.expect("internal")),
+            Step::Right => Some(right.expect("internal")),
+            Step::Park | Step::Leaf => None,
         }
     }
 }
@@ -305,19 +366,6 @@ pub(crate) struct WorkNode {
     pub promotions: u32,
 }
 
-impl WorkNode {
-    /// The child a tuple taking `step` here moves to; `None` where its walk
-    /// stops.
-    #[inline]
-    fn child(&self, step: Step) -> Option<usize> {
-        match step {
-            Step::LeftEdge | Step::Left => Some(self.left.expect("internal")),
-            Step::Right => Some(self.right.expect("internal")),
-            Step::Park | Step::Leaf => None,
-        }
-    }
-}
-
 /// The working tree: coarse structure + cleanup state + resolutions.
 pub(crate) struct WorkTree {
     pub schema: Arc<Schema>,
@@ -328,20 +376,43 @@ pub(crate) struct WorkTree {
     pub metrics: Registry,
 }
 
+/// What the cleanup routers read of one node: its criterion, its children
+/// and whether a walk that stops here deposits its row. A copy, so the
+/// routers can walk it while the main thread fills the node's buffers.
+struct RouteNode {
+    crit: Option<CoarseCriterion>,
+    left: Option<usize>,
+    right: Option<usize>,
+    /// The node parks `S_n` or retains its frontier family.
+    keeps: bool,
+}
+
+impl RouteNode {
+    fn of(node: &WorkNode) -> Self {
+        RouteNode {
+            crit: node.crit.clone(),
+            left: node.left,
+            right: node.right,
+            keeps: node.state.parked.is_some() || node.state.family.is_some(),
+        }
+    }
+}
+
 /// Thread-local accumulator for one worker of the parallel cleanup scan.
 ///
 /// A shard holds zeroed clones of every node's statistics and routes
-/// against the work tree's shared coarse structure. Routing a record
-/// updates the shard only; records the scan stores in a spill buffer
-/// (parked `S_n` tuples, retained frontier families) are emitted as
-/// `(node, record)` *deposits* for the caller to apply in chunk order.
-/// Two invariants make the reduction exact (see `WorkTree::merge_shard`
-/// and `WorkTree::apply_deposits`):
+/// encoded rows against a copy of the work tree's coarse structure.
+/// Routing a row updates the shard only; rows the scan stores in a spill
+/// buffer (parked `S_n` tuples, retained frontier families) are emitted as
+/// *deposits* — the node index as 4 little-endian bytes, then the row —
+/// for the main thread to apply in chunk order. Two invariants make the
+/// reduction exact (see `WorkTree::merge_shard` and
+/// `WorkTree::apply_deposits`):
 ///
 /// * every statistic is an integer count, so shard merges are associative
 ///   and commutative — any merge order is bit-identical to one serial
 ///   accumulation;
-/// * deposits preserve record order within a chunk, and chunks are applied
+/// * deposits preserve row order within a chunk, and chunks are applied
 ///   in ascending index (= serial scan order), so spill-buffer contents
 ///   and spill behaviour are byte-identical to [`WorkTree::absorb`] on
 ///   every record in scan order.
@@ -350,20 +421,48 @@ pub(crate) struct CleanupShard {
 }
 
 impl CleanupShard {
-    /// Route one record down `tree`, counting it in this shard. A record
+    /// Check and route every row of `chunk`, returning its deposits. The
+    /// first row that fails [`RowLayout::check`] ends the chunk with that
+    /// error before any of its counts move.
+    fn route_chunk(
+        &mut self,
+        tree: &[RouteNode],
+        layout: &RowLayout,
+        chunk: &RecordChunk,
+    ) -> Result<Vec<u8>> {
+        if chunk.width() != layout.width() || !chunk.bytes.len().is_multiple_of(layout.width()) {
+            return Err(DataError::Corrupt(format!(
+                "chunk {} holds {} bytes of {}-byte rows, expected {}-byte rows",
+                chunk.index,
+                chunk.bytes.len(),
+                chunk.width(),
+                layout.width()
+            )));
+        }
+        let mut deposits = Vec::new();
+        for bytes in chunk.rows() {
+            layout.check(bytes)?;
+            self.route(tree, EncodedRow { layout, bytes }, &mut deposits);
+        }
+        Ok(deposits)
+    }
+
+    /// Route one checked row down `tree`, counting it in this shard. A row
     /// that parks or lands in a retained frontier family is appended to
-    /// `deposits` as `(node index, record)`.
-    fn route(&mut self, tree: &[WorkNode], r: Record, deposits: &mut Vec<(u32, Record)>) {
+    /// `deposits` behind its node index.
+    #[inline]
+    fn route(&mut self, tree: &[RouteNode], row: EncodedRow<'_>, deposits: &mut Vec<u8>) {
         let mut idx = 0usize;
         loop {
             let node = &tree[idx];
-            let step = Step::of(node.crit.as_ref(), &r);
-            self.nodes[idx].add(&r, step);
-            match node.child(step) {
+            let step = Step::of(node.crit.as_ref(), &row);
+            self.nodes[idx].add(&row, step);
+            match step.child(node.left, node.right) {
                 Some(child) => idx = child,
                 None => {
-                    if step == Step::Park || node.state.family.is_some() {
-                        deposits.push((idx as u32, r));
+                    if node.keeps {
+                        deposits.extend_from_slice(&(idx as u32).to_le_bytes());
+                        deposits.extend_from_slice(row.bytes);
                     }
                     return;
                 }
@@ -373,11 +472,50 @@ impl CleanupShard {
 }
 
 /// The spill-bound output of routing one input chunk through a shard.
-pub(crate) struct RoutedChunk {
+struct RoutedChunk {
     /// Chunk index in scan order (restores the serial application order).
-    pub index: usize,
-    /// `(node index, record)` pairs in within-chunk scan order.
-    pub deposits: Vec<(u32, Record)>,
+    index: usize,
+    /// The chunk's deposits in within-chunk scan order, or its first bad
+    /// row.
+    deposits: Result<Vec<u8>>,
+}
+
+/// Routed chunks waiting for their turn. Chunk `next` is applied as soon as
+/// it arrives, then every chunk already waiting behind it, so for an
+/// in-order source deposits live only as long as the chunks in flight. An
+/// index that arrives twice fails the scan instead of replacing the
+/// deposits of a chunk whose counts are already in a shard.
+#[derive(Default)]
+struct Reorder {
+    next: usize,
+    waiting: BTreeMap<usize, Result<Vec<u8>>>,
+    /// The first failure in chunk order; nothing is applied after it.
+    error: Option<DataError>,
+}
+
+impl Reorder {
+    fn accept(&mut self, tree: &mut WorkTree, layout: &RowLayout, routed: RoutedChunk) {
+        if self.error.is_some() {
+            return;
+        }
+        if routed.index < self.next || self.waiting.insert(routed.index, routed.deposits).is_some()
+        {
+            self.error = Some(DataError::Invalid(format!(
+                "chunked scan repeated chunk index {}",
+                routed.index
+            )));
+            self.waiting.clear();
+            return;
+        }
+        while let Some(deposits) = self.waiting.remove(&self.next) {
+            self.next += 1;
+            if let Err(e) = deposits.and_then(|d| tree.apply_deposits(layout, &d)) {
+                self.error = Some(e);
+                self.waiting.clear();
+                return;
+            }
+        }
+    }
 }
 
 impl WorkTree {
@@ -388,7 +526,9 @@ impl WorkTree {
     ///
     /// `retain_all_families` keeps family buffers at *every* frontier node
     /// (needed for incremental maintenance); otherwise only frontier nodes
-    /// expected to need growth retain records.
+    /// expected to need growth retain records: not those whose sample
+    /// family is a single class, nor those the stopping rules are expected
+    /// to stop.
     #[allow(clippy::too_many_arguments)] // construction-time plumbing
     pub fn prepare(
         coarse: &CoarseTree,
@@ -537,12 +677,19 @@ impl WorkTree {
                         dirty: false,
                     }
                 } else {
-                    // Frontier: decide whether to retain family records.
+                    // Frontier: decide whether to retain family records. A
+                    // sample family of one class bets that the node is a
+                    // pure leaf, which its class counts settle without its
+                    // records; a lost bet costs one collection scan.
+                    let sample_pure = my_sample
+                        .split_first()
+                        .is_some_and(|(r, rest)| rest.iter().all(|o| o.label() == r.label()));
                     let keep = retain_all_families
-                        || match config.limits.stop_family_size {
-                            None => true,
-                            Some(t) => est_family.saturating_mul(2) > t,
-                        };
+                        || (!sample_pure
+                            && match config.limits.stop_family_size {
+                                None => true,
+                                Some(t) => est_family.saturating_mul(2) > t,
+                            });
                     NodeState {
                         counts: NodeCounts::new(k, Vec::new(), Vec::new()),
                         parked: None,
@@ -595,7 +742,7 @@ impl WorkTree {
             let node = &mut self.nodes[idx];
             let step = Step::of(node.crit.as_ref(), r);
             visit(&mut node.state, step)?;
-            match node.child(step) {
+            match step.child(node.left, node.right) {
                 Some(child) => idx = child,
                 None => return Ok(idx),
             }
@@ -726,19 +873,22 @@ impl WorkTree {
     }
 
     /// Apply one chunk's spill-bound deposits (parked `S_n` tuples and
-    /// retained frontier-family records) to the shared buffers.
+    /// retained frontier-family records) to the shared buffers, decoding
+    /// each row on this thread, which also frees it.
     ///
     /// Deposits preserve scan order within a chunk; the caller applies
     /// chunks in ascending chunk index — i.e. serial scan order — so every
     /// spill buffer receives its records in exactly the sequence
     /// [`WorkTree::absorb`] would have pushed them.
-    fn apply_deposits(&mut self, deposits: Vec<(u32, Record)>) -> Result<()> {
-        for (idx, r) in deposits {
-            self.nodes[idx as usize]
+    fn apply_deposits(&mut self, layout: &RowLayout, deposits: &[u8]) -> Result<()> {
+        for deposit in deposits.chunks_exact(4 + layout.width()) {
+            let (idx, row) = deposit.split_at(4);
+            let idx = u32::from_le_bytes(idx.try_into().expect("4-byte node index")) as usize;
+            self.nodes[idx]
                 .state
                 .buffer()
                 .expect("deposits go only to nodes with a buffer")
-                .push(r)?;
+                .push(layout.decode(row)?)?;
         }
         Ok(())
     }
@@ -747,13 +897,16 @@ impl WorkTree {
     ///
     /// The main thread drives the sequential chunked scan (I/O stays one
     /// sequential pass, exactly as the paper requires) and fans
-    /// [`boat_data::RecordChunk`]s out over a bounded channel to `threads`
-    /// scoped workers (at least one). Each worker routes its chunks down a
-    /// private [`CleanupShard`] and emits per-chunk deposits. Afterwards the
-    /// main thread reduces: shard statistics merge in any order (integer
-    /// sums), and deposits apply in ascending chunk index. The result is
-    /// bit-identical to calling [`WorkTree::absorb`] on every record in
-    /// scan order, at every thread count.
+    /// [`RecordChunk`]s of encoded rows out over a bounded channel to
+    /// `threads` scoped workers (at least one). Each worker checks and
+    /// routes its chunks' rows in place down a private [`CleanupShard`] and
+    /// sends back per-chunk deposits. Between sends the main thread applies
+    /// deposits in ascending chunk index as they become ready; after the
+    /// scan, shard statistics merge in any order (integer sums). The result
+    /// is bit-identical to calling [`WorkTree::absorb`] on every record in
+    /// scan order, at every thread count. A row that fails
+    /// [`RowLayout::check`] fails the scan with [`DataError::Corrupt`]; the
+    /// first such row in scan order is the one reported.
     pub fn parallel_cleanup(
         &mut self,
         source: &dyn RecordSource,
@@ -768,6 +921,8 @@ impl WorkTree {
         let wait_hist = self.metrics.histogram("boat.cleanup.queue_wait");
         let chunks_counter = self.metrics.counter("boat.cleanup.chunks");
         let routed_counter = self.metrics.counter("boat.cleanup.records_routed");
+        let layout = RowLayout::new(&self.schema);
+        let routes: Vec<RouteNode> = self.nodes.iter().map(RouteNode::of).collect();
         let mut shards: Vec<CleanupShard> = (0..threads)
             .map(|_| CleanupShard {
                 nodes: self
@@ -777,17 +932,16 @@ impl WorkTree {
                     .collect(),
             })
             .collect();
-        let mut routed: Vec<RoutedChunk> = Vec::new();
+        let mut order = Reorder::default();
         let mut scan_err: Option<DataError> = None;
         {
-            let (chunk_tx, chunk_rx) =
-                std::sync::mpsc::sync_channel::<boat_data::RecordChunk>(2 * threads);
+            let (chunk_tx, chunk_rx) = std::sync::mpsc::sync_channel::<RecordChunk>(2 * threads);
             let (out_tx, out_rx) = std::sync::mpsc::channel::<RoutedChunk>();
             // Only the routers hold the receiver. Once the last one exits,
             // even by panicking, `send` below fails instead of blocking on a
             // full channel, and the scope re-raises the router's panic.
             let chunk_rx = Arc::new(Mutex::new(chunk_rx));
-            let tree = &self.nodes;
+            let (routes, layout) = (&routes, &layout);
             std::thread::scope(|scope| {
                 for shard in shards.iter_mut() {
                     let rx = Arc::clone(&chunk_rx);
@@ -809,18 +963,18 @@ impl WorkTree {
                                 t_wait.elapsed().as_nanos().min(u64::MAX as u128) as u64,
                             );
                             let Ok(chunk) = next else { break };
-                            let mut deposits = Vec::new();
-                            let index = chunk.index;
                             let t_route = Instant::now();
-                            n_routed += chunk.records.len() as u64;
-                            for r in chunk.records {
-                                shard.route(tree, r, &mut deposits);
-                            }
+                            n_routed += chunk.len() as u64;
+                            let deposits = shard.route_chunk(routes, layout, &chunk);
                             route_ns = route_ns.saturating_add(
                                 t_route.elapsed().as_nanos().min(u64::MAX as u128) as u64,
                             );
                             n_chunks += 1;
-                            if tx.send(RoutedChunk { index, deposits }).is_err() {
+                            let routed = RoutedChunk {
+                                index: chunk.index,
+                                deposits,
+                            };
+                            if tx.send(routed).is_err() {
                                 break;
                             }
                         }
@@ -833,7 +987,8 @@ impl WorkTree {
                 drop(chunk_rx);
                 drop(out_tx);
                 // Produce chunks on this thread: the scan itself is a
-                // single sequential pass over the source.
+                // single sequential pass over the source. After each send,
+                // apply whatever the routers have finished.
                 match source.scan_chunks(chunk_size) {
                     Ok(chunks) => {
                         for chunk in chunks {
@@ -848,28 +1003,38 @@ impl WorkTree {
                                     break;
                                 }
                             }
+                            for routed in out_rx.try_iter() {
+                                order.accept(self, layout, routed);
+                            }
+                            if order.error.is_some() {
+                                break;
+                            }
                         }
                     }
                     Err(e) => scan_err = Some(e),
                 }
                 drop(chunk_tx); // workers drain the channel and exit
-                for r in out_rx {
-                    routed.push(r);
+                for routed in out_rx {
+                    order.accept(self, layout, routed);
                 }
             });
         }
-        if let Some(e) = scan_err {
+        // A bad row reached in chunk order precedes a scan error, which
+        // ends the chunks the scan delivered.
+        if let Some(e) = order.error.or(scan_err) {
             return Err(e);
         }
-        // Reduce. Shard order is fixed for good measure, though any order
-        // produces identical counts; chunk order is the serial scan order.
+        if !order.waiting.is_empty() {
+            return Err(DataError::Invalid(format!(
+                "chunked scan skipped chunk index {}",
+                order.next
+            )));
+        }
+        // Shard order is fixed for good measure, though any order produces
+        // identical counts.
         let merge_span = self.metrics.span("boat.cleanup.merge");
         for shard in &shards {
             self.merge_shard(shard);
-        }
-        routed.sort_unstable_by_key(|c| c.index);
-        for chunk in routed {
-            self.apply_deposits(chunk.deposits)?;
         }
         merge_span.finish();
         Ok(())

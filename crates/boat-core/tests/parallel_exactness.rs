@@ -8,13 +8,19 @@
 //! This suite sweeps a grid of generator functions × noise levels ×
 //! `cleanup_threads ∈ {1, 2, 4, 8}` against both oracles, plus the
 //! degenerate shapes: class-sorted input (whole chunks of one class), the
-//! auto thread count, and more workers than chunks.
+//! auto thread count, and more workers than chunks. At every thread count
+//! a maintainable model (`fit_model`) is fitted too and its cleanup state
+//! checked with `check_invariants`. Two cases cover the optimistic leaves
+//! of a plain fit: a frontier whose sample is pure but whose full family is
+//! not (one collection scan), and a fit where every such bet holds.
 
 use boat_core::{reference_tree, Boat, BoatConfig, BoatRunStats};
 use boat_data::dataset::RecordSource;
-use boat_data::{IoStats, MemoryDataset};
+use boat_data::{Attribute, Field, IoStats, MemoryDataset, Record, Schema};
 use boat_datagen::{GeneratorConfig, LabelFunction};
 use boat_tree::{Gini, Tree};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Thread counts required by the acceptance criteria.
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -77,16 +83,27 @@ fn check_grid_point(gen: &GeneratorConfig, n: u64, base: BoatConfig) {
 
 /// Fit BOAT on a fresh source from `make` at every count in `threads`
 /// (the first is the baseline), assert every tree equals both the baseline
-/// tree and the greedy reference, and that deterministic stats agree.
+/// tree and the greedy reference, and that deterministic stats agree. A
+/// maintainable model fitted at each count must pass `check_invariants`
+/// and build the reference tree too.
 fn check_thread_counts<S: RecordSource>(make: impl Fn() -> S, base: BoatConfig, threads: &[usize]) {
     let source = make();
     let reference = reference_tree(&source, Gini, base.limits).expect("reference fit");
 
     let mut serial: Option<(Tree, DeterministicStats)> = None;
     for &threads in threads {
+        let cfg = base.clone().with_cleanup_threads(threads);
+        let (mut model, _) = Boat::new(cfg.clone())
+            .fit_model(&make())
+            .expect("model fit");
+        model.check_invariants();
+        assert_eq!(
+            model.tree().expect("model tree"),
+            &reference,
+            "threads={threads}: maintainable model differs from the reference"
+        );
         // A fresh source per run so `stats.io` counts this run only.
         let source = make();
-        let cfg = base.clone().with_cleanup_threads(threads);
         let fit = Boat::new(cfg).fit(&source).expect("boat fit");
         assert_eq!(
             fit.tree,
@@ -238,4 +255,88 @@ fn auto_thread_count_matches_serial() {
     // `cleanup_threads: 0` resolves to the machine's parallelism.
     let gen = GeneratorConfig::new(LabelFunction::F2).with_seed(29);
     check_thread_counts(|| gen.source(4_000), grid_config(2_900), &[1, 0]);
+}
+
+/// Label 1 from `x = 50` up, else 0 — except that with `rare`, one row in
+/// a thousand below 50 carries class 2. A small sample of the left region
+/// then usually holds only class 0, while its full family does not. `x`
+/// takes 100 integer values, so every bootstrap split lands on `x <= 49`
+/// and the sample routes cleanly to the two sides.
+fn rare_class_source(n: usize, rare: bool) -> MemoryDataset {
+    let schema = Schema::shared(vec![Attribute::numeric("x"), Attribute::numeric("y")], 3).unwrap();
+    let mut rng = StdRng::seed_from_u64(0xB0A7);
+    let records = (0..n)
+        .map(|i| {
+            let x = f64::from(rng.random_range(0..100u32));
+            let y = f64::from(rng.random_range(0..1_000u32));
+            let label = if x >= 50.0 {
+                1
+            } else if rare && i % 1_000 == 7 {
+                2
+            } else {
+                0
+            };
+            Record::new(vec![Field::Num(x), Field::Num(y)], label)
+        })
+        .collect();
+    MemoryDataset::new(schema, records)
+}
+
+fn bet_config() -> BoatConfig {
+    BoatConfig {
+        sample_size: 400,
+        bootstrap_reps: 10,
+        bootstrap_sample_size: 200,
+        // Above either half's family, below the input: the frontier jobs
+        // build in memory without a recursive sub-run.
+        in_memory_threshold: 15_000,
+        spill_budget: 64,
+        cleanup_chunk_size: 512,
+        seed: 4_100,
+        ..BoatConfig::default()
+    }
+}
+
+#[test]
+fn lost_pure_leaf_bet_costs_one_collection_scan() {
+    let make = || rare_class_source(20_000, true);
+    let reference = reference_tree(&make(), Gini, bet_config().limits).unwrap();
+    for threads in [1usize, 2, 4] {
+        let fit = Boat::new(bet_config().with_cleanup_threads(threads))
+            .fit(&make())
+            .unwrap();
+        assert_eq!(
+            fit.tree.to_bytes(),
+            reference.to_bytes(),
+            "threads={threads}: {}",
+            fit.stats
+        );
+        // The third scan is the lost bet's, not a failed verification's.
+        assert_eq!(fit.stats.failed_nodes, 0, "threads={threads}");
+        assert_eq!(fit.stats.scans_over_input, 3, "threads={threads}");
+        assert_eq!(
+            fit.stats.metrics.counter("boat.jobs.collection_scans"),
+            1,
+            "threads={threads}"
+        );
+    }
+}
+
+#[test]
+fn held_pure_leaf_bets_keep_two_scans() {
+    let make = || rare_class_source(20_000, false);
+    let reference = reference_tree(&make(), Gini, bet_config().limits).unwrap();
+    for threads in [1usize, 2, 4] {
+        let fit = Boat::new(bet_config().with_cleanup_threads(threads))
+            .fit(&make())
+            .unwrap();
+        assert_eq!(fit.tree.to_bytes(), reference.to_bytes());
+        assert_eq!(fit.stats.scans_over_input, 2, "threads={threads}");
+        assert_eq!(fit.stats.metrics.counter("boat.jobs.collection_scans"), 0);
+        assert!(
+            fit.stats.spilled_tuples <= fit.stats.parked_tuples,
+            "threads={threads}: {}",
+            fit.stats
+        );
+    }
 }

@@ -5,13 +5,15 @@
 //! hands out the scan's chunks in a freshly shuffled order on every scan,
 //! and every fit must still serialize ([`boat_tree::Tree::to_bytes`]) to
 //! the same bytes as the serial run — the merge is order-independent and
-//! the deposit application restores chunk order by index. A second wrapper
-//! makes every router panic, and the fit must re-raise that panic instead
-//! of hanging.
+//! the deposit application restores chunk order by index. Further wrappers
+//! corrupt rows of the chunked scan only (an out-of-range label or category
+//! code): the fit must return `DataError::Corrupt` for the first bad row in
+//! scan order, at every thread count, and must neither panic nor hang; a
+//! chunked scan that skips an index fails with `DataError::Invalid`.
 
 use boat_core::{Boat, BoatConfig};
 use boat_data::dataset::{ChunkScan, RecordScan, RecordSource};
-use boat_data::{IoStats, MemoryDataset, RecordChunk, Result, Schema};
+use boat_data::{AttrType, DataError, IoStats, MemoryDataset, RecordChunk, Result, Schema};
 use boat_datagen::{GeneratorConfig, LabelFunction};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -112,7 +114,10 @@ fn shuffled_chunk_orders_yield_byte_identical_models() {
 #[test]
 fn shuffled_orders_with_immediate_spilling_stay_identical() {
     // Zero spill budget: every parked/family record hits a spill file in
-    // push order, so this would catch any deviation in deposit ordering.
+    // push order. The model does not depend on that order, so deposit
+    // order itself is pinned by the unit oracle
+    // `parallel_cleanup_state_matches_serial_exactly`, which compares the
+    // buffers record by record.
     let source = ShuffledChunkSource::new(dataset(LabelFunction::F1, 32, 5_000));
     let mut cfg = stress_config(3_200);
     cfg.spill_budget = 0;
@@ -157,9 +162,135 @@ fn wrapper_shuffles_are_actually_different_orders() {
     assert_ne!(a, b, "two scans should deliver different chunk orders");
 }
 
+/// Which field of a row a hostile source breaks.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Hostile {
+    /// The label becomes `n_classes`.
+    Label,
+    /// The first categorical code becomes its attribute's cardinality.
+    Category,
+}
+
+/// Break `field` of the encoded `row` of `schema`.
+fn corrupt(schema: &Schema, row: &mut [u8], field: Hostile) {
+    match field {
+        Hostile::Label => {
+            let w = row.len();
+            row[w - 2..].copy_from_slice(&(schema.n_classes() as u16).to_le_bytes());
+        }
+        Hostile::Category => {
+            let mut off = 0;
+            for attr in schema.attributes() {
+                match attr.ty() {
+                    AttrType::Numeric => off += 8,
+                    AttrType::Categorical { cardinality } => {
+                        row[off..off + 4].copy_from_slice(&cardinality.to_le_bytes());
+                        return;
+                    }
+                }
+            }
+            panic!("schema has no categorical attribute");
+        }
+    }
+}
+
 /// A [`RecordSource`] whose record scans are clean but whose chunked scan
-/// relabels every record with an out-of-range class: the sampling phase
-/// succeeds, then every cleanup router panics on its first chunk.
+/// breaks one row in the middle of each listed chunk (by scan-order index,
+/// whatever order the inner source delivers chunks in): the sampling phase
+/// succeeds, then the cleanup scan meets the bad rows.
+struct HostileChunkSource<S> {
+    inner: S,
+    bad: Vec<(usize, Hostile)>,
+}
+
+impl<S: RecordSource> RecordSource for HostileChunkSource<S> {
+    fn schema(&self) -> &Arc<Schema> {
+        self.inner.schema()
+    }
+
+    fn scan(&self) -> Result<Box<dyn RecordScan + '_>> {
+        self.inner.scan()
+    }
+
+    fn len(&self) -> u64 {
+        self.inner.len()
+    }
+
+    fn stats(&self) -> &IoStats {
+        self.inner.stats()
+    }
+
+    fn scan_chunks(&self, chunk_size: usize) -> Result<Box<dyn ChunkScan + '_>> {
+        let schema = self.schema().clone();
+        Ok(Box::new(self.inner.scan_chunks(chunk_size)?.map(
+            move |c| {
+                c.map(|mut chunk| {
+                    for &(k, field) in &self.bad {
+                        if chunk.index == k {
+                            let (w, mid) = (chunk.width(), chunk.len() / 2);
+                            corrupt(&schema, &mut chunk.bytes[mid * w..(mid + 1) * w], field);
+                        }
+                    }
+                    chunk
+                })
+            },
+        )))
+    }
+}
+
+fn expect_corrupt(result: Result<boat_core::BoatFit>, what: &str, context: &str) {
+    match result {
+        Err(DataError::Corrupt(msg)) => assert!(msg.contains(what), "{context}: {msg}"),
+        Err(other) => panic!("{context}: expected DataError::Corrupt, got {other:?}"),
+        Ok(_) => panic!("{context}: expected DataError::Corrupt, got a model"),
+    }
+}
+
+#[test]
+fn hostile_rows_in_chunk_k_fail_typed_at_every_thread_count() {
+    // 4 000 rows in 128-row chunks: indices 0..=31, the last one short.
+    for (field, what) in [(Hostile::Label, "label"), (Hostile::Category, "category")] {
+        for k in [0usize, 13, 31] {
+            for threads in [1usize, 2, 4] {
+                let source = HostileChunkSource {
+                    inner: dataset(LabelFunction::F1, 35, 4_000),
+                    bad: vec![(k, field)],
+                };
+                let cfg = stress_config(3_500).with_cleanup_threads(threads);
+                expect_corrupt(
+                    Boat::new(cfg).fit(&source),
+                    what,
+                    &format!("{field:?} in chunk {k} at {threads} threads"),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn first_bad_row_in_scan_order_wins_under_shuffled_delivery() {
+    for (first, second, what) in [
+        (Hostile::Label, Hostile::Category, "label"),
+        (Hostile::Category, Hostile::Label, "category"),
+    ] {
+        let source = HostileChunkSource {
+            inner: ShuffledChunkSource::new(dataset(LabelFunction::F6, 36, 6_000)),
+            bad: vec![(20, second), (5, first)],
+        };
+        for rep in 0..4 {
+            let cfg = stress_config(3_600).with_cleanup_threads(4);
+            expect_corrupt(
+                Boat::new(cfg).fit(&source),
+                what,
+                &format!("rep {rep}, {first:?} in chunk 5, {second:?} in chunk 20"),
+            );
+        }
+    }
+}
+
+/// A [`RecordSource`] whose record scans are clean but whose chunked scan
+/// relabels every row with an out-of-range class: the sampling phase
+/// succeeds, then every chunk the cleanup routers take is bad.
 struct BadChunkSource(MemoryDataset);
 
 impl RecordSource for BadChunkSource {
@@ -180,14 +311,13 @@ impl RecordSource for BadChunkSource {
     }
 
     fn scan_chunks(&self, chunk_size: usize) -> Result<Box<dyn ChunkScan + '_>> {
-        let bad_label = self.0.schema().n_classes() as u16;
+        let schema = self.0.schema().clone();
         Ok(Box::new(self.0.scan_chunks(chunk_size)?.map(move |c| {
             c.map(|mut chunk| {
-                chunk.records = chunk
-                    .records
-                    .into_iter()
-                    .map(|r| r.with_label(bad_label))
-                    .collect();
+                let w = chunk.width();
+                for row in chunk.bytes.chunks_exact_mut(w) {
+                    corrupt(&schema, row, Hostile::Label);
+                }
                 chunk
             })
         })))
@@ -197,7 +327,9 @@ impl RecordSource for BadChunkSource {
 #[test]
 fn router_panics_surface_instead_of_hanging() {
     // Far more chunks than the 2 × threads channel slots, so the scan would
-    // block on a full channel if a dead router's receiver stayed alive.
+    // block on a full channel if it kept producing after the routers
+    // stopped. Every row's label is out of range: the fit must return the
+    // typed error (a router panic would still be re-raised, not hang).
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
         let source = BadChunkSource(dataset(LabelFunction::F1, 34, 4_000));
@@ -205,10 +337,79 @@ fn router_panics_surface_instead_of_hanging() {
         cfg.cleanup_chunk_size = 32;
         let outcome =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| Boat::new(cfg).fit(&source)));
-        let _ = tx.send(outcome.is_err());
+        let _ = tx.send(matches!(outcome, Ok(Err(DataError::Corrupt(_)))));
     });
     match rx.recv_timeout(Duration::from_secs(60)) {
-        Ok(panicked) => assert!(panicked, "a fit whose routers all panic must panic"),
-        Err(_) => panic!("fit hung after every cleanup router panicked"),
+        Ok(typed) => assert!(
+            typed,
+            "a fit whose every row has an out-of-range label must return DataError::Corrupt"
+        ),
+        Err(_) => panic!("fit hung on a chunked scan of bad rows"),
+    }
+}
+
+/// A [`RecordSource`] whose chunked scan renumbers chunk `i` as `.1(i)`:
+/// a source that breaks the chunk-index contract.
+struct RenumberedChunkSource(MemoryDataset, fn(usize) -> usize);
+
+impl RecordSource for RenumberedChunkSource {
+    fn schema(&self) -> &Arc<Schema> {
+        self.0.schema()
+    }
+
+    fn scan(&self) -> Result<Box<dyn RecordScan + '_>> {
+        self.0.scan()
+    }
+
+    fn len(&self) -> u64 {
+        self.0.len()
+    }
+
+    fn stats(&self) -> &IoStats {
+        self.0.stats()
+    }
+
+    fn scan_chunks(&self, chunk_size: usize) -> Result<Box<dyn ChunkScan + '_>> {
+        let renumber = self.1;
+        Ok(Box::new(self.0.scan_chunks(chunk_size)?.map(move |c| {
+            c.map(|chunk| {
+                let width = chunk.width();
+                RecordChunk::new(renumber(chunk.index), width, chunk.bytes)
+            })
+        })))
+    }
+}
+
+#[test]
+fn a_chunked_scan_that_skips_an_index_fails_typed() {
+    for threads in [1usize, 4] {
+        // Chunks 0, 2, 4, …: the cleanup scan never sees chunk 1.
+        let source = RenumberedChunkSource(dataset(LabelFunction::F1, 37, 4_000), |i| 2 * i);
+        let cfg = stress_config(3_700).with_cleanup_threads(threads);
+        match Boat::new(cfg).fit(&source) {
+            Err(DataError::Invalid(msg)) => assert!(msg.contains("skipped chunk index 1"), "{msg}"),
+            other => panic!("threads={threads}: expected DataError::Invalid, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_chunked_scan_that_repeats_an_index_fails_typed() {
+    for threads in [1usize, 2, 4] {
+        // Chunks 0, 1, 2, 3, 4, 4, 5, …: no gap, one index delivered twice.
+        let source = RenumberedChunkSource(dataset(LabelFunction::F1, 37, 4_000), |i| {
+            if i >= 5 {
+                i - 1
+            } else {
+                i
+            }
+        });
+        let cfg = stress_config(3_700).with_cleanup_threads(threads);
+        match Boat::new(cfg).fit(&source) {
+            Err(DataError::Invalid(msg)) => {
+                assert!(msg.contains("repeated chunk index 4"), "{msg}")
+            }
+            other => panic!("threads={threads}: expected DataError::Invalid, got {other:?}"),
+        }
     }
 }

@@ -4,7 +4,9 @@
 //! through `BoatModel::{insert,delete}` — same idiom as
 //! `parallel_exactness` / `subsample_exactness`. Covers single-producer
 //! mid-stream quiesce points, concurrent producers (replayed in WAL
-//! order), and crash recovery over a torn durable prefix.
+//! order), and crash recovery over a torn durable prefix. At every quiesce
+//! point, and on every model the daemon hands back, the maintained cleanup
+//! state must pass `check_invariants`.
 
 use boat_core::stream::{ProvenanceSink, StalenessBound, StreamConfig, StreamingBoat};
 use boat_core::{replay_wal_into, Boat, BoatConfig, BoatModel};
@@ -108,8 +110,10 @@ fn quiesce_points_match_synchronous_replay() {
             sync_model.tree().unwrap().to_bytes(),
             "quiesce point {i}: daemon tree != synchronous replay"
         );
+        sync_model.check_invariants();
     }
-    let (_, stats) = streaming.finish().unwrap();
+    let (mut model, stats) = streaming.finish().unwrap();
+    model.check_invariants();
     assert_eq!(stats.ops_absorbed, script.len() as u64);
     assert!(stats.maintains >= script.len() as u64, "one per quiesce");
     std::fs::remove_dir_all(dir).ok();
@@ -164,7 +168,8 @@ fn concurrent_producers_match_wal_order_replay() {
     assert_eq!(report.stats.first_error, None);
     assert_eq!(report.stats.ops_absorbed, 8 * 3 + 8);
     let segments = streaming.wal_segments();
-    let (_, stats) = streaming.finish().unwrap();
+    let (mut model, stats) = streaming.finish().unwrap();
+    model.check_invariants();
     assert_eq!(stats.bound_violations, 0);
 
     // Synchronous replay in the recorded WAL order.
@@ -183,6 +188,7 @@ fn concurrent_producers_match_wal_order_replay() {
         sync_model.tree().unwrap().to_bytes(),
         "daemon tree != WAL-order synchronous replay"
     );
+    sync_model.check_invariants();
     for p in segments {
         std::fs::remove_file(p).ok();
     }
@@ -219,7 +225,7 @@ fn crash_recovery_is_exact_over_the_durable_prefix() {
     // The appender opens its first segment asynchronously; quiesce first.
     streaming.quiesce().unwrap();
     let segments = streaming.wal_segments();
-    streaming.finish().unwrap();
+    streaming.finish().unwrap().0.check_invariants();
     assert_eq!(segments.len(), 1);
     let clean = std::fs::read(&segments[0]).unwrap();
 
@@ -268,6 +274,8 @@ fn crash_recovery_is_exact_over_the_durable_prefix() {
             sync_model.tree().unwrap().to_bytes(),
             "variant {variant}: recovered model != clean run over durable prefix"
         );
+        recovered.check_invariants();
+        sync_model.check_invariants();
         std::fs::remove_file(&torn_path).ok();
     }
     for p in segments {
@@ -349,7 +357,7 @@ fn provenance_sink_sees_every_op_in_wal_order() {
     assert_eq!(sink.ops_seen(), 7);
     assert_eq!(report.fingerprint, sink.fingerprint());
     let segments = streaming.wal_segments();
-    streaming.finish().unwrap();
+    streaming.finish().unwrap().0.check_invariants();
 
     // Oracle: the same fingerprint falls out of an offline replay of the
     // durable segments' content digests, in order.
@@ -408,7 +416,8 @@ fn deadline_trigger_fires_on_quiet_stream() {
         );
         std::thread::sleep(std::time::Duration::from_millis(20));
     }
-    let (_, stats) = streaming.finish().unwrap();
+    let (mut model, stats) = streaming.finish().unwrap();
+    model.check_invariants();
     assert_eq!(stats.bound_violations, 0);
     assert!(stats.maintains >= 1);
     std::fs::remove_dir_all(dir).ok();

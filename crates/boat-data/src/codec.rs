@@ -49,44 +49,173 @@ pub fn encode(schema: &Schema, record: &Record) -> Result<Vec<u8>> {
 }
 
 /// Decode one record from `bytes`, which must be exactly
-/// `schema.record_width()` bytes long.
+/// `schema.record_width()` bytes long. Reads the schema in place; a loop
+/// over many rows can build one [`RowLayout`] and call
+/// [`RowLayout::decode`] instead.
 pub fn decode(schema: &Schema, bytes: &[u8]) -> Result<Record> {
-    if bytes.len() != schema.record_width() {
+    let mut fields = Vec::with_capacity(schema.n_attributes());
+    let label = walk_row(
+        bytes,
+        schema.record_width(),
+        schema.n_classes(),
+        field_offsets(schema),
+        |f| fields.push(f),
+    )?;
+    Ok(Record::new(fields, label))
+}
+
+/// The byte offset and type of every attribute's field in `schema`'s
+/// encoded rows, in schema order.
+fn field_offsets(schema: &Schema) -> impl Iterator<Item = (usize, AttrType)> + '_ {
+    let mut off = 0usize;
+    schema.attributes().iter().map(move |attr| {
+        let ty = attr.ty();
+        let at = off;
+        off += if ty.is_numeric() { 8 } else { 4 };
+        (at, ty)
+    })
+}
+
+/// The decode checks, in one place: `row` is exactly `width` bytes, every
+/// category code among `fields` is below its cardinality and the label is
+/// below `n_classes`. Hands each field of `fields` to `visit` in order and
+/// returns the label. Every decode and [`RowLayout::check`] run through
+/// this function.
+#[inline]
+fn walk_row(
+    row: &[u8],
+    width: usize,
+    n_classes: usize,
+    fields: impl Iterator<Item = (usize, AttrType)>,
+    mut visit: impl FnMut(Field),
+) -> Result<u16> {
+    if row.len() != width {
         return Err(DataError::Corrupt(format!(
-            "record slice is {} bytes, expected {}",
-            bytes.len(),
-            schema.record_width()
+            "record slice is {} bytes, expected {width}",
+            row.len()
         )));
     }
-    let mut fields = Vec::with_capacity(schema.n_attributes());
-    let mut off = 0usize;
-    for attr in schema.attributes() {
-        match attr.ty() {
-            AttrType::Numeric => {
-                let v = f64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
-                fields.push(Field::Num(v));
-                off += 8;
-            }
+    for (off, ty) in fields {
+        visit(match ty {
+            AttrType::Numeric => Field::Num(read_num(row, off)),
             AttrType::Categorical { cardinality } => {
-                let c = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
+                let c = read_cat(row, off);
                 if c >= cardinality {
                     return Err(DataError::Corrupt(format!(
                         "category code {c} out of range 0..{cardinality}"
                     )));
                 }
-                fields.push(Field::Cat(c));
-                off += 4;
+                Field::Cat(c)
             }
-        }
+        });
     }
-    let label = u16::from_le_bytes(bytes[off..off + 2].try_into().unwrap());
-    if (label as usize) >= schema.n_classes() {
+    let label = read_label(row);
+    if (label as usize) >= n_classes {
         return Err(DataError::Corrupt(format!(
-            "label {label} out of range 0..{}",
-            schema.n_classes()
+            "label {label} out of range 0..{n_classes}"
         )));
     }
-    Ok(Record::new(fields, label))
+    Ok(label)
+}
+
+#[inline]
+fn read_num(row: &[u8], off: usize) -> f64 {
+    f64::from_le_bytes(row[off..off + 8].try_into().expect("8-byte slice"))
+}
+
+#[inline]
+fn read_cat(row: &[u8], off: usize) -> u32 {
+    u32::from_le_bytes(row[off..off + 4].try_into().expect("4-byte slice"))
+}
+
+#[inline]
+fn read_label(row: &[u8]) -> u16 {
+    u16::from_le_bytes(row[row.len() - 2..].try_into().expect("2-byte slice"))
+}
+
+/// Where each field of a schema's encoded rows sits, computed once so a
+/// loop over many rows can check them and read single fields in place,
+/// without decoding a [`Record`].
+#[derive(Debug, Clone)]
+pub struct RowLayout {
+    width: usize,
+    /// Byte offset and type of every attribute's field, in schema order.
+    fields: Box<[(usize, AttrType)]>,
+    /// The categorical entries of `fields`: all that a check reads.
+    cats: Box<[(usize, AttrType)]>,
+    n_classes: usize,
+}
+
+impl RowLayout {
+    /// The layout of `schema`'s encoded rows.
+    pub fn new(schema: &Schema) -> Self {
+        let fields: Box<[(usize, AttrType)]> = field_offsets(schema).collect();
+        let cats = fields
+            .iter()
+            .filter(|(_, ty)| !ty.is_numeric())
+            .copied()
+            .collect();
+        RowLayout {
+            width: schema.record_width(),
+            fields,
+            cats,
+            n_classes: schema.n_classes(),
+        }
+    }
+
+    /// Bytes per encoded row (`Schema::record_width`).
+    #[inline]
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Check one encoded row: exactly [`RowLayout::width`] bytes, every
+    /// category code below its attribute's cardinality and the label below
+    /// the class count. These are the checks every decode makes.
+    #[inline]
+    pub fn check(&self, row: &[u8]) -> Result<()> {
+        walk_row(
+            row,
+            self.width,
+            self.n_classes,
+            self.cats.iter().copied(),
+            |_| {},
+        )
+        .map(drop)
+    }
+
+    /// The numeric field of attribute `attr` in `row`. Like the other field
+    /// readers, it expects a row that passed [`RowLayout::check`] and panics
+    /// on one shorter than [`RowLayout::width`].
+    #[inline]
+    pub fn num(&self, row: &[u8], attr: usize) -> f64 {
+        read_num(row, self.fields[attr].0)
+    }
+
+    /// The category code of attribute `attr` in `row`.
+    #[inline]
+    pub fn cat(&self, row: &[u8], attr: usize) -> u32 {
+        read_cat(row, self.fields[attr].0)
+    }
+
+    /// The class label of `row`.
+    #[inline]
+    pub fn label(&self, row: &[u8]) -> u16 {
+        read_label(row)
+    }
+
+    /// Decode one row, making the checks of [`RowLayout::check`].
+    pub fn decode(&self, row: &[u8]) -> Result<Record> {
+        let mut fields = Vec::with_capacity(self.fields.len());
+        let label = walk_row(
+            row,
+            self.width,
+            self.n_classes,
+            self.fields.iter().copied(),
+            |f| fields.push(f),
+        )?;
+        Ok(Record::new(fields, label))
+    }
 }
 
 #[cfg(test)]
@@ -139,6 +268,21 @@ mod tests {
         let w = s.record_width();
         bytes[w - 2..].copy_from_slice(&9u16.to_le_bytes());
         assert!(decode(&s, &bytes).is_err());
+    }
+
+    #[test]
+    fn layout_reads_fields_in_place() {
+        let s = schema();
+        let layout = RowLayout::new(&s);
+        assert_eq!(layout.width(), s.record_width());
+        let r = Record::new(vec![Field::Num(-1.25), Field::Cat(7), Field::Num(1e9)], 2);
+        let bytes = encode(&s, &r).unwrap();
+        layout.check(&bytes).unwrap();
+        assert_eq!(layout.num(&bytes, 0), -1.25);
+        assert_eq!(layout.cat(&bytes, 1), 7);
+        assert_eq!(layout.num(&bytes, 2), 1e9);
+        assert_eq!(layout.label(&bytes), 2);
+        assert_eq!(layout.decode(&bytes).unwrap(), r);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! more (the synthetic generator and the base-plus-delta [`crate::log`]).
 
 use crate::codec;
-use crate::iostats::{IoSnapshot, IoStats};
+use crate::iostats::IoStats;
 use crate::record::Record;
 use crate::schema::{AttrType, Attribute, Schema};
 use crate::{DataError, Result};
@@ -51,18 +51,20 @@ pub trait RecordSource {
         Ok(out)
     }
 
-    /// Begin a fresh scan delivered as fixed-size [`RecordChunk`]s (the
-    /// last chunk may be short). Chunks carry their scan-order `index` so
-    /// consumers that process them out of order — e.g. a parallel cleanup
-    /// scan — can still apply order-sensitive state deterministically.
+    /// Begin a fresh scan delivered as fixed-size [`RecordChunk`]s of
+    /// encoded rows (the last chunk may be short). Chunks carry their
+    /// scan-order `index` (0, 1, 2, …) so consumers that process them out of
+    /// order — e.g. a parallel cleanup scan — can still apply
+    /// order-sensitive state deterministically. Rows are not checked: a
+    /// consumer runs [`codec::RowLayout::check`] on each before reading it.
     ///
-    /// The default implementation slices [`RecordSource::scan`]; sources
+    /// The default implementation encodes [`RecordSource::scan`]; sources
     /// with a natural chunk structure (or tests that want to permute
     /// delivery order) may override it. Counts as one scan.
     fn scan_chunks(&self, chunk_size: usize) -> Result<Box<dyn ChunkScan + '_>> {
         Ok(Box::new(Chunks::new(
             self.scan()?,
-            self.stats().clone(),
+            self.schema().clone(),
             chunk_size,
         )))
     }
@@ -72,31 +74,46 @@ pub trait RecordSource {
 // Chunked scans
 // ---------------------------------------------------------------------------
 
-/// A contiguous run of records from a chunked scan, tagged with its position
-/// so out-of-order consumers can restore scan order.
+/// A contiguous run of rows from a chunked scan, tagged with its position
+/// so out-of-order consumers can restore scan order. The rows sit back to
+/// back in the fixed-width [`codec`] layout.
 #[derive(Debug, Clone)]
 pub struct RecordChunk {
     /// 0-based position of this chunk in scan order.
     pub index: usize,
-    /// Scan-order index of the first record in this chunk.
-    pub first_record: u64,
-    /// The records, in scan order.
-    pub records: Vec<Record>,
-    /// I/O performed while producing this chunk (a snapshot delta over the
-    /// source's counters; exact when the producing thread is the only one
-    /// driving this source, which is how the cleanup scan uses it).
-    pub io: IoSnapshot,
+    /// The encoded rows, in scan order.
+    pub bytes: Vec<u8>,
+    width: usize,
 }
 
 impl RecordChunk {
-    /// Number of records in the chunk.
-    pub fn len(&self) -> usize {
-        self.records.len()
+    /// A chunk of `bytes` holding rows of `width` bytes each.
+    pub fn new(index: usize, width: usize, bytes: Vec<u8>) -> Self {
+        RecordChunk {
+            index,
+            bytes,
+            width: width.max(1),
+        }
     }
 
-    /// Whether the chunk holds no records (never produced by [`Chunks`]).
+    /// Bytes per row.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Number of rows in the chunk.
+    pub fn len(&self) -> usize {
+        self.bytes.len() / self.width
+    }
+
+    /// Whether the chunk holds no rows (never produced by [`Chunks`]).
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.bytes.is_empty()
+    }
+
+    /// The rows, one `width`-byte slice each.
+    pub fn rows(&self) -> std::slice::ChunksExact<'_, u8> {
+        self.bytes.chunks_exact(self.width)
     }
 }
 
@@ -105,27 +122,25 @@ impl RecordChunk {
 pub trait ChunkScan: Iterator<Item = Result<RecordChunk>> {}
 impl<T: Iterator<Item = Result<RecordChunk>>> ChunkScan for T {}
 
-/// Adapter slicing any [`RecordScan`] into fixed-size [`RecordChunk`]s;
+/// Adapter encoding any [`RecordScan`] into fixed-size [`RecordChunk`]s;
 /// backs the default [`RecordSource::scan_chunks`].
 pub struct Chunks<'a> {
     inner: Box<dyn RecordScan + 'a>,
-    stats: IoStats,
+    schema: Arc<Schema>,
     chunk_size: usize,
     index: usize,
-    first_record: u64,
     done: bool,
 }
 
 impl<'a> Chunks<'a> {
-    /// Wrap `scan`, reporting per-chunk I/O deltas against `stats`.
-    /// `chunk_size` is clamped to at least 1.
-    pub fn new(scan: Box<dyn RecordScan + 'a>, stats: IoStats, chunk_size: usize) -> Self {
+    /// Wrap `scan`, whose records conform to `schema`. `chunk_size` is
+    /// clamped to at least 1.
+    pub fn new(scan: Box<dyn RecordScan + 'a>, schema: Arc<Schema>, chunk_size: usize) -> Self {
         Chunks {
             inner: scan,
-            stats,
+            schema,
             chunk_size: chunk_size.max(1),
             index: 0,
-            first_record: 0,
             done: false,
         }
     }
@@ -138,33 +153,30 @@ impl Iterator for Chunks<'_> {
         if self.done {
             return None;
         }
-        let before = self.stats.snapshot();
-        let mut records = Vec::with_capacity(self.chunk_size);
-        while records.len() < self.chunk_size {
-            match self.inner.next() {
+        let width = self.schema.record_width();
+        let rows = match self.inner.size_hint().1 {
+            Some(left) => left.min(self.chunk_size),
+            None => self.chunk_size,
+        };
+        let mut bytes = Vec::with_capacity(rows.saturating_mul(width));
+        for _ in 0..self.chunk_size {
+            let encoded = match self.inner.next() {
                 None => {
                     self.done = true;
                     break;
                 }
-                Some(Err(e)) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
-                Some(Ok(r)) => records.push(r),
+                Some(r) => r.and_then(|r| codec::encode_into(&self.schema, &r, &mut bytes)),
+            };
+            if let Err(e) = encoded {
+                self.done = true;
+                return Some(Err(e));
             }
         }
-        if records.is_empty() {
+        if bytes.is_empty() {
             return None;
         }
-        let io = self.stats.snapshot() - before;
-        let chunk = RecordChunk {
-            index: self.index,
-            first_record: self.first_record,
-            records,
-            io,
-        };
+        let chunk = RecordChunk::new(self.index, width, bytes);
         self.index += 1;
-        self.first_record += chunk.records.len() as u64;
         Some(Ok(chunk))
     }
 }
@@ -405,7 +417,7 @@ impl RecordSource for FileDataset {
         reader.seek(SeekFrom::Start(self.data_offset))?;
         Ok(Box::new(FileScan {
             reader,
-            schema: self.schema.clone(),
+            layout: codec::RowLayout::new(&self.schema),
             remaining: self.n_records,
             buf: vec![0u8; self.schema.record_width()],
             stats: self.stats.clone(),
@@ -419,11 +431,40 @@ impl RecordSource for FileDataset {
     fn stats(&self) -> &IoStats {
         &self.stats
     }
+
+    /// One `read_exact` per chunk straight into its row buffer, with no
+    /// per-row decode; the I/O counters move once per chunk.
+    fn scan_chunks(&self, chunk_size: usize) -> Result<Box<dyn ChunkScan + '_>> {
+        self.stats.record_scan();
+        let mut file = File::open(&self.path)?;
+        file.seek(SeekFrom::Start(self.data_offset))?;
+        let width = self.schema.record_width();
+        let chunk_size = chunk_size.max(1) as u64;
+        let mut remaining = self.n_records;
+        let mut index = 0usize;
+        let stats = self.stats.clone();
+        Ok(Box::new(std::iter::from_fn(move || {
+            if remaining == 0 {
+                return None;
+            }
+            let n = remaining.min(chunk_size);
+            let mut bytes = vec![0u8; n as usize * width];
+            if let Err(e) = file.read_exact(&mut bytes) {
+                remaining = 0;
+                return Some(Err(e.into()));
+            }
+            remaining -= n;
+            stats.record_read(n, bytes.len() as u64);
+            let chunk = RecordChunk::new(index, width, bytes);
+            index += 1;
+            Some(Ok(chunk))
+        })))
+    }
 }
 
 struct FileScan {
     reader: BufReader<File>,
-    schema: Arc<Schema>,
+    layout: codec::RowLayout,
     remaining: u64,
     buf: Vec<u8>,
     stats: IoStats,
@@ -442,7 +483,7 @@ impl Iterator for FileScan {
             return Some(Err(e.into()));
         }
         self.stats.record_read(1, self.buf.len() as u64);
-        Some(codec::decode(&self.schema, &self.buf))
+        Some(self.layout.decode(&self.buf))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -654,6 +695,15 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    fn decode_chunks(schema: &Schema, chunks: &[RecordChunk]) -> Vec<Record> {
+        let layout = codec::RowLayout::new(schema);
+        chunks
+            .iter()
+            .flat_map(|c| c.rows())
+            .map(|row| layout.decode(row).unwrap())
+            .collect()
+    }
+
     #[test]
     fn chunked_scan_covers_source_in_order() {
         let ds = MemoryDataset::new(schema(), records(10));
@@ -671,30 +721,35 @@ mod tests {
             chunks.iter().map(|c| c.index).collect::<Vec<_>>(),
             vec![0, 1, 2, 3]
         );
-        assert_eq!(
-            chunks.iter().map(|c| c.first_record).collect::<Vec<_>>(),
-            vec![0, 3, 6, 9]
-        );
-        let flat: Vec<Record> = chunks.into_iter().flat_map(|c| c.records).collect();
-        assert_eq!(flat, records(10));
+        assert_eq!(decode_chunks(ds.schema(), &chunks), records(10));
         // One scan counted, same as a plain scan.
         assert_eq!(ds.stats().snapshot().scans, 1);
     }
 
     #[test]
-    fn chunked_scan_reports_per_chunk_io() {
-        let ds = MemoryDataset::new(schema(), records(7));
-        let width = ds.schema().record_width() as u64;
-        let chunks: Vec<_> = ds
-            .scan_chunks(4)
-            .unwrap()
-            .collect::<Result<Vec<_>>>()
-            .unwrap();
-        assert_eq!(chunks.len(), 2);
-        assert_eq!(chunks[0].io.records_read, 4);
-        assert_eq!(chunks[0].io.bytes_read, 4 * width);
-        assert_eq!(chunks[1].io.records_read, 3);
-        assert_eq!(chunks[1].io.bytes_read, 3 * width);
+    fn chunked_scans_count_the_same_io_as_plain_scans() {
+        let mem = MemoryDataset::new(schema(), records(7));
+        let dir = std::env::temp_dir().join("boat-data-test-chunk-io");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("io.boat");
+        let file = FileDataset::create_from(&path, &mem, IoStats::new()).unwrap();
+        for ds in [&mem as &dyn RecordSource, &file] {
+            let before = ds.stats().snapshot();
+            ds.collect_records().unwrap();
+            let plain = ds.stats().snapshot() - before;
+            let chunks: Vec<_> = ds
+                .scan_chunks(4)
+                .unwrap()
+                .collect::<Result<Vec<_>>>()
+                .unwrap();
+            let chunked = ds.stats().snapshot() - before - plain;
+            assert_eq!(chunks.len(), 2);
+            assert_eq!(chunked.scans, 1);
+            assert_eq!(chunked.records_read, plain.records_read);
+            assert_eq!(chunked.bytes_read, plain.bytes_read);
+            assert_eq!(chunked.bytes_read, 7 * ds.schema().record_width() as u64);
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -707,15 +762,27 @@ mod tests {
             w.append(&r).unwrap();
         }
         let ds = w.finish().unwrap();
-        let flat: Vec<Record> = ds
+        let chunks: Vec<_> = ds
             .scan_chunks(8)
             .unwrap()
             .collect::<Result<Vec<_>>>()
+            .unwrap();
+        assert_eq!(
+            chunks
+                .iter()
+                .map(|c| (c.index, c.len()))
+                .collect::<Vec<_>>(),
+            vec![(0, 8), (1, 8), (2, 8), (3, 1)]
+        );
+        let mem: Vec<_> = MemoryDataset::new(schema(), records(25))
+            .scan_chunks(8)
             .unwrap()
-            .into_iter()
-            .flat_map(|c| c.records)
-            .collect();
-        assert_eq!(flat, records(25));
+            .collect::<Result<Vec<_>>>()
+            .unwrap();
+        for (f, m) in chunks.iter().zip(&mem) {
+            assert_eq!(f.bytes, m.bytes, "chunk {}", f.index);
+        }
+        assert_eq!(decode_chunks(ds.schema(), &chunks), records(25));
         std::fs::remove_file(&path).unwrap();
     }
 

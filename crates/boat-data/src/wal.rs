@@ -599,6 +599,7 @@ pub fn read_segment(path: &Path, schema: &Schema, metrics: &Registry) -> Result<
         )));
     }
     let width = width as usize;
+    let layout = codec::RowLayout::new(schema);
     let mut ops = Vec::new();
     let mut pos = HEADER_LEN;
     let mut torn = false;
@@ -634,7 +635,7 @@ pub fn read_segment(path: &Path, schema: &Schema, metrics: &Registry) -> Result<
         // (e.g. replaying against the wrong schema), not a torn write.
         let mut records = Vec::with_capacity(payload.len() / width.max(1));
         for chunk in payload.chunks_exact(width.max(1)) {
-            records.push(codec::decode(schema, chunk)?);
+            records.push(layout.decode(chunk)?);
         }
         let content_digest = frame_digest(op, payload);
         segment_digest.update(&content_digest.0);

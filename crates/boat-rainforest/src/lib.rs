@@ -762,8 +762,17 @@ mod tests {
         assert_eq!(fit.stats.scans_over_input, 1);
     }
 
+    /// Held by every test that fits `RfVariant::Write`, so one test's
+    /// partition files never show up in another's temp-dir count.
+    static WRITE_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn write_lock() -> std::sync::MutexGuard<'static, ()> {
+        WRITE_TESTS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn write_variant_matches_reference() {
+        let _serial = write_lock();
         let source = GeneratorConfig::new(LabelFunction::F1)
             .with_seed(41)
             .source(5_000);
@@ -786,37 +795,36 @@ mod tests {
 
     #[test]
     fn write_variant_cleans_up_partitions() {
-        let before = std::fs::read_dir(std::env::temp_dir())
-            .unwrap()
-            .filter(|e| {
-                e.as_ref()
-                    .unwrap()
-                    .file_name()
-                    .to_string_lossy()
-                    .starts_with("rf-write-")
-            })
-            .count();
+        let _serial = write_lock();
+        // Only this process's partition files: other test binaries may be
+        // writing their own into the shared temp dir.
+        let prefix = format!("rf-write-{}-", std::process::id());
+        let count = || {
+            std::fs::read_dir(std::env::temp_dir())
+                .unwrap()
+                .filter(|e| {
+                    e.as_ref()
+                        .unwrap()
+                        .file_name()
+                        .to_string_lossy()
+                        .starts_with(&prefix)
+                })
+                .count()
+        };
+        let before = count();
         let source = GeneratorConfig::new(LabelFunction::F6)
             .with_seed(42)
             .source(4_000);
         RainForest::new(RfVariant::Write, config(200))
             .fit(&source)
             .unwrap();
-        let after = std::fs::read_dir(std::env::temp_dir())
-            .unwrap()
-            .filter(|e| {
-                e.as_ref()
-                    .unwrap()
-                    .file_name()
-                    .to_string_lossy()
-                    .starts_with("rf-write-")
-            })
-            .count();
+        let after = count();
         assert_eq!(after, before, "partition files must be deleted");
     }
 
     #[test]
     fn all_three_variants_agree() {
+        let _serial = write_lock();
         let source = GeneratorConfig::new(LabelFunction::F7)
             .with_seed(43)
             .source(4_000);
