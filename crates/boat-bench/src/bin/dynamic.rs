@@ -24,8 +24,7 @@ use boat_bench::obs::json_array;
 use boat_bench::table::fmt_duration;
 use boat_bench::{bench_dir, print_metrics_summary, Args, BenchReport, Table};
 use boat_core::{reference_tree, Boat, BoatConfig};
-use boat_data::log::DatasetLog;
-use boat_data::{FileDataset, IoStats};
+use boat_data::{FileDataset, FileDatasetWriter, IoStats, RecordSource};
 use boat_datagen::{GeneratorConfig, LabelFunction};
 use boat_rainforest::{RainForest, RfConfig, RfVariant};
 use boat_tree::{Gini, GrowthLimits};
@@ -103,6 +102,23 @@ fn chunk_file(gen: &GeneratorConfig, n: u64, key: &str) -> boat_data::Result<Fil
     gen.materialize_with_stats(&path, n, IoStats::new())
 }
 
+/// The next cumulative database: `prev` followed by `chunk`, written to a
+/// new file at `path`. Both inputs are removed once copied.
+fn append_chunk(
+    prev: FileDataset,
+    chunk: FileDataset,
+    path: &std::path::Path,
+) -> boat_data::Result<FileDataset> {
+    let mut writer = FileDatasetWriter::create(path, prev.schema().clone(), IoStats::new())?;
+    for source in [&prev, &chunk] {
+        for r in source.scan()? {
+            writer.append(&r?)?;
+        }
+        std::fs::remove_file(source.path())?;
+    }
+    writer.finish()
+}
+
 #[allow(clippy::too_many_arguments)]
 fn run_updates(
     title: &str,
@@ -138,8 +154,9 @@ fn run_updates(
         model.tree()?.n_nodes()
     );
 
-    // The "current database" view for rebuild baselines.
-    let mut log = DatasetLog::new(Box::new(base), IoStats::new());
+    // The current database for the rebuild baselines: one file holding
+    // every record so far, rebuilt outside the timed regions per chunk.
+    let mut cumulative_db = base;
 
     let mut table = Table::new(&[
         "cumulative",
@@ -167,11 +184,15 @@ fn run_updates(
         let maintenance = model.maintain()?;
         let update_time = report.time + maintenance.time;
         cum_update += update_time;
-        log.push_insertions(Box::new(chunk))?;
+        cumulative_db = append_chunk(
+            cumulative_db,
+            chunk,
+            &bench_dir().join(format!("dyn-cumulative-{seed}-{i}.boat")),
+        )?;
 
         // Re-build baselines over the current cumulative database.
         let t = Instant::now();
-        let rebuilt = algo.fit(&log)?;
+        let rebuilt = algo.fit(&cumulative_db)?;
         let boat_rebuild = t.elapsed();
         cum_boat += boat_rebuild;
         let rf = RainForest::new(
@@ -183,7 +204,7 @@ fn run_updates(
             },
         );
         let t = Instant::now();
-        let rf_fit = rf.fit(&log)?;
+        let rf_fit = rf.fit(&cumulative_db)?;
         let rf_rebuild = t.elapsed();
         cum_rf += rf_rebuild;
 
@@ -198,7 +219,7 @@ fn run_updates(
             "incremental must equal RF rebuild"
         );
         if verify {
-            let reference = reference_tree(&log, Gini, limits)?;
+            let reference = reference_tree(&cumulative_db, Gini, limits)?;
             assert_eq!(
                 model.tree()?,
                 &reference,
@@ -227,6 +248,7 @@ fn run_updates(
             maintenance.failed_nodes,
         ));
     }
+    std::fs::remove_file(cumulative_db.path())?;
     table.print(csv);
     println!(
         "\npaper shape: cumulative update time grows far slower than cumulative re-build \

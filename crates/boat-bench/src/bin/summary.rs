@@ -68,13 +68,6 @@ fn report_headline(bench: &str, fields: &[(String, String)]) -> String {
             .unwrap_or_else(|| "?".into())
     };
     match bench {
-        "serve" => format!(
-            "batched {}x / scalar {}x / engine {}x vs interpreted, {} tree nodes",
-            fmt1(get("speedup_batched")),
-            fmt1(get("speedup_scalar")),
-            fmt1(get("speedup_engine")),
-            get("tree_nodes").unwrap_or_else(|| "?".into()),
-        ),
         "sample_phase" => {
             let mut line = format!(
                 "columnar sample phase {}x at the largest config",
@@ -96,19 +89,6 @@ fn report_headline(bench: &str, fields: &[(String, String)]) -> String {
             "{} tuples at machine parallelism {}",
             get("tuples").unwrap_or_else(|| "?".into()),
             get("machine_parallelism").unwrap_or_else(|| "?".into()),
-        ),
-        "streaming" => format!(
-            "sustained ingest {} records/s, {} maintains, {} bound violations, exact {}",
-            fmt1(get("ingest_rps")),
-            get("maintains").unwrap_or_else(|| "?".into()),
-            get("bound_violations").unwrap_or_else(|| "?".into()),
-            get("exact").unwrap_or_else(|| "?".into()),
-        ),
-        "provenance" => format!(
-            "recommit {}x of compile, verify {}/s, {} epochs chain-verified",
-            fmt1(get("commit_overhead_incremental")),
-            fmt1(get("verify_rps")).trim_end_matches(".00"),
-            get("stream_epochs").unwrap_or_else(|| "?".into()),
         ),
         "summary" => format!("full digest in {}s", fmt1(get("total_seconds")),),
         _ => format!("{} scalar fields", fields.len()),

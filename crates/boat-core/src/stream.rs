@@ -470,26 +470,41 @@ impl<I: Impurity + Clone + Send + 'static, H> StreamingBoat<I, H> {
     /// durable, absorbed, and maintained, then return the daemon's exact
     /// tree bytes and totals. Producers may keep appending concurrently —
     /// the marker fixes a cut in the WAL order and the report reflects
-    /// exactly the operations before the cut.
+    /// exactly the operations before the cut. A daemon that has died (a
+    /// panic in absorb or maintain) is a [`DataError::Io`].
     pub fn quiesce(&self) -> Result<QuiesceReport> {
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = sync_channel(1);
         self.quiesce.lock().unwrap().insert(token, tx);
         self.writer.appender.marker(token)?;
-        rx.recv().map_err(|_| {
-            DataError::Io(std::io::Error::other("stream daemon exited during quiesce"))
-        })
+        let exited = || DataError::Io(std::io::Error::other("stream daemon exited during quiesce"));
+        loop {
+            match rx.recv_timeout(Duration::from_millis(50)) {
+                Ok(report) => return Ok(report),
+                Err(RecvTimeoutError::Disconnected) => return Err(exited()),
+                // A dead daemon never answers the marker.
+                Err(RecvTimeoutError::Timeout)
+                    if self.daemon.as_ref().is_some_and(|h| h.is_finished()) =>
+                {
+                    self.quiesce.lock().unwrap().remove(&token);
+                    return Err(exited());
+                }
+                Err(RecvTimeoutError::Timeout) => {}
+            }
+        }
     }
 
     /// Shut down: flush + fsync the WAL, drain the daemon (which runs a
     /// final maintain), and return the maintained model with the totals.
+    /// A panicked daemon or WAL appender is a [`DataError::Io`].
     pub fn finish(mut self) -> Result<(BoatModel<I>, StreamStats)> {
         if let Some(wal) = self.wal.take() {
             wal.finish()?;
         }
         let handle = self.daemon.take().expect("finish called once");
-        let (model, stats) = handle.join().expect("stream daemon panicked");
-        Ok((model, stats))
+        handle
+            .join()
+            .map_err(|_| DataError::Io(std::io::Error::other("stream daemon panicked")))
     }
 }
 

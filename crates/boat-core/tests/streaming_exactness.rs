@@ -374,6 +374,46 @@ fn provenance_sink_sees_every_op_in_wal_order() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+/// A provenance sink that panics on the first op it sees.
+struct PanickingSink;
+
+impl ProvenanceSink for PanickingSink {
+    fn absorb_op(&mut self, _op: &WalOp) {
+        panic!("sink failure injected by the test");
+    }
+
+    fn fingerprint(&self) -> Option<boat_proof::Hash256> {
+        None
+    }
+}
+
+/// A daemon that panics mid-stream surfaces as a typed error from
+/// `finish` (and from `quiesce`), never as a panic in the caller.
+#[test]
+fn panicked_daemon_is_a_typed_error() {
+    let gen = GeneratorConfig::new(LabelFunction::F1).with_seed(96);
+    let schema = gen.schema();
+    let all = gen.generate_vec(4_500);
+
+    let dir = stream_dir("panic");
+    let streaming = StreamingBoat::spawn(
+        fit(9_600, &schema, &all[..4_000]),
+        StreamConfig {
+            wal: WalConfig {
+                dir: Some(dir.clone()),
+                ..WalConfig::default()
+            },
+            provenance: Some(Box::new(PanickingSink)),
+            ..StreamConfig::default()
+        },
+    )
+    .unwrap();
+    streaming.insert(all[4_000..].to_vec()).unwrap();
+    assert!(streaming.quiesce().is_err(), "quiesce after a daemon panic");
+    assert!(streaming.finish().is_err(), "finish after a daemon panic");
+    std::fs::remove_dir_all(dir).ok();
+}
+
 /// The deadline trigger maintains without any further appends: staleness
 /// age is bounded even when the stream goes quiet.
 #[test]

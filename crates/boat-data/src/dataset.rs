@@ -4,7 +4,7 @@
 //! through [`RecordSource::scan`]: a resettable, sequential, *counted* scan.
 //! Two concrete sources live here — [`MemoryDataset`] (samples, tests) and
 //! [`FileDataset`] (the on-disk training database) — and other crates add
-//! more (the synthetic generator and the base-plus-delta [`crate::log`]).
+//! more (the synthetic generator).
 
 use crate::codec;
 use crate::iostats::IoStats;

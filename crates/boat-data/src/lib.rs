@@ -19,8 +19,6 @@
 //!   temporary files (the paper's `S_n` files), batched as columnar
 //!   segments.
 //! * [`colspill`] — the columnar segment codec behind [`spill`].
-//! * [`log`] — a base-plus-delta *dataset log* modelling a dynamically
-//!   changing training database (insertions and deletions).
 //! * [`wal`] — a durable write-ahead log for streaming insert/delete
 //!   chunks: concurrent producers, a single fsync-batching appender
 //!   thread, checksummed segment files, and durable-prefix crash replay.
@@ -39,7 +37,6 @@ pub mod csv;
 pub mod dataset;
 pub mod error;
 pub mod iostats;
-pub mod log;
 pub mod record;
 pub mod sample;
 pub mod schema;

@@ -347,11 +347,14 @@ impl Wal {
     /// Shut the appender down: flush + fsync everything enqueued so far,
     /// close the forward channel, and join. Deletes the segment files
     /// unless [`WalConfig::keep_segments`] was set. Clones of
-    /// [`WalAppender`] error on subsequent appends.
+    /// [`WalAppender`] error on subsequent appends. A panicked appender
+    /// thread is a [`DataError::Io`].
     pub fn finish(mut self) -> Result<WalSummary> {
         let _ = self.tx.send(WalMsg::Shutdown);
         let bytes_written = match self.appender.take() {
-            Some(h) => h.join().expect("wal appender panicked"),
+            Some(h) => h
+                .join()
+                .map_err(|_| DataError::Io(std::io::Error::other("wal appender panicked")))?,
             None => 0,
         };
         if let Some(e) = self.shared.error.lock().unwrap().clone() {

@@ -91,7 +91,7 @@ pub struct RfRunStats {
     pub inmem_builds: u64,
     /// Wall time.
     pub time: Duration,
-    /// I/O over the input training database.
+    /// I/O over the input training database during this fit.
     pub io: IoSnapshot,
     /// I/O over temporary partition files (RF-Write only).
     pub temp_io: IoSnapshot,
@@ -162,10 +162,13 @@ impl<I: Impurity + Clone> RainForest<I> {
 
     /// Build the exact decision tree for `source`.
     pub fn fit(&self, source: &dyn RecordSource) -> Result<RfFit> {
-        match self.variant {
+        let io_before = source.stats().snapshot();
+        let mut fit = match self.variant {
             RfVariant::Write => self.fit_write(source),
             _ => self.fit_level_synchronous(source),
-        }
+        }?;
+        fit.stats.io = source.stats().snapshot() - io_before;
+        Ok(fit)
     }
 
     /// RF-Write driver: depth-first over explicit partition files.
@@ -289,7 +292,6 @@ impl<I: Impurity + Clone> RainForest<I> {
 
         tree.compact();
         stats.time = t0.elapsed();
-        stats.io = source.stats().snapshot();
         stats.temp_io = temp_stats.snapshot();
         Ok(RfFit { tree, stats })
     }
@@ -420,7 +422,6 @@ impl<I: Impurity + Clone> RainForest<I> {
 
         tree.compact();
         stats.time = t0.elapsed();
-        stats.io = source.stats().snapshot();
         Ok(RfFit { tree, stats })
     }
 
@@ -839,6 +840,27 @@ mod tests {
             .unwrap();
         assert_eq!(w.tree, h.tree);
         assert_eq!(w.tree, v.tree);
+    }
+
+    /// `stats.io` covers one fit, not the source's lifetime: a second fit
+    /// over the same source reports exactly the first fit's I/O, and every
+    /// counted input scan is one scan of the source.
+    #[test]
+    fn io_counts_one_fit_per_variant() {
+        let _serial = write_lock();
+        let source = GeneratorConfig::new(LabelFunction::F6)
+            .with_seed(44)
+            .source(4_000);
+        for variant in [RfVariant::Write, RfVariant::Hybrid, RfVariant::Vertical] {
+            let rf = RainForest::new(variant, config(200));
+            let first = rf.fit(&source).unwrap();
+            let second = rf.fit(&source).unwrap();
+            assert_eq!(second.stats.io, first.stats.io, "{variant:?}");
+            assert_eq!(
+                first.stats.io.scans, first.stats.scans_over_input,
+                "{variant:?}"
+            );
+        }
     }
 
     #[test]

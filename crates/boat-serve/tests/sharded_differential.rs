@@ -118,3 +118,57 @@ proptest! {
         prop_assert_eq!(&served, &oracle, "sharded engine diverges from interpreted");
     }
 }
+
+/// A BOAT-fitted, noise-deepened tree scored through the engine at 1, 2
+/// and 4 workers in zero-copy `submit_shared` ranges: every worker count
+/// reproduces interpreted output exactly.
+#[test]
+fn engine_matches_interpreted_at_one_two_and_four_workers() {
+    use boat_core::{Boat, BoatConfig};
+    use boat_datagen::{GeneratorConfig, LabelFunction};
+
+    let gen = GeneratorConfig::new(LabelFunction::F1)
+        .with_seed(4_242)
+        .with_noise(0.08);
+    let schema = gen.schema();
+    let data = MemoryDataset::new(schema.clone(), gen.generate_vec(4_000));
+    let config = BoatConfig {
+        limits: GrowthLimits::default(),
+        ..BoatConfig::scaled_for(4_000).with_seed(4_243)
+    };
+    let (mut model, _) = Boat::new(config).fit_model(&data).unwrap();
+    let tree = model.tree().unwrap().clone();
+    let probes: Arc<Vec<Record>> = Arc::new(
+        GeneratorConfig::new(LabelFunction::F1)
+            .with_seed(4_244)
+            .generate_vec(3_000),
+    );
+    let oracle: Vec<u16> = probes.iter().map(|r| tree.predict(r)).collect();
+
+    let handle = ModelHandle::new(compile(&tree));
+    for workers in [1, 2, 4] {
+        let engine = ServeEngine::start(
+            handle.clone(),
+            schema.clone(),
+            ServeConfig {
+                workers,
+                queue_depth: 64,
+            },
+        );
+        let tickets: Vec<Ticket> = (0..probes.len())
+            .step_by(500)
+            .map(|start| {
+                let end = (start + 500).min(probes.len());
+                engine
+                    .submit_shared(Arc::clone(&probes), start..end)
+                    .unwrap()
+            })
+            .collect();
+        let served: Vec<u16> = tickets.into_iter().flat_map(|t| t.wait()).collect();
+        engine.shutdown();
+        assert_eq!(
+            served, oracle,
+            "serve engine ({workers} workers) diverges from interpreted"
+        );
+    }
+}

@@ -4,7 +4,7 @@
 //! tests and downstream users can depend on a single crate.
 //!
 //! * [`data`] — storage substrate: schemas, records, counted file scans,
-//!   sampling, spill buffers, dataset logs.
+//!   sampling, spill buffers, the write-ahead log.
 //! * [`datagen`] — the Agrawal et al. synthetic classification benchmark
 //!   generator used by the paper's evaluation.
 //! * [`tree`] — decision-tree substrate: tree model, impurity functions,

@@ -5,7 +5,6 @@
 
 use boat_repro::boat::{reference_tree, Boat, BoatConfig};
 use boat_repro::data::dataset::RecordSource;
-use boat_repro::data::log::DatasetLog;
 use boat_repro::data::{FileDataset, IoStats, MemoryDataset};
 use boat_repro::datagen::{GeneratorConfig, LabelFunction};
 use boat_repro::rainforest::{RainForest, RfConfig, RfVariant};
@@ -107,9 +106,9 @@ fn boat_reads_less_than_level_synchronous_rainforest() {
 
 #[test]
 fn dataset_log_drives_incremental_rebuild_equivalence() {
-    // Model the warehouse flow end-to-end: a base file, insertion chunks,
-    // a deletion chunk, all through DatasetLog; BOAT's incremental model
-    // must match a full rebuild over the log's net contents.
+    // Model the warehouse flow end-to-end: a base file, an insertion
+    // chunk and a deletion chunk through the model; BOAT's incremental
+    // model must match a full rebuild over the net contents.
     let gen = GeneratorConfig::new(LabelFunction::F2).with_seed(70);
     let schema = gen.schema();
     let all = gen.generate_vec(9_000);
@@ -123,18 +122,16 @@ fn dataset_log_drives_incremental_rebuild_equivalence() {
     let algo = Boat::new(BoatConfig::scaled_for(5_000).with_seed(71));
     let (mut model, _) = algo.fit_model(&base).unwrap();
 
-    let mut log = DatasetLog::new(Box::new(base), IoStats::new());
     // Insert 5k..9k.
     let chunk1 = MemoryDataset::new(schema.clone(), all[5_000..9_000].to_vec());
     model.insert(&chunk1).unwrap();
-    log.push_insertions(Box::new(chunk1)).unwrap();
     // Expire 0..2k.
     let expired = MemoryDataset::new(schema.clone(), all[..2_000].to_vec());
     model.delete(&expired).unwrap();
-    log.push_deletions(&expired).unwrap();
 
-    assert_eq!(log.len(), 7_000);
-    let reference = reference_tree(&log, Gini, GrowthLimits::default()).unwrap();
+    let net = MemoryDataset::new(schema.clone(), all[2_000..9_000].to_vec());
+    assert_eq!(net.len(), 7_000);
+    let reference = reference_tree(&net, Gini, GrowthLimits::default()).unwrap();
     assert_eq!(model.tree().unwrap(), &reference);
     std::fs::remove_file(&base_path).ok();
 }
