@@ -12,6 +12,10 @@
 //! 3. **Span coverage**: the per-phase wall-time spans
 //!    (`boat.phase.*`) account for at least 90 % of the measured fit wall
 //!    time — the instrumentation sees where the time goes.
+//! 4. **One read per spilled tuple**: on a fit without failed nodes, every
+//!    spilled parked or family tuple is read back once (verification reads
+//!    each parked set once and routes the same records on), so
+//!    `data.spill.records_read <= data.spill.records_written`.
 //!
 //! Exits non-zero if any invariant fails; writes `BENCH_cost_model.json`
 //! with the checked values and the full metrics snapshot.
@@ -101,6 +105,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
     );
 
+    // 4. Spilled tuples are read back at most once on a clean fit.
+    let spill_read = m.counter("data.spill.records_read");
+    let spill_written = m.counter("data.spill.records_written");
+    check(
+        "one read per spilled tuple",
+        r.failed_nodes > 0 || spill_read <= spill_written,
+        format!(
+            "data.spill.records_read={spill_read} <= data.spill.records_written={spill_written} \
+             (checked when failed_nodes=0; failed_nodes={})",
+            r.failed_nodes
+        ),
+    );
+
+    let prepare_ms = m
+        .histogram("boat.phase.prepare")
+        .map_or(0.0, |h| h.sum as f64 / 1e6);
+
     print_metrics_summary(m);
 
     let mut report = BenchReport::new("cost_model");
@@ -113,6 +134,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .field_u64("failed_nodes", r.failed_nodes)
         .field_u64("input_bytes_read", input_bytes)
         .field_u64("spill_bytes_written", spill_bytes)
+        .field_u64("spill_records_read", spill_read)
+        .field_u64("spill_records_written", spill_written)
+        .field_f64("prepare_ms", prepare_ms)
         .field_f64("phase_span_coverage", coverage)
         .field_bool("all_invariants_hold", ok)
         .metrics(m);

@@ -213,6 +213,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     rng,
                     Registry::global(),
                 )
+                .unwrap()
             })
         };
         let (rows_time, rows_coarse) = time_of(&|rng: &mut StdRng| {

@@ -9,7 +9,7 @@
 //! unfinished partitions recurse into BOAT itself; small ones finish with
 //! the in-memory builder, exactly as §3.5 prescribes.
 
-use crate::coarse::build_coarse_tree;
+use crate::coarse::{build_coarse_tree_columnar, columnar_sample};
 use crate::config::BoatConfig;
 use crate::stats::BoatRunStats;
 use crate::work::{limits_for_subtree, Job, Resolution, WorkTree};
@@ -171,21 +171,27 @@ impl<I: Impurity + Clone> Boat<I> {
         stats.scans_over_input += 1;
         self.metrics.counter("boat.fit.input_scans").inc();
         stats.sample_records = sample.len() as u64;
+        // The sample is transposed and presorted once: the bootstrap trees
+        // grow on it, and `prepare` reads every node's statistics from it.
         let bootstrap_span = self.metrics.span("boat.phase.bootstrap");
-        let coarse = build_coarse_tree(
-            &schema,
-            &sample,
+        let cs = columnar_sample(&schema, &sample, &self.metrics);
+        drop(sample);
+        let coarse = build_coarse_tree_columnar(
+            &cs,
             &selector,
             &self.config,
             source.len(),
             &mut rng,
             &self.metrics,
         );
+        bootstrap_span.finish();
+        let coarse = coarse?;
         stats.coarse_nodes = coarse.len() as u64;
+        let prepare_span = self.metrics.span("boat.phase.prepare");
         let mut work = WorkTree::prepare(
             &coarse,
             schema,
-            &sample,
+            &cs,
             &self.impurity,
             &self.config,
             source.len(),
@@ -198,8 +204,8 @@ impl<I: Impurity + Clone> Boat<I> {
             IoStats::registered(&self.metrics, "data.spill"),
             self.metrics.clone(),
         );
-        drop(sample);
-        bootstrap_span.finish();
+        drop(cs);
+        prepare_span.finish();
         // The spill handle shares registry counters across runs and
         // sub-runs, so this run's spill traffic is a delta, not an absolute.
         let spill_io_before = work.spill_stats.snapshot();

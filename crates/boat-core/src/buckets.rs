@@ -14,7 +14,7 @@
 
 use crate::config::DiscretizeStrategy;
 use crate::verify::corner_lower_bound;
-use boat_tree::{Impurity, NumAvc};
+use boat_tree::Impurity;
 
 /// Class counts over a fixed discretization of one numeric attribute.
 ///
@@ -247,8 +247,96 @@ impl BucketSet {
     }
 }
 
+/// One numeric attribute's values over a node's family, as runs: the
+/// distinct values in ascending [`f64::total_cmp`] order, one run per bit
+/// pattern (so `-0.0` and `0.0` are separate runs), each with its per-class
+/// counts. This is the AVC-set of the attribute in two flat buffers, filled
+/// by one pass over an already sorted list or by sorting `(value, label)`
+/// pairs; one instance is reused across attributes and nodes.
+#[derive(Debug)]
+pub struct ValueRuns {
+    n_classes: usize,
+    values: Vec<f64>,
+    counts: Vec<u64>, // n_classes per value, row-major
+}
+
+impl ValueRuns {
+    /// Empty runs over `n_classes` classes.
+    pub fn new(n_classes: usize) -> Self {
+        ValueRuns {
+            n_classes,
+            values: Vec::new(),
+            counts: Vec::new(),
+        }
+    }
+
+    /// Replace the runs with those of `sorted`, whose values must ascend in
+    /// [`f64::total_cmp`] order.
+    pub fn fill_sorted(&mut self, sorted: impl IntoIterator<Item = (f64, u16)>) {
+        self.values.clear();
+        self.counts.clear();
+        let k = self.n_classes;
+        for (v, label) in sorted {
+            let new_run = self
+                .values
+                .last()
+                .is_none_or(|&last| last.to_bits() != v.to_bits());
+            if new_run {
+                debug_assert!(
+                    self.values
+                        .last()
+                        .is_none_or(|&last| last.total_cmp(&v).is_lt()),
+                    "ValueRuns::fill_sorted values must ascend in total_cmp order"
+                );
+                self.values.push(v);
+                self.counts.extend(std::iter::repeat_n(0, k));
+            }
+            let base = self.counts.len() - k;
+            self.counts[base + label as usize] += 1;
+        }
+    }
+
+    /// Replace the runs with those of `pairs`, sorting them in place first.
+    pub fn fill_from_pairs(&mut self, pairs: &mut [(f64, u16)]) {
+        pairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        self.fill_sorted(pairs.iter().copied());
+    }
+
+    /// Number of distinct values.
+    pub fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// Whether there are no values.
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// Distinct values in ascending order with their per-class counts.
+    pub fn iter(&self) -> impl Iterator<Item = (f64, &[u64])> {
+        self.values
+            .iter()
+            .zip(self.counts.chunks_exact(self.n_classes))
+            .map(|(&v, c)| (v, c))
+    }
+}
+
+#[cfg(test)]
+impl ValueRuns {
+    /// The runs of a tree-map AVC-set, copied entry by entry: the row-form
+    /// reference the `prepare` oracle compares against.
+    pub(crate) fn from_avc(avc: &boat_tree::NumAvc, n_classes: usize) -> Self {
+        let (values, counts) = avc.materialized();
+        ValueRuns {
+            n_classes,
+            values,
+            counts,
+        }
+    }
+}
+
 /// Build bucket boundaries for one numeric attribute at one node, from the
-/// node's *sample* AVC-set.
+/// attribute's runs over the node's *sample* family.
 ///
 /// * `est_min` — estimated minimum impurity at the node (from the sample);
 ///   the adaptive strategy places fine buckets where candidate splits come
@@ -257,18 +345,17 @@ impl BucketSet {
 /// * `must_include` — boundary values that have to be present (BOAT passes
 ///   the confidence-interval edges of the splitting attribute).
 pub fn build_boundaries(
-    sample_avc: &NumAvc,
+    sample_runs: &ValueRuns,
     sample_totals: &[u64],
     imp: &dyn Impurity,
     est_min: f64,
     strategy: DiscretizeStrategy,
     must_include: &[f64],
 ) -> Vec<f64> {
-    let distinct: Vec<(f64, &[u64])> = sample_avc.iter().collect();
     let mut boundaries = match strategy {
-        DiscretizeStrategy::EquiDepth { buckets } => equi_depth(&distinct, buckets),
+        DiscretizeStrategy::EquiDepth { buckets } => equi_depth(sample_runs, buckets),
         DiscretizeStrategy::Adaptive { max_buckets, slack } => {
-            let base = equi_depth(&distinct, max_buckets.max(1));
+            let base = equi_depth(sample_runs, max_buckets.max(1));
             // Competitive sample values get their own boundaries, far
             // beyond the base budget: with per-boundary exact counts, a
             // per-value bucket yields an (almost) exact check, which is
@@ -280,7 +367,7 @@ pub fn build_boundaries(
             // machine affords ~64x the base budget for the hot region
             // (~10^4 boundaries ≈ 400 KiB per node-attribute).
             let hot = hot_values(
-                &distinct,
+                sample_runs,
                 sample_totals,
                 imp,
                 est_min * (1.0 + slack) + 1e-12,
@@ -300,11 +387,11 @@ pub fn build_boundaries(
 
 /// Equi-depth boundaries: split the (weighted) sample values into `buckets`
 /// roughly equal-mass runs.
-fn equi_depth(distinct: &[(f64, &[u64])], buckets: usize) -> Vec<f64> {
-    if distinct.is_empty() || buckets == 0 {
+fn equi_depth(runs: &ValueRuns, buckets: usize) -> Vec<f64> {
+    if runs.is_empty() || buckets == 0 {
         return Vec::new();
     }
-    let total: u64 = distinct.iter().map(|(_, c)| c.iter().sum::<u64>()).sum();
+    let total: u64 = runs.counts.iter().sum();
     if total == 0 {
         return Vec::new();
     }
@@ -312,7 +399,7 @@ fn equi_depth(distinct: &[(f64, &[u64])], buckets: usize) -> Vec<f64> {
     let mut out = Vec::new();
     let mut cum = 0u64;
     let mut next_target = per;
-    for &(v, counts) in distinct {
+    for (v, counts) in runs.iter() {
         cum += counts.iter().sum::<u64>();
         if cum as f64 >= next_target {
             out.push(v);
@@ -334,7 +421,7 @@ fn equi_depth(distinct: &[(f64, &[u64])], buckets: usize) -> Vec<f64> {
 /// the dangerous region gets near-exact bounds. Capped at `cap` values,
 /// keeping the most competitive.
 fn hot_values(
-    distinct: &[(f64, &[u64])],
+    runs: &ValueRuns,
     totals: &[u64],
     imp: &dyn Impurity,
     threshold: f64,
@@ -342,15 +429,18 @@ fn hot_values(
 ) -> Vec<f64> {
     let n: u64 = totals.iter().sum();
     let mut cum = vec![0u64; totals.len()];
+    let mut right = vec![0u64; totals.len()];
     let mut scored: Vec<(f64, f64, Option<f64>)> = Vec::new(); // (imp, v, prev)
     let mut prev: Option<f64> = None;
-    for &(v, counts) in distinct {
+    for (v, counts) in runs.iter() {
         for (c, x) in cum.iter_mut().zip(counts) {
             *c += x;
         }
         let left_n: u64 = cum.iter().sum();
         if left_n > 0 && left_n < n {
-            let right: Vec<u64> = totals.iter().zip(&cum).map(|(t, c)| t - c).collect();
+            for (r, (t, c)) in right.iter_mut().zip(totals.iter().zip(&cum)) {
+                *r = t - c;
+            }
             let val = boat_tree::split_impurity(imp, &cum, &right);
             if val <= threshold {
                 scored.push((val, v, prev));
@@ -375,14 +465,33 @@ mod tests {
     use super::*;
     use boat_tree::Gini;
 
-    fn avc_from(pairs: &[(f64, u16)]) -> (NumAvc, Vec<u64>) {
-        let mut avc = NumAvc::new(2);
+    fn runs_from(pairs: &[(f64, u16)]) -> (ValueRuns, Vec<u64>) {
+        let mut runs = ValueRuns::new(2);
         let mut totals = vec![0u64; 2];
-        for &(v, l) in pairs {
-            avc.add(v, l);
+        for &(_, l) in pairs {
             totals[l as usize] += 1;
         }
-        (avc, totals)
+        runs.fill_from_pairs(&mut pairs.to_vec());
+        (runs, totals)
+    }
+
+    #[test]
+    fn runs_group_by_bit_pattern_in_total_cmp_order() {
+        let mut pairs = vec![(0.0, 0u16), (-0.0, 1), (1.0, 0), (-0.0, 0), (-2.5, 1)];
+        let mut runs = ValueRuns::new(2);
+        runs.fill_from_pairs(&mut pairs);
+        let got: Vec<(u64, Vec<u64>)> = runs
+            .iter()
+            .map(|(v, c)| (v.to_bits(), c.to_vec()))
+            .collect();
+        let want: Vec<(u64, Vec<u64>)> =
+            [(-2.5, [0, 1]), (-0.0, [1, 1]), (0.0, [1, 0]), (1.0, [1, 0])]
+                .iter()
+                .map(|(v, c): &(f64, [u64; 2])| (v.to_bits(), c.to_vec()))
+                .collect();
+        assert_eq!(got, want);
+        runs.fill_sorted(std::iter::empty());
+        assert!(runs.is_empty());
     }
 
     #[test]
@@ -429,7 +538,7 @@ mod tests {
     #[test]
     fn bucket_bound_is_a_true_lower_bound() {
         let pairs: Vec<(f64, u16)> = (0..100).map(|i| (i as f64, u16::from(i % 7 < 3))).collect();
-        let (avc, totals) = avc_from(&pairs);
+        let (runs, totals) = runs_from(&pairs);
         let mut bset = BucketSet::new(vec![20.0, 55.0, 80.0], 2);
         for &(v, l) in &pairs {
             bset.add(v, l);
@@ -437,7 +546,7 @@ mod tests {
         // True minimum per bucket via exhaustive sweep.
         let mut cum = vec![0u64; 2];
         let mut true_min = vec![f64::INFINITY; bset.n_buckets()];
-        for (v, counts) in avc.iter() {
+        for (v, counts) in runs.iter() {
             for (c, x) in cum.iter_mut().zip(counts) {
                 *c += x;
             }
@@ -462,9 +571,9 @@ mod tests {
     #[test]
     fn equi_depth_boundaries_track_mass() {
         let pairs: Vec<(f64, u16)> = (0..1000).map(|i| (i as f64, 0u16)).collect();
-        let (avc, totals) = avc_from(&pairs);
+        let (runs, totals) = runs_from(&pairs);
         let bounds = build_boundaries(
-            &avc,
+            &runs,
             &totals,
             &Gini,
             0.0,
@@ -488,12 +597,12 @@ mod tests {
     fn adaptive_isolates_the_minimum_region() {
         // Clean threshold concept at 500: the impurity minimum sits there.
         let pairs: Vec<(f64, u16)> = (0..1000).map(|i| (i as f64, u16::from(i >= 500))).collect();
-        let (avc, totals) = avc_from(&pairs);
+        let (runs, totals) = runs_from(&pairs);
         let strategy = DiscretizeStrategy::Adaptive {
             max_buckets: 16,
             slack: 0.10,
         };
-        let bounds = build_boundaries(&avc, &totals, &Gini, 0.0, strategy, &[]);
+        let bounds = build_boundaries(&runs, &totals, &Gini, 0.0, strategy, &[]);
         // The competitive region around 499 must have fine boundaries:
         // 499 itself (the exact minimum) must be a boundary.
         assert!(
@@ -505,9 +614,9 @@ mod tests {
     #[test]
     fn must_include_values_are_present() {
         let pairs: Vec<(f64, u16)> = (0..100).map(|i| (i as f64, (i % 2) as u16)).collect();
-        let (avc, totals) = avc_from(&pairs);
+        let (runs, totals) = runs_from(&pairs);
         let bounds = build_boundaries(
-            &avc,
+            &runs,
             &totals,
             &Gini,
             0.3,
@@ -520,9 +629,9 @@ mod tests {
 
     #[test]
     fn empty_sample_yields_no_boundaries() {
-        let avc = NumAvc::new(2);
+        let runs = ValueRuns::new(2);
         let bounds = build_boundaries(
-            &avc,
+            &runs,
             &[0, 0],
             &Gini,
             0.0,

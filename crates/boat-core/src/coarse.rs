@@ -15,7 +15,7 @@
 //!   split point with high probability.
 
 use crate::config::{AgreementRule, BoatConfig};
-use boat_data::{Record, Schema};
+use boat_data::{DataError, Record, Result, Schema};
 use boat_obs::Registry;
 use boat_tree::grow::SplitSelector;
 use boat_tree::model::Predicate;
@@ -152,20 +152,9 @@ pub fn bootstrap_limits(config: &BoatConfig, full_size: u64) -> GrowthLimits {
     }
 }
 
-/// Build the coarse tree from the in-memory sample.
-///
-/// `full_size` is `|D|` (used to scale the bootstrap trees' stopping
-/// threshold). The selector must be the same split-selection method the
-/// final tree uses. `metrics` receives the `boat.sample.*` phase spans and
-/// counters (transpose/presort/resample/grow timings, build counts).
-///
-/// The bootstrap trees grow on the columnar engine. For the same seeded rng
-/// the result is node for node [`reference_coarse_tree`]'s, because the
-/// multiplicity vectors are drawn with the *same rng call sequence* as
-/// [`bootstrap_resample`] and every node selects its split through the
-/// columnar determinism contract (see `boat_tree::columnar`).
-///
-/// [`bootstrap_resample`]: boat_data::sample::bootstrap_resample
+/// Build the coarse tree from the in-memory sample: transpose and presort
+/// it ([`columnar_sample`]), then [`build_coarse_tree_columnar`], whose
+/// result (and error) it returns.
 pub fn build_coarse_tree<S: SplitSelector + ?Sized>(
     schema: &Schema,
     sample: &[Record],
@@ -174,13 +163,77 @@ pub fn build_coarse_tree<S: SplitSelector + ?Sized>(
     full_size: u64,
     rng: &mut StdRng,
     metrics: &Registry,
-) -> CoarseTree {
-    if sample.is_empty() {
-        return CoarseTree::sample_leaf();
+) -> Result<CoarseTree> {
+    let cs = columnar_sample(schema, sample, metrics);
+    build_coarse_tree_columnar(&cs, selector, config, full_size, rng, metrics)
+}
+
+/// The sample in columnar form, presorted: what the bootstrap trees grow
+/// on and what `WorkTree::prepare` reads its per-node statistics from.
+/// Records the `boat.sample.transpose` and `boat.sample.presort` spans.
+pub fn columnar_sample(schema: &Schema, sample: &[Record], metrics: &Registry) -> ColumnarSample {
+    let transpose_span = metrics.span("boat.sample.transpose");
+    let mut cs = ColumnarSample::transpose(schema, sample);
+    transpose_span.finish();
+    let presort_span = metrics.span("boat.sample.presort");
+    cs.presort();
+    presort_span.finish();
+    cs
+}
+
+/// Build the coarse tree from the presorted columnar sample.
+///
+/// `full_size` is `|D|` (used to scale the bootstrap trees' stopping
+/// threshold). The selector must be the same split-selection method the
+/// final tree uses. `metrics` receives the `boat.sample.*` phase spans and
+/// counters (resample/grow timings, build counts).
+///
+/// The bootstrap trees grow on the columnar engine. For the same seeded rng
+/// the result is node for node [`reference_coarse_tree`]'s, because the
+/// multiplicity vectors are drawn with the *same rng call sequence* as
+/// [`bootstrap_resample`] and every node selects its split through the
+/// columnar determinism contract (see `boat_tree::columnar`).
+///
+/// A bootstrap build that panics (a faulty selector) fails the call with
+/// [`DataError::Io`] instead of unwinding into the caller.
+///
+/// [`bootstrap_resample`]: boat_data::sample::bootstrap_resample
+pub fn build_coarse_tree_columnar<S: SplitSelector + ?Sized>(
+    sample: &ColumnarSample,
+    selector: &S,
+    config: &BoatConfig,
+    full_size: u64,
+    rng: &mut StdRng,
+    metrics: &Registry,
+) -> Result<CoarseTree> {
+    if sample.n_rows() == 0 {
+        return Ok(CoarseTree::sample_leaf());
     }
     let limits = bootstrap_limits(config, full_size);
-    let trees = bootstrap_trees_columnar(schema, sample, selector, config, limits, rng, metrics);
-    agree_all(&trees, config)
+    let resample_span = metrics.span("boat.sample.resample");
+    let weight_sets: Vec<Vec<u32>> = (0..config.bootstrap_reps)
+        .map(|_| {
+            boat_data::sample::bootstrap_multiplicities(
+                sample.n_rows(),
+                config.bootstrap_sample_size,
+                rng,
+            )
+        })
+        .collect();
+    resample_span.finish();
+    metrics
+        .counter("boat.sample.columnar_builds")
+        .add(weight_sets.len() as u64);
+    let grow_span = metrics.span("boat.sample.grow");
+    let stats = boat_tree::SubsampleStats::default();
+    let base = subsample_runtime(config, &stats);
+    let trees = build_parallel(weight_sets.len(), |i| {
+        let rt = base.map(|b| b.for_rep(i as u64));
+        boat_tree::grow_weighted_gated(sample, &weight_sets[i], selector, limits, rt.as_ref())
+    });
+    grow_span.finish();
+    record_subsample_stats(&stats, metrics);
+    Ok(agree_all(&trees?, config))
 }
 
 /// The reference coarse tree: materialize each bootstrap resample as a
@@ -188,7 +241,7 @@ pub fn build_coarse_tree<S: SplitSelector + ?Sized>(
 /// `b` trees with the reference in-memory builder, and run the same
 /// agreement walk as [`build_coarse_tree`]. Like
 /// [`reference_tree`](crate::reference_tree), it exists for tests and
-/// benches to compare against.
+/// benches to compare against; a panicking selector panics here.
 pub fn reference_coarse_tree<S: SplitSelector + ?Sized>(
     schema: &Schema,
     sample: &[Record],
@@ -204,7 +257,8 @@ pub fn reference_coarse_tree<S: SplitSelector + ?Sized>(
     let resamples: Vec<Vec<Record>> = (0..config.bootstrap_reps)
         .map(|_| boat_data::sample::bootstrap_resample(sample, config.bootstrap_sample_size, rng))
         .collect();
-    let trees = build_parallel(resamples.len(), |i| builder.fit(schema, &resamples[i]));
+    let trees = build_parallel(resamples.len(), |i| builder.fit(schema, &resamples[i]))
+        .expect("reference bootstrap build");
     agree_all(&trees, config)
 }
 
@@ -223,19 +277,35 @@ fn agree_all(trees: &[Tree], config: &BoatConfig) -> CoarseTree {
 /// Run `build(i)` for `i in 0..n` over a work-stealing thread pool (one
 /// atomic next-index counter; workers return `(i, tree)` pairs merged in
 /// order). The builds are independent, so the result is bit-identical to a
-/// serial loop at every thread count.
-fn build_parallel<F>(n: usize, build: F) -> Vec<Tree>
+/// serial loop at every thread count. A build that panics, on a worker or
+/// on this thread when one worker suffices, fails the call with
+/// [`DataError::Io`] carrying the panic message.
+fn build_parallel<F>(n: usize, build: F) -> Result<Vec<Tree>>
 where
     F: Fn(usize) -> Tree + Sync,
 {
+    let panicked = |payload: Box<dyn std::any::Any + Send>| {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        DataError::Io(std::io::Error::other(format!(
+            "bootstrap worker panicked: {msg}"
+        )))
+    };
     let threads = std::thread::available_parallelism()
         .map_or(1, |t| t.get())
         .min(n.max(1));
     if threads <= 1 || n <= 1 {
-        return (0..n).map(build).collect();
+        return std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            (0..n).map(&build).collect()
+        }))
+        .map_err(panicked);
     }
     let mut slots: Vec<Option<Tree>> = (0..n).map(|_| None).collect();
     let next = std::sync::atomic::AtomicUsize::new(0);
+    let mut failure = None;
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for _ in 0..threads {
@@ -254,62 +324,25 @@ where
             }));
         }
         for h in handles {
-            for (i, t) in h.join().expect("bootstrap worker panicked") {
-                slots[i] = Some(t);
+            match h.join() {
+                Ok(built) => {
+                    for (i, t) in built {
+                        slots[i] = Some(t);
+                    }
+                }
+                Err(payload) => {
+                    failure.get_or_insert(panicked(payload));
+                }
             }
         }
     });
-    slots
+    if let Some(e) = failure {
+        return Err(e);
+    }
+    Ok(slots
         .into_iter()
         .map(|t| t.expect("every slot built"))
-        .collect()
-}
-
-/// Columnar bootstrap trees: transpose the sample once into dense columns,
-/// presort the numeric attributes once, draw per-resample *multiplicity
-/// vectors* (same rng call sequence as the reference — one
-/// `random_range(0..len)` per draw), and grow the `b` trees in parallel
-/// over the shared immutable `(columns, presorted indices)` with zero
-/// record clones.
-fn bootstrap_trees_columnar<S: SplitSelector + ?Sized>(
-    schema: &Schema,
-    sample: &[Record],
-    selector: &S,
-    config: &BoatConfig,
-    limits: GrowthLimits,
-    rng: &mut StdRng,
-    metrics: &Registry,
-) -> Vec<Tree> {
-    let transpose_span = metrics.span("boat.sample.transpose");
-    let mut cs = ColumnarSample::transpose(schema, sample);
-    transpose_span.finish();
-    let presort_span = metrics.span("boat.sample.presort");
-    cs.presort();
-    presort_span.finish();
-    let resample_span = metrics.span("boat.sample.resample");
-    let weight_sets: Vec<Vec<u32>> = (0..config.bootstrap_reps)
-        .map(|_| {
-            boat_data::sample::bootstrap_multiplicities(
-                sample.len(),
-                config.bootstrap_sample_size,
-                rng,
-            )
-        })
-        .collect();
-    resample_span.finish();
-    metrics
-        .counter("boat.sample.columnar_builds")
-        .add(weight_sets.len() as u64);
-    let grow_span = metrics.span("boat.sample.grow");
-    let stats = boat_tree::SubsampleStats::default();
-    let base = subsample_runtime(config, &stats);
-    let trees = build_parallel(weight_sets.len(), |i| {
-        let rt = base.map(|b| b.for_rep(i as u64));
-        boat_tree::grow_weighted_gated(&cs, &weight_sets[i], selector, limits, rt.as_ref())
-    });
-    grow_span.finish();
-    record_subsample_stats(&stats, metrics);
-    trees
+        .collect())
 }
 
 /// The subsample gate runtime a config denotes (seeded off `config.seed`,
@@ -586,7 +619,8 @@ mod tests {
             100_000,
             &mut rng,
             &Registry::new(),
-        );
+        )
+        .unwrap();
         let root = &coarse.nodes[0];
         let Some(CoarseCriterion::Num { attr, lo, hi }) = &root.crit else {
             panic!(
@@ -618,7 +652,8 @@ mod tests {
             50_000,
             &mut rng,
             &Registry::new(),
-        );
+        )
+        .unwrap();
         let root = &coarse.nodes[0];
         if let Some(CoarseCriterion::Num { lo, hi, .. }) = root.crit {
             for &p in &root.bootstrap_points {
@@ -644,7 +679,8 @@ mod tests {
             50_000,
             &mut rng,
             &Registry::new(),
-        );
+        )
+        .unwrap();
         cfg.confidence_trim = 0.2;
         let mut rng = StdRng::seed_from_u64(9);
         let narrow = build_coarse_tree(
@@ -655,7 +691,8 @@ mod tests {
             50_000,
             &mut rng,
             &Registry::new(),
-        );
+        )
+        .unwrap();
         let get = |c: &CoarseTree| match c.nodes[0].crit {
             Some(CoarseCriterion::Num { lo, hi, .. }) => (lo, hi),
             _ => panic!("numeric root"),
@@ -681,7 +718,8 @@ mod tests {
             10_000,
             &mut rng,
             &Registry::new(),
-        );
+        )
+        .unwrap();
         assert!(coarse.is_empty());
         assert_eq!(coarse.nodes[0].reason, Some(FrontierReason::SampleLeaf));
     }
@@ -707,7 +745,8 @@ mod tests {
             100_000,
             &mut rng,
             &Registry::new(),
-        );
+        )
+        .unwrap();
         // The root agrees on the single attribute; mode clustering then
         // commits to ONE of the two minima (near 20 or near 60) — spanning
         // both would park half the database and make the children
@@ -741,7 +780,8 @@ mod tests {
             100_000,
             &mut rng,
             &Registry::new(),
-        );
+        )
+        .unwrap();
         for (i, n) in coarse.nodes.iter().enumerate() {
             if let Some(p) = n.parent {
                 assert_eq!(coarse.nodes[p].depth + 1, n.depth);
@@ -794,7 +834,8 @@ mod tests {
             100_000,
             &mut rng,
             &Registry::new(),
-        );
+        )
+        .unwrap();
 
         cfg.agreement = crate::config::AgreementRule::Unanimous;
         let mut rng = StdRng::seed_from_u64(77);
@@ -806,7 +847,8 @@ mod tests {
             100_000,
             &mut rng,
             &Registry::new(),
-        );
+        )
+        .unwrap();
 
         assert!(
             majority.n_internal() >= unanimous.n_internal(),
@@ -837,7 +879,8 @@ mod tests {
             100_000,
             &mut rng,
             &Registry::new(),
-        );
+        )
+        .unwrap();
         let root = &coarse.nodes[0];
         assert!(root.crit.is_some());
         assert!(
@@ -858,7 +901,8 @@ mod tests {
 
         let metrics = Registry::new();
         let mut rng = StdRng::seed_from_u64(99);
-        let columnar = build_coarse_tree(&schema, &sample, &sel, &cfg, 100_000, &mut rng, &metrics);
+        let columnar =
+            build_coarse_tree(&schema, &sample, &sel, &cfg, 100_000, &mut rng, &metrics).unwrap();
         let mut rng = StdRng::seed_from_u64(99);
         let reference = reference_coarse_tree(&schema, &sample, &sel, &cfg, 100_000, &mut rng);
 
@@ -884,7 +928,8 @@ mod tests {
         let cfg = config();
         let metrics = Registry::new();
         let mut rng = StdRng::seed_from_u64(5);
-        let coarse = build_coarse_tree(&schema, &sample, &sel, &cfg, 50_000, &mut rng, &metrics);
+        let coarse =
+            build_coarse_tree(&schema, &sample, &sel, &cfg, 50_000, &mut rng, &metrics).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
         let reference = reference_coarse_tree(&schema, &sample, &sel, &cfg, 50_000, &mut rng);
         assert_eq!(coarse, reference);
@@ -918,7 +963,8 @@ mod tests {
             100_000,
             &mut rng,
             &gated_metrics,
-        );
+        )
+        .unwrap();
 
         cfg.split_subsample = 0.0;
         let mut rng = StdRng::seed_from_u64(55);
@@ -930,7 +976,8 @@ mod tests {
             100_000,
             &mut rng,
             &Registry::new(),
-        );
+        )
+        .unwrap();
 
         assert_eq!(gated, exact, "the gate must never change the coarse tree");
         let snap = gated_metrics.snapshot();
@@ -938,6 +985,56 @@ mod tests {
             snap.counter("boat.sample.subsample.swept") > 0,
             "gate must have engaged on 2000-row resamples"
         );
+    }
+
+    /// A selector whose columnar path panics.
+    #[derive(Debug)]
+    struct PanickingSelector;
+
+    impl SplitSelector for PanickingSelector {
+        fn select(&self, _: &Schema, _: &boat_tree::AvcGroup) -> Option<boat_tree::SplitEval> {
+            None
+        }
+
+        fn select_columnar_ctx(
+            &self,
+            _: &ColumnarSample,
+            _: &boat_tree::NodeRows,
+            _: &[u32],
+            _: &[u64],
+            _: &boat_tree::ColumnarCtx<'_>,
+        ) -> Option<boat_tree::SplitEval> {
+            panic!("selector fault");
+        }
+    }
+
+    #[test]
+    fn a_panicking_bootstrap_build_is_an_error_not_a_panic() {
+        let schema = schema();
+        let sample = clean_sample(1000);
+        // One repetition runs on this thread; four fan out over workers.
+        for reps in [1, 4] {
+            let cfg = BoatConfig {
+                bootstrap_reps: reps,
+                ..config()
+            };
+            let mut rng = StdRng::seed_from_u64(3);
+            let result = build_coarse_tree(
+                &schema,
+                &sample,
+                &PanickingSelector,
+                &cfg,
+                100_000,
+                &mut rng,
+                &Registry::new(),
+            );
+            match result {
+                Err(DataError::Io(e)) => {
+                    assert!(e.to_string().contains("selector fault"), "reps={reps}: {e}")
+                }
+                other => panic!("reps={reps}: expected an i/o error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! (paper §4): the verification pass re-derives exact splits every time,
 //! carrying parked ancestor tuples downward *transiently*.
 
-use crate::buckets::{build_boundaries, BucketSet};
+use crate::buckets::{build_boundaries, BucketSet, ValueRuns};
 use crate::coarse::{CoarseCriterion, CoarseTree, FrontierReason};
 use crate::config::BoatConfig;
 use crate::verify::bucket_passes;
@@ -22,7 +22,10 @@ use boat_data::spill::SpillBuffer;
 use boat_data::{AttrType, DataError, IoStats, Record, RecordChunk, RecordSource, Result, Schema};
 use boat_obs::Registry;
 use boat_tree::split::{best_categorical_split, cmp_splits, sweep_numeric};
-use boat_tree::{AvcGroup, CatAvc, GrowthLimits, Impurity, NumAvc, SplitEval, Tree};
+use boat_tree::{
+    CatAvc, ColumnarSample, GrowthLimits, Impurity, ImpuritySelector, NodeRows, SplitEval,
+    SplitSelector, Tree,
+};
 use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
@@ -330,6 +333,32 @@ impl Resolution {
     }
 }
 
+/// Why the verification pass failed a node; each reason has its own
+/// counter beside `boat.verify.fail`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FailReason {
+    /// No valid split inside the interval, or the categorical criterion's
+    /// exact subset is not the family's best.
+    Mismatch,
+    /// Another categorical attribute beats the chosen split.
+    Categorical,
+    /// The exact candidate at a bucket boundary beats the chosen split.
+    Boundary,
+    /// A bucket's Lemma 3.1 bound admits a better interior candidate.
+    Interior,
+}
+
+impl FailReason {
+    fn counter(self) -> &'static str {
+        match self {
+            FailReason::Mismatch => "boat.verify.fail.mismatch",
+            FailReason::Categorical => "boat.verify.fail.categorical",
+            FailReason::Boundary => "boat.verify.fail.boundary",
+            FailReason::Interior => "boat.verify.fail.interior",
+        }
+    }
+}
+
 /// A pending completion job produced by the verification pass.
 pub(crate) struct Job {
     /// Work-tree node index.
@@ -519,10 +548,16 @@ impl Reorder {
 }
 
 impl WorkTree {
-    /// Prepare a working tree from the coarse tree and the in-memory
-    /// sample: route the sample down the coarse structure (numeric criteria
-    /// route by interval midpoint), estimate family sizes, build per-node
-    /// discretizations, and allocate cleanup state.
+    /// Prepare a working tree from the coarse tree and the presorted
+    /// columnar sample: route the sample down the coarse structure (numeric
+    /// criteria route by interval midpoint), estimate family sizes, widen
+    /// the numeric intervals, build per-node discretizations, and allocate
+    /// cleanup state.
+    ///
+    /// Every node's sample family is a [`NodeRows`] split from its parent's
+    /// by the rank-preserving partition, so each numeric attribute's runs
+    /// come from one linear pass over an already sorted list, and the
+    /// node's minimum-impurity estimate from the columnar split search.
     ///
     /// `retain_all_families` keeps family buffers at *every* frontier node
     /// (needed for incremental maintenance); otherwise only frontier nodes
@@ -533,7 +568,7 @@ impl WorkTree {
     pub fn prepare(
         coarse: &CoarseTree,
         schema: Arc<Schema>,
-        sample: &[Record],
+        sample: &ColumnarSample,
         imp: &dyn Impurity,
         config: &BoatConfig,
         full_size: u64,
@@ -541,184 +576,123 @@ impl WorkTree {
         spill_stats: IoStats,
         metrics: Registry,
     ) -> WorkTree {
-        // Route the sample down the coarse tree to get per-node sample
-        // families (estimation + discretization input only).
-        let mut node_samples: Vec<Vec<u32>> = vec![Vec::new(); coarse.nodes.len()];
-        for (ri, r) in sample.iter().enumerate() {
-            let mut idx = 0usize;
-            loop {
-                node_samples[idx].push(ri as u32);
-                match &coarse.nodes[idx].crit {
-                    None => break,
-                    Some(CoarseCriterion::Num { attr, lo, hi }) => {
-                        let mid = 0.5 * (lo + hi);
-                        idx = if r.num(*attr) <= mid {
-                            coarse.nodes[idx].left.expect("internal")
-                        } else {
-                            coarse.nodes[idx].right.expect("internal")
-                        };
-                    }
-                    Some(CoarseCriterion::Cat { attr, subset }) => {
-                        idx = if subset.contains(r.cat(*attr)) {
-                            coarse.nodes[idx].left.expect("internal")
-                        } else {
-                            coarse.nodes[idx].right.expect("internal")
-                        };
-                    }
-                }
-            }
-        }
-
-        let scale = if sample.is_empty() {
+        let n = sample.n_rows();
+        let scale = if n == 0 {
             0.0
         } else {
-            full_size as f64 / sample.len() as f64
+            full_size as f64 / n as f64
         };
         let k = schema.n_classes();
-        let nodes = coarse
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, cn)| {
-                let my_sample: Vec<&Record> = node_samples[i]
-                    .iter()
-                    .map(|&ri| &sample[ri as usize])
-                    .collect();
-                let est_family = (my_sample.len() as f64 * scale).round() as u64;
-                // Widen numeric confidence intervals: (1) cover the sample
-                // family's own best candidate on the splitting attribute
-                // (bootstrap points from small resample families can all
-                // undershoot it), then (2) extend to the adjacent distinct
-                // sample values on both sides. Split-point optima sit at
-                // the largest observed value below a concept boundary, so
-                // the full database's optimum lies in the sample-gap just
-                // beyond the sample's best candidate — one gap of padding
-                // parks a handful more tuples and spares a rebuild.
-                let crit = cn.crit.clone().map(|crit| match crit {
-                    CoarseCriterion::Num { attr, lo, hi } => {
-                        let mut avc = NumAvc::new(k);
-                        let mut totals = vec![0u64; k];
-                        for r in &my_sample {
-                            avc.add(r.num(attr), r.label());
-                            totals[r.label() as usize] += 1;
-                        }
-                        let (lo1, hi1) = widen_interval(
-                            &avc,
-                            &totals,
-                            imp,
-                            lo,
-                            hi,
-                            config.interval_pad_values.max(1),
-                        );
-                        CoarseCriterion::Num {
-                            attr,
-                            lo: lo1,
-                            hi: hi1,
-                        }
-                    }
-                    cat => cat,
-                });
-                let state = if crit.is_some() {
+        let ones = vec![1u32; n];
+        let selector = ImpuritySelector::new(ErasedImpurity(imp));
+        let new_buffer = || {
+            SpillBuffer::new_in(
+                schema.clone(),
+                config.spill_budget,
+                spill_stats.clone(),
+                config.spill_dir.clone(),
+            )
+        };
+        let mut in_left = vec![false; n];
+        let mut built: Vec<Option<WorkNode>> = (0..coarse.len()).map(|_| None).collect();
+        let mut stack = vec![(0usize, NodeRows::root(sample, &ones))];
+        while let Some((i, rows)) = stack.pop() {
+            let cn = &coarse.nodes[i];
+            let mut totals = vec![0u64; k];
+            for &row in &rows.rows {
+                totals[sample.label(row) as usize] += 1;
+            }
+            let est_family = (rows.len() as f64 * scale).round() as u64;
+            let (crit, state) = match &cn.crit {
+                Some(coarse_crit) => {
                     // Internal: estimate the node's minimum impurity from
-                    // the sample, then build a discretization per numeric
-                    // attribute.
-                    let group = AvcGroup::from_records(&schema, my_sample.iter().copied());
-                    let est_min = boat_tree::best_split(&schema, &group, imp)
-                        .map(|e| e.impurity)
-                        .unwrap_or(0.0);
-                    let mut cat = Vec::with_capacity(schema.n_attributes());
-                    let mut buckets = Vec::with_capacity(schema.n_attributes());
-                    for (a, attr) in schema.attributes().iter().enumerate() {
-                        match attr.ty() {
-                            AttrType::Categorical { cardinality } => {
-                                cat.push(Some(CatAvc::new(cardinality, k)));
-                                buckets.push(None);
+                    // the sample, widen the interval and discretize every
+                    // numeric attribute from its runs.
+                    let est_min = selector
+                        .select_columnar(sample, &rows, &ones, &totals)
+                        .map_or(0.0, |e| e.impurity);
+                    let (crit, counts) = internal_counts(
+                        &schema,
+                        coarse_crit.clone(),
+                        &totals,
+                        est_min,
+                        imp,
+                        config,
+                        |a, runs| {
+                            let col = sample.num_column(a);
+                            let list = rows.sorted[a].as_deref().expect("presorted sample");
+                            runs.fill_sorted(
+                                list.iter()
+                                    .map(|&row| (col[row as usize], sample.label(row))),
+                            );
+                        },
+                    );
+                    // The sample routes by the coarse criterion, numeric
+                    // ones at the interval midpoint.
+                    for &row in &rows.rows {
+                        in_left[row as usize] = match coarse_crit {
+                            CoarseCriterion::Num { attr, lo, hi } => {
+                                sample.num_column(*attr)[row as usize] <= 0.5 * (lo + hi)
                             }
-                            AttrType::Numeric => {
-                                cat.push(None);
-                                let must_include: Vec<f64> = match &crit {
-                                    Some(CoarseCriterion::Num { attr, lo, hi }) if *attr == a => {
-                                        vec![*lo, *hi]
-                                    }
-                                    _ => vec![],
-                                };
-                                let sample_avc = {
-                                    let mut avc = NumAvc::new(k);
-                                    for r in &my_sample {
-                                        avc.add(r.num(a), r.label());
-                                    }
-                                    avc
-                                };
-                                let bounds = build_boundaries(
-                                    &sample_avc,
-                                    group.class_totals(),
-                                    imp,
-                                    est_min,
-                                    config.discretize,
-                                    &must_include,
-                                );
-                                buckets.push(Some(BucketSet::new(bounds, k)));
+                            CoarseCriterion::Cat { attr, subset } => {
+                                subset.contains(sample.cat_column(*attr)[row as usize])
                             }
-                        }
+                        };
                     }
-                    let parked = match &crit {
-                        Some(CoarseCriterion::Num { .. }) => Some(SpillBuffer::new_in(
-                            schema.clone(),
-                            config.spill_budget,
-                            spill_stats.clone(),
-                            config.spill_dir.clone(),
-                        )),
-                        _ => None,
-                    };
-                    NodeState {
-                        counts: NodeCounts::new(k, cat, buckets),
+                    let (left, right) = rows.partition(&in_left);
+                    for &row in &left.rows {
+                        in_left[row as usize] = false;
+                    }
+                    stack.push((cn.right.expect("internal"), right));
+                    stack.push((cn.left.expect("internal"), left));
+                    let parked = matches!(crit, CoarseCriterion::Num { .. }).then(new_buffer);
+                    let state = NodeState {
+                        counts,
                         parked,
                         family: None,
                         dirty: false,
-                    }
-                } else {
+                    };
+                    (Some(crit), state)
+                }
+                None => {
                     // Frontier: decide whether to retain family records. A
                     // sample family of one class bets that the node is a
                     // pure leaf, which its class counts settle without its
                     // records; a lost bet costs one collection scan.
-                    let sample_pure = my_sample
-                        .split_first()
-                        .is_some_and(|(r, rest)| rest.iter().all(|o| o.label() == r.label()));
+                    let sample_pure = totals.iter().filter(|&&c| c > 0).count() == 1;
                     let keep = retain_all_families
                         || (!sample_pure
                             && match config.limits.stop_family_size {
                                 None => true,
                                 Some(t) => est_family.saturating_mul(2) > t,
                             });
-                    NodeState {
+                    let state = NodeState {
                         counts: NodeCounts::new(k, Vec::new(), Vec::new()),
                         parked: None,
-                        family: keep.then(|| {
-                            SpillBuffer::new_in(
-                                schema.clone(),
-                                config.spill_budget,
-                                spill_stats.clone(),
-                                config.spill_dir.clone(),
-                            )
-                        }),
+                        family: keep.then(new_buffer),
                         dirty: false,
-                    }
-                };
-                WorkNode {
-                    crit,
-                    reason: cn.reason,
-                    left: cn.left,
-                    right: cn.right,
-                    parent: cn.parent,
-                    depth: cn.depth,
-                    est_family,
-                    state,
-                    resolution: Resolution::Pending,
-                    grown: None,
-                    grown_carried_fp: None,
-                    promotions: 0,
+                    };
+                    (None, state)
                 }
-            })
+            };
+            built[i] = Some(WorkNode {
+                crit,
+                reason: cn.reason,
+                left: cn.left,
+                right: cn.right,
+                parent: cn.parent,
+                depth: cn.depth,
+                est_family,
+                state,
+                resolution: Resolution::Pending,
+                grown: None,
+                grown_carried_fp: None,
+                promotions: 0,
+            });
+        }
+        let nodes = built
+            .into_iter()
+            .map(|node| node.expect("every coarse node is reachable from the root"))
             .collect();
         WorkTree {
             schema,
@@ -1066,14 +1040,15 @@ impl WorkTree {
 
         // Full-family statistics: the stored counts plus every carried
         // ancestor-parked tuple, counted as if it had reached this node.
+        // Carried tuples that park here join the interval sweep.
         let crit = self.nodes[idx].crit.clone();
         let mut full = self.nodes[idx].state.counts.clone();
-        let mut carried_parked = Vec::new();
+        let mut interval_pairs: Vec<(f64, u16)> = Vec::new();
         for r in &carried {
             let step = Step::of(crit.as_ref(), r);
             full.add(r, step);
-            if step == Step::Park {
-                carried_parked.push(r.clone());
+            if let (Step::Park, Some(CoarseCriterion::Num { attr, .. })) = (step, &crit) {
+                interval_pairs.push((r.num(*attr), r.label()));
             }
         }
         let combined = full.class_totals.clone();
@@ -1097,6 +1072,9 @@ impl WorkTree {
         };
 
         // ---- derive the exact split for the coarse criterion ----
+        // A numeric node's parked set is read once: its values feed the
+        // interval sweep, and on success the same records route down.
+        let mut parked: Vec<Record> = Vec::new();
         let chosen: Option<SplitEval> = match &crit {
             CoarseCriterion::Cat { attr, subset } => {
                 let avc = full.cat[*attr].as_ref().expect("cat attr has AVC");
@@ -1112,20 +1090,19 @@ impl WorkTree {
                 }
             }
             CoarseCriterion::Num { attr, .. } => {
-                let mut full_parked: Vec<Record> = self.nodes[idx]
+                parked = self.nodes[idx]
                     .state
                     .parked
                     .as_mut()
                     .expect("numeric node parks")
                     .to_vec()?;
-                full_parked.extend(carried_parked);
-                let mut interval_avc = NumAvc::new(k);
-                for r in &full_parked {
-                    interval_avc.add(r.num(*attr), r.label());
-                }
+                let mut pairs = interval_pairs;
+                pairs.extend(parked.iter().map(|r| (r.num(*attr), r.label())));
+                let mut runs = ValueRuns::new(k);
+                runs.fill_from_pairs(&mut pairs);
                 sweep_numeric(
                     *attr,
-                    interval_avc.iter(),
+                    runs.iter(),
                     Some(&full.edge_left),
                     None,
                     &combined,
@@ -1135,14 +1112,11 @@ impl WorkTree {
         };
 
         let Some(chosen) = chosen else {
-            if std::env::var("BOAT_DEBUG_VERIFY").is_ok() {
-                eprintln!("node {idx} FAIL: no/mismatched chosen split for {crit:?}");
-            }
-            return self.fail_node(idx, carried, combined, jobs);
+            return self.fail_node(idx, carried, combined, FailReason::Mismatch, jobs);
         };
 
         // ---- cross-attribute verification ----
-        let mut ok = true;
+        let mut failure: Option<FailReason> = None;
         'attrs: for a in 0..self.schema.n_attributes() {
             match self.schema.attribute(a).ty() {
                 AttrType::Categorical { .. } => {
@@ -1152,13 +1126,7 @@ impl WorkTree {
                     let avc = full.cat[a].as_ref().expect("cat attr has AVC");
                     if let Some(cand) = best_categorical_split(a, avc, imp) {
                         if cmp_splits(&cand, &chosen) == Ordering::Less {
-                            if std::env::var("BOAT_DEBUG_VERIFY").is_ok() {
-                                eprintln!(
-                                    "node {idx} FAIL: cat attr {a} beats chosen ({} < {})",
-                                    cand.impurity, chosen.impurity
-                                );
-                            }
-                            ok = false;
+                            failure = Some(FailReason::Categorical);
                             break 'attrs;
                         }
                     }
@@ -1221,14 +1189,7 @@ impl WorkTree {
                                     right_counts: right,
                                 };
                                 if cmp_splits(&cand, &chosen) == Ordering::Less {
-                                    if std::env::var("BOAT_DEBUG_VERIFY").is_ok() {
-                                        eprintln!(
-                                            "node {idx} FAIL: num attr {a} exact boundary \
-                                             candidate at {upper} ({impurity}) beats i'={}",
-                                            chosen.impurity
-                                        );
-                                    }
-                                    ok = false;
+                                    failure = Some(FailReason::Boundary);
                                     break 'attrs;
                                 }
                             }
@@ -1255,15 +1216,7 @@ impl WorkTree {
                         };
                         if let Some(bound) = interior {
                             if !bucket_passes(bound, chosen.impurity, tie_wins) {
-                                if std::env::var("BOAT_DEBUG_VERIFY").is_ok() {
-                                    eprintln!(
-                                        "node {idx} FAIL: num attr {a} bucket {b}/{} \
-                                         interior bound {bound} vs i'={} (interval={interval:?})",
-                                        bset.n_buckets(),
-                                        chosen.impurity
-                                    );
-                                }
-                                ok = false;
+                                failure = Some(FailReason::Interior);
                                 break 'attrs;
                             }
                         }
@@ -1271,21 +1224,13 @@ impl WorkTree {
                 }
             }
         }
-        if !ok {
-            return self.fail_node(idx, carried, combined, jobs);
+        if let Some(reason) = failure {
+            return self.fail_node(idx, carried, combined, reason, jobs);
         }
 
         // ---- verified: route parked + carried tuples to the children ----
-        let mut to_route = self.nodes[idx]
-            .state
-            .parked
-            .as_mut()
-            .map(|p| p.to_vec())
-            .transpose()?
-            .unwrap_or_default();
-        to_route.extend(carried);
         let (mut left_c, mut right_c) = (Vec::new(), Vec::new());
-        for r in to_route {
+        for r in parked.into_iter().chain(carried) {
             if chosen.split.goes_left(&r) {
                 left_c.push(r);
             } else {
@@ -1308,12 +1253,14 @@ impl WorkTree {
         idx: usize,
         carried: Vec<Record>,
         combined: Vec<u64>,
+        reason: FailReason,
         jobs: &mut Vec<Job>,
     ) -> Result<()> {
         let fp = fingerprint(&self.schema, &carried);
         // A failed verdict is exactly a rebuild trigger: the job pushed
         // below regrows (or promotes) this subtree.
         self.metrics.counter("boat.verify.fail").inc();
+        self.metrics.counter(reason.counter()).inc();
         self.nodes[idx].resolution = Resolution::Failed { counts: combined };
         jobs.push(Job {
             idx,
@@ -1641,64 +1588,37 @@ fn build_exact_node(
     // the exact split point as their confidence interval (not a degenerate
     // point: future chunks shift the optimum within sampling noise, and
     // the interval must absorb that or every update would re-promote).
+    // Per-attribute statistics are discretized from the family itself, one
+    // attribute's sorted `(value, label)` pairs at a time.
     let crit = match eval.split.predicate {
-        boat_tree::Predicate::NumLe(x) => {
-            let a = eval.split.attr;
-            let mut avc = NumAvc::new(k);
-            for r in &records {
-                avc.add(r.num(a), r.label());
-            }
-            let (lo, hi) = widen_interval(
-                &avc,
-                &class_totals,
-                imp,
-                x,
-                x,
-                config.interval_pad_values.max(1),
-            );
-            CoarseCriterion::Num { attr: a, lo, hi }
-        }
+        boat_tree::Predicate::NumLe(x) => CoarseCriterion::Num {
+            attr: eval.split.attr,
+            lo: x,
+            hi: x,
+        },
         boat_tree::Predicate::CatIn(subset) => CoarseCriterion::Cat {
             attr: eval.split.attr,
             subset,
         },
     };
-
-    // Per-attribute statistics, discretized from the family itself.
-    let mut cat: Vec<Option<CatAvc>> = Vec::with_capacity(schema.n_attributes());
-    let mut buckets: Vec<Option<BucketSet>> = Vec::with_capacity(schema.n_attributes());
-    for (a, attr) in schema.attributes().iter().enumerate() {
-        match attr.ty() {
-            AttrType::Categorical { cardinality } => {
-                cat.push(Some(CatAvc::new(cardinality, k)));
-                buckets.push(None);
-            }
-            AttrType::Numeric => {
-                cat.push(None);
-                let mut sample_avc = NumAvc::new(k);
-                for r in &records {
-                    sample_avc.add(r.num(a), r.label());
-                }
-                let must_include: Vec<f64> = match &crit {
-                    CoarseCriterion::Num { attr, lo, hi } if *attr == a => vec![*lo, *hi],
-                    _ => vec![],
-                };
-                let bounds = build_boundaries(
-                    &sample_avc,
-                    &class_totals,
-                    imp,
-                    eval.impurity,
-                    config.discretize,
-                    &must_include,
-                );
-                buckets.push(Some(BucketSet::new(bounds, k)));
-            }
-        }
-    }
+    let mut pairs: Vec<(f64, u16)> = Vec::with_capacity(records.len());
+    let (crit, mut counts) = internal_counts(
+        &schema,
+        crit,
+        &class_totals,
+        eval.impurity,
+        imp,
+        config,
+        |a, runs| {
+            pairs.clear();
+            pairs.extend(records.iter().map(|r| (r.num(a), r.label())));
+            runs.fill_from_pairs(&mut pairs);
+        },
+    );
+    drop(pairs);
 
     // Partition by the exact criterion with parking, counting every record
     // as the cleanup scan would.
-    let mut counts = NodeCounts::new(k, cat, buckets);
     let mut parked = SpillBuffer::new(
         schema.clone(),
         config.spill_budget,
@@ -1771,6 +1691,60 @@ fn fingerprint(schema: &Schema, records: &[Record]) -> u64 {
     acc
 }
 
+/// The cleanup statistics of an internal node whose family (the sample
+/// family in [`WorkTree::prepare`], the full family in exact construction)
+/// has class totals `totals` and estimated minimum impurity `est_min`: the
+/// criterion, its numeric interval widened over the family's runs on the
+/// splitting attribute, and zeroed counts with a category/class table per
+/// categorical attribute and a bucket set per numeric one, discretized from
+/// the same runs. `fill(a, runs)` loads numeric attribute `a`'s runs.
+fn internal_counts(
+    schema: &Schema,
+    mut crit: CoarseCriterion,
+    totals: &[u64],
+    est_min: f64,
+    imp: &dyn Impurity,
+    config: &BoatConfig,
+    mut fill: impl FnMut(usize, &mut ValueRuns),
+) -> (CoarseCriterion, NodeCounts) {
+    let k = totals.len();
+    let mut runs = ValueRuns::new(k);
+    let mut cat = Vec::with_capacity(schema.n_attributes());
+    let mut buckets = Vec::with_capacity(schema.n_attributes());
+    for (a, attr) in schema.attributes().iter().enumerate() {
+        match attr.ty() {
+            AttrType::Categorical { cardinality } => {
+                cat.push(Some(CatAvc::new(cardinality, k)));
+                buckets.push(None);
+            }
+            AttrType::Numeric => {
+                cat.push(None);
+                fill(a, &mut runs);
+                let edges;
+                let must_include: &[f64] = match &mut crit {
+                    CoarseCriterion::Num { attr, lo, hi } if *attr == a => {
+                        (*lo, *hi) = widen_interval(
+                            &runs,
+                            totals,
+                            imp,
+                            *lo,
+                            *hi,
+                            config.interval_pad_values.max(1),
+                        );
+                        edges = [*lo, *hi];
+                        &edges
+                    }
+                    _ => &[],
+                };
+                let bounds =
+                    build_boundaries(&runs, totals, imp, est_min, config.discretize, must_include);
+                buckets.push(Some(BucketSet::new(bounds, k)));
+            }
+        }
+    }
+    (crit, NodeCounts::new(k, cat, buckets))
+}
+
 /// Widen a bootstrap confidence interval using the node's *sample family*.
 ///
 /// Three effects, all optimism heuristics (verification still guarantees
@@ -1792,7 +1766,7 @@ fn fingerprint(schema: &Schema, records: &[Record]) -> u64 {
 /// family (keeps parked sets small on low-cardinality attributes where a
 /// single value carries percent-level mass).
 fn widen_interval(
-    avc: &NumAvc,
+    runs: &ValueRuns,
     totals: &[u64],
     imp: &dyn Impurity,
     lo: f64,
@@ -1800,14 +1774,15 @@ fn widen_interval(
     pad_min: usize,
 ) -> (f64, f64) {
     let m: u64 = totals.iter().sum();
-    if m == 0 || avc.n_distinct() == 0 {
+    if m == 0 || runs.is_empty() {
         return (lo, hi);
     }
     // Candidate evaluations: (value, impurity, mass at value).
-    let mut evals: Vec<(f64, f64, u64)> = Vec::with_capacity(avc.n_distinct());
+    let mut evals: Vec<(f64, f64, u64)> = Vec::with_capacity(runs.len());
     let mut cum = vec![0u64; totals.len()];
+    let mut right = vec![0u64; totals.len()];
     let mut best = f64::INFINITY;
-    for (v, counts) in avc.iter() {
+    for (v, counts) in runs.iter() {
         let mass: u64 = counts.iter().sum();
         for (c, x) in cum.iter_mut().zip(counts) {
             *c += x;
@@ -1816,7 +1791,9 @@ fn widen_interval(
         let impurity = if left_n == 0 || left_n == m {
             f64::INFINITY
         } else {
-            let right: Vec<u64> = totals.iter().zip(&cum).map(|(t, c)| t - c).collect();
+            for (r, (t, c)) in right.iter_mut().zip(totals.iter().zip(&cum)) {
+                *r = t - c;
+            }
             boat_tree::split_impurity(imp, &cum, &right)
         };
         if impurity < best {
@@ -1867,9 +1844,9 @@ fn widen_interval(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coarse::build_coarse_tree;
+    use crate::coarse::build_coarse_tree_columnar;
     use boat_data::{Attribute, Field, MemoryDataset, RecordSource};
-    use boat_tree::{Gini, ImpuritySelector};
+    use boat_tree::Gini;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1891,31 +1868,40 @@ mod tests {
             .collect()
     }
 
-    fn prepared(records: &[Record], cfg: &BoatConfig) -> WorkTree {
-        let ds = MemoryDataset::new(schema(), records.to_vec());
+    /// The sample, its coarse tree and the prepared work tree of a fit of
+    /// `ds` under `cfg`, as `Boat::fit` builds them.
+    fn prepare_parts(
+        ds: &MemoryDataset,
+        cfg: &BoatConfig,
+        retain_all_families: bool,
+    ) -> (Vec<Record>, CoarseTree, WorkTree) {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let sample = boat_data::sample::reservoir_sample(&ds, cfg.sample_size, &mut rng).unwrap();
+        let sample = boat_data::sample::reservoir_sample(ds, cfg.sample_size, &mut rng).unwrap();
+        let cs = ColumnarSample::from_records(ds.schema(), &sample);
         let selector = ImpuritySelector::new(Gini);
-        let coarse = build_coarse_tree(
-            &schema(),
-            &sample,
-            &selector,
-            cfg,
-            ds.len(),
-            &mut rng,
-            &Registry::new(),
-        );
-        WorkTree::prepare(
+        let coarse =
+            build_coarse_tree_columnar(&cs, &selector, cfg, ds.len(), &mut rng, &Registry::new())
+                .unwrap();
+        let work = WorkTree::prepare(
             &coarse,
-            schema(),
-            &sample,
+            ds.schema().clone(),
+            &cs,
             &Gini,
             cfg,
             ds.len(),
-            false,
-            boat_data::IoStats::new(),
-            boat_obs::Registry::new(),
-        )
+            retain_all_families,
+            IoStats::new(),
+            Registry::new(),
+        );
+        (sample, coarse, work)
+    }
+
+    fn prepare_work(ds: &MemoryDataset, cfg: &BoatConfig, retain_all_families: bool) -> WorkTree {
+        prepare_parts(ds, cfg, retain_all_families).2
+    }
+
+    fn prepared(records: &[Record], cfg: &BoatConfig) -> WorkTree {
+        prepare_work(&MemoryDataset::new(schema(), records.to_vec()), cfg, false)
     }
 
     fn small_cfg() -> BoatConfig {
@@ -2028,32 +2014,7 @@ mod tests {
             seed: 7,
             ..BoatConfig::default()
         };
-        let prepare = || {
-            let mut rng = StdRng::seed_from_u64(cfg.seed);
-            let sample =
-                boat_data::sample::reservoir_sample(&ds, cfg.sample_size, &mut rng).unwrap();
-            let selector = ImpuritySelector::new(Gini);
-            let coarse = build_coarse_tree(
-                &gen.schema(),
-                &sample,
-                &selector,
-                &cfg,
-                ds.len(),
-                &mut rng,
-                &Registry::new(),
-            );
-            WorkTree::prepare(
-                &coarse,
-                gen.schema(),
-                &sample,
-                &Gini,
-                &cfg,
-                ds.len(),
-                false,
-                boat_data::IoStats::new(),
-                boat_obs::Registry::new(),
-            )
-        };
+        let prepare = || prepare_work(&ds, &cfg, false);
         let mut serial = prepare();
         for r in &records {
             serial.absorb(r).unwrap();
@@ -2084,30 +2045,8 @@ mod tests {
             ..BoatConfig::default()
         };
         let prepare = || {
-            let mut rng = StdRng::seed_from_u64(cfg.seed);
-            let sample =
-                boat_data::sample::reservoir_sample(&ds, cfg.sample_size, &mut rng).unwrap();
-            let selector = ImpuritySelector::new(Gini);
-            let coarse = build_coarse_tree(
-                &gen.schema(),
-                &sample,
-                &selector,
-                &cfg,
-                ds.len(),
-                &mut rng,
-                &Registry::new(),
-            );
-            let mut work = WorkTree::prepare(
-                &coarse,
-                gen.schema(),
-                &sample,
-                &Gini,
-                &cfg,
-                ds.len(),
-                true, // retain families so deletes touch family buffers too
-                boat_data::IoStats::new(),
-                boat_obs::Registry::new(),
-            );
+            // Retain families so deletes touch family buffers too.
+            let mut work = prepare_work(&ds, &cfg, true);
             for r in &records {
                 work.absorb(r).unwrap();
             }
@@ -2244,15 +2183,17 @@ mod tests {
     #[test]
     fn widen_interval_covers_the_shelf_and_pads() {
         // Steep curve: minimum at 10, neighbors clearly worse.
-        let mut avc = NumAvc::new(2);
+        let mut pairs = Vec::new();
         let mut totals = vec![0u64; 2];
         for i in 0..200u64 {
             let v = (i % 20) as f64;
             let label = u16::from(v > 10.0);
-            avc.add(v, label);
+            pairs.push((v, label));
             totals[label as usize] += 1;
         }
-        let (lo, hi) = widen_interval(&avc, &totals, &Gini, 10.0, 10.0, 1);
+        let mut runs = ValueRuns::new(2);
+        runs.fill_from_pairs(&mut pairs);
+        let (lo, hi) = widen_interval(&runs, &totals, &Gini, 10.0, 10.0, 1);
         // One padding value each side at minimum.
         assert!(lo <= 9.0, "lo={lo}");
         assert!(hi >= 11.0, "hi={hi}");
@@ -2267,19 +2208,376 @@ mod tests {
     fn widen_interval_mass_cap_limits_flat_valleys() {
         // Perfectly flat (useless) attribute: every candidate ties, the
         // shelf is everything — the mass cap must stop the extension.
-        let mut avc = NumAvc::new(2);
+        let mut pairs = Vec::new();
         let mut totals = vec![0u64; 2];
         for i in 0..1000u64 {
             let v = (i % 100) as f64;
             let label = (i % 2) as u16;
-            avc.add(v, label);
+            pairs.push((v, label));
             totals[label as usize] += 1;
         }
-        let (lo, hi) = widen_interval(&avc, &totals, &Gini, 50.0, 50.0, 1);
-        let covered = avc.iter().filter(|&(v, _)| v >= lo && v <= hi).count();
+        let mut runs = ValueRuns::new(2);
+        runs.fill_from_pairs(&mut pairs);
+        let (lo, hi) = widen_interval(&runs, &totals, &Gini, 50.0, 50.0, 1);
+        let covered = runs.iter().filter(|&(v, _)| v >= lo && v <= hi).count();
         assert!(
             covered < 80,
             "mass cap should stop a flat shelf from covering everything ({covered}/100)"
+        );
+    }
+
+    /// One node of [`row_form_prepare`].
+    struct RowFormNode {
+        crit: Option<CoarseCriterion>,
+        est_family: u64,
+        boundaries: Vec<Option<Vec<f64>>>,
+        keeps_family: bool,
+    }
+
+    /// The row-form computation `prepare` replaced: the sample routed
+    /// record by record down the coarse tree (numeric criteria at the
+    /// interval midpoint), one `NumAvc` per node and numeric attribute, and
+    /// the minimum-impurity estimate from `best_split` over an `AvcGroup`.
+    fn row_form_prepare(
+        coarse: &CoarseTree,
+        schema: &Schema,
+        sample: &[Record],
+        cfg: &BoatConfig,
+        full_size: u64,
+        retain_all_families: bool,
+    ) -> Vec<RowFormNode> {
+        let mut families: Vec<Vec<&Record>> = vec![Vec::new(); coarse.len()];
+        for r in sample {
+            let mut idx = 0;
+            loop {
+                families[idx].push(r);
+                let cn = &coarse.nodes[idx];
+                let left = match &cn.crit {
+                    None => break,
+                    Some(CoarseCriterion::Num { attr, lo, hi }) => r.num(*attr) <= 0.5 * (lo + hi),
+                    Some(CoarseCriterion::Cat { attr, subset }) => subset.contains(r.cat(*attr)),
+                };
+                idx = if left { cn.left } else { cn.right }.expect("internal");
+            }
+        }
+        let scale = if sample.is_empty() {
+            0.0
+        } else {
+            full_size as f64 / sample.len() as f64
+        };
+        let k = schema.n_classes();
+        let runs_of = |family: &[&Record], a: usize| {
+            let mut avc = boat_tree::NumAvc::new(k);
+            for r in family {
+                avc.add(r.num(a), r.label());
+            }
+            ValueRuns::from_avc(&avc, k)
+        };
+        coarse
+            .nodes
+            .iter()
+            .zip(&families)
+            .map(|(cn, family)| {
+                let est_family = (family.len() as f64 * scale).round() as u64;
+                let Some(crit) = &cn.crit else {
+                    let pure = family
+                        .split_first()
+                        .is_some_and(|(r, rest)| rest.iter().all(|o| o.label() == r.label()));
+                    let keeps_family = retain_all_families
+                        || (!pure
+                            && cfg
+                                .limits
+                                .stop_family_size
+                                .is_none_or(|t| est_family.saturating_mul(2) > t));
+                    return RowFormNode {
+                        crit: None,
+                        est_family,
+                        boundaries: Vec::new(),
+                        keeps_family,
+                    };
+                };
+                let group = boat_tree::AvcGroup::from_records(schema, family.iter().copied());
+                let est_min =
+                    boat_tree::best_split(schema, &group, &Gini).map_or(0.0, |e| e.impurity);
+                let totals = group.class_totals();
+                let crit = match crit.clone() {
+                    CoarseCriterion::Num { attr, lo, hi } => {
+                        let pad = cfg.interval_pad_values.max(1);
+                        let (lo, hi) =
+                            widen_interval(&runs_of(family, attr), totals, &Gini, lo, hi, pad);
+                        CoarseCriterion::Num { attr, lo, hi }
+                    }
+                    cat => cat,
+                };
+                let boundaries = (0..schema.n_attributes())
+                    .map(|a| {
+                        matches!(schema.attribute(a).ty(), AttrType::Numeric).then(|| {
+                            let must_include = match &crit {
+                                CoarseCriterion::Num { attr, lo, hi } if *attr == a => {
+                                    vec![*lo, *hi]
+                                }
+                                _ => vec![],
+                            };
+                            build_boundaries(
+                                &runs_of(family, a),
+                                totals,
+                                &Gini,
+                                est_min,
+                                cfg.discretize,
+                                &must_include,
+                            )
+                        })
+                    })
+                    .collect();
+                RowFormNode {
+                    crit: Some(crit),
+                    est_family,
+                    boundaries,
+                    keeps_family: false,
+                }
+            })
+            .collect()
+    }
+
+    /// Assert that `prepare` builds, bit for bit, the per-node state
+    /// [`row_form_prepare`] computes from the same sample and coarse tree.
+    /// Returns the number of numeric and categorical criteria compared.
+    fn assert_prepare_matches_row_form(
+        ds: &MemoryDataset,
+        cfg: &BoatConfig,
+        retain_all_families: bool,
+        case: &str,
+    ) -> (usize, usize) {
+        let (sample, coarse, work) = prepare_parts(ds, cfg, retain_all_families);
+        let want = row_form_prepare(
+            &coarse,
+            ds.schema(),
+            &sample,
+            cfg,
+            ds.len(),
+            retain_all_families,
+        );
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(work.nodes.len(), want.len(), "{case}: node count");
+        for (i, (node, want)) in work.nodes.iter().zip(&want).enumerate() {
+            match (&node.crit, &want.crit) {
+                (
+                    Some(CoarseCriterion::Num { attr, lo, hi }),
+                    Some(CoarseCriterion::Num {
+                        attr: want_attr,
+                        lo: want_lo,
+                        hi: want_hi,
+                    }),
+                ) => assert_eq!(
+                    (attr, lo.to_bits(), hi.to_bits()),
+                    (want_attr, want_lo.to_bits(), want_hi.to_bits()),
+                    "{case}: widened interval at node {i}"
+                ),
+                (got, want) => assert_eq!(got, want, "{case}: criterion at node {i}"),
+            }
+            assert_eq!(
+                node.est_family, want.est_family,
+                "{case}: est_family at node {i}"
+            );
+            assert_eq!(
+                node.state.family.is_some(),
+                want.keeps_family,
+                "{case}: retained family at node {i}"
+            );
+            let got_bounds: Vec<Option<Vec<u64>>> = node
+                .state
+                .counts
+                .buckets
+                .iter()
+                .map(|b| b.as_ref().map(|b| bits(b.boundaries())))
+                .collect();
+            let want_bounds: Vec<Option<Vec<u64>>> = want
+                .boundaries
+                .iter()
+                .map(|b| {
+                    b.as_ref()
+                        .map(|b| bits(BucketSet::new(b.clone(), 1).boundaries()))
+                })
+                .collect();
+            assert_eq!(got_bounds, want_bounds, "{case}: boundaries at node {i}");
+        }
+        let count = |numeric: bool| {
+            want.iter()
+                .filter(|n| {
+                    n.crit
+                        .as_ref()
+                        .is_some_and(|c| matches!(c, CoarseCriterion::Num { .. }) == numeric)
+                })
+                .count()
+        };
+        (count(true), count(false))
+    }
+
+    /// A random schema and dataset: one to three numeric attributes drawn
+    /// from a handful of values or a fine grid, zero to two categoricals up
+    /// to 40 wide, two or three classes, and a threshold concept that
+    /// leaves pure regions, with or without noise. The first attribute's
+    /// handful holds both signed zeros; they sit inside the noise-free
+    /// region `x0 <= 1`, so a split between them never wins (a `NumLe(-0.0)`
+    /// winner is not realizable by the `<=` predicate).
+    fn random_dataset(seed: u64) -> MemoryDataset {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n_num = rng.random_range(1..=3usize);
+        let n_cat = rng.random_range(0..=2usize);
+        let k = rng.random_range(2..=3u16);
+        let mut attrs: Vec<Attribute> = (0..n_num)
+            .map(|i| Attribute::numeric(format!("x{i}")))
+            .collect();
+        let cards: Vec<u32> = (0..n_cat)
+            .map(|_| [2, 5, 40][rng.random_range(0..3usize)])
+            .collect();
+        for (j, &c) in cards.iter().enumerate() {
+            attrs.push(Attribute::categorical(format!("c{j}"), c));
+        }
+        let schema = Schema::shared(attrs, k).unwrap();
+        let tied: Vec<bool> = (0..n_num).map(|_| rng.random_bool(0.6)).collect();
+        let noise = [0.0, 0.05][rng.random_range(0..2usize)];
+        const SIGNED_TIES: [f64; 6] = [-1.0, -0.0, 0.0, 1.0, 2.0, 3.0];
+        const TIES: [f64; 5] = [-1.0, 0.5, 1.0, 2.0, 3.0];
+        let n = rng.random_range(1_500..3_000);
+        let records = (0..n)
+            .map(|_| {
+                let nums: Vec<f64> = tied
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &t)| match (t, i) {
+                        (true, 0) => SIGNED_TIES[rng.random_range(0..SIGNED_TIES.len())],
+                        (true, _) => TIES[rng.random_range(0..TIES.len())],
+                        (false, _) => rng.random_range(-400..400i32) as f64 * 0.125,
+                    })
+                    .collect();
+                let cats: Vec<u32> = cards.iter().map(|&c| rng.random_range(0..c)).collect();
+                let label = if nums[0] <= 1.0 {
+                    0
+                } else if rng.random_bool(noise) {
+                    rng.random_range(0..k)
+                } else if cats.first().is_some_and(|c| c % 2 == 1) {
+                    k - 1
+                } else {
+                    u16::from(nums.get(1).is_none_or(|&x| x > 0.75))
+                };
+                let mut fields: Vec<Field> = nums.into_iter().map(Field::Num).collect();
+                fields.extend(cats.into_iter().map(Field::Cat));
+                Record::new(fields, label)
+            })
+            .collect();
+        MemoryDataset::new(schema, records)
+    }
+
+    #[test]
+    fn prepare_matches_the_row_form_computation_bit_for_bit() {
+        let (mut numeric, mut categorical) = (0, 0);
+        for seed in 0..24u64 {
+            let ds = random_dataset(seed);
+            let mut cfg = BoatConfig {
+                sample_size: [200, 600, 1_000][seed as usize % 3],
+                bootstrap_reps: 6,
+                bootstrap_sample_size: 300,
+                in_memory_threshold: 40,
+                seed,
+                ..BoatConfig::default()
+            };
+            if seed % 4 == 3 {
+                cfg.discretize = crate::config::DiscretizeStrategy::EquiDepth { buckets: 8 };
+            }
+            if seed % 5 == 4 {
+                cfg.limits.stop_family_size = Some(300);
+            }
+            for retain in [false, true] {
+                let case = format!("seed {seed}, retain_all_families {retain}");
+                let (n, c) = assert_prepare_matches_row_form(&ds, &cfg, retain, &case);
+                numeric += n;
+                categorical += c;
+            }
+        }
+        assert!(
+            numeric >= 48 && categorical > 0,
+            "the cases must exercise both criteria: {numeric} numeric, {categorical} categorical"
+        );
+        // The empty sample prepares a single frontier leaf.
+        let empty = MemoryDataset::new(schema(), Vec::new());
+        for retain in [false, true] {
+            assert_prepare_matches_row_form(&empty, &small_cfg(), retain, "empty");
+        }
+    }
+
+    #[test]
+    fn prepare_matches_the_row_form_computation_on_the_adversarial_grid() {
+        let scenarios = [
+            (
+                "heavy_ties",
+                boat_datagen::adversarial::heavy_ties(3_000, 5),
+            ),
+            (
+                "high_cardinality",
+                boat_datagen::adversarial::high_cardinality(3_000, 6),
+            ),
+            (
+                "skewed_priors",
+                boat_datagen::adversarial::skewed_priors(3_000, 7),
+            ),
+        ];
+        for (name, (schema, records)) in scenarios {
+            let ds = MemoryDataset::new(Arc::new(schema), records);
+            let cfg = BoatConfig {
+                sample_size: 800,
+                bootstrap_reps: 6,
+                bootstrap_sample_size: 400,
+                in_memory_threshold: 40,
+                seed: 21,
+                ..BoatConfig::default()
+            };
+            for retain in [false, true] {
+                assert_prepare_matches_row_form(&ds, &cfg, retain, name);
+            }
+        }
+    }
+
+    #[test]
+    fn finalize_reads_each_spilled_parked_set_once() {
+        let gen = boat_datagen::GeneratorConfig::new(boat_datagen::LabelFunction::F1).with_seed(3);
+        let records = gen.generate_vec(6_000);
+        let ds = MemoryDataset::new(gen.schema(), records.clone());
+        let cfg = BoatConfig {
+            sample_size: 1_000,
+            bootstrap_reps: 8,
+            bootstrap_sample_size: 500,
+            in_memory_threshold: 100,
+            spill_budget: 8,
+            seed: 5,
+            ..BoatConfig::default()
+        };
+        let mut work = prepare_work(&ds, &cfg, false);
+        for r in &records {
+            work.absorb(r).unwrap();
+        }
+        let read_before = work.spill_stats.snapshot().records_read;
+        work.finalize(&Gini, cfg.limits).unwrap();
+        let read = work.spill_stats.snapshot().records_read - read_before;
+        // Every numeric node the pass reaches reads its parked set: it
+        // either verifies (and routes the set on) or fails.
+        let reached_parked: u64 = work
+            .nodes
+            .iter()
+            .filter(|n| {
+                matches!(n.crit, Some(CoarseCriterion::Num { .. }))
+                    && matches!(
+                        n.resolution,
+                        Resolution::Split { .. } | Resolution::Failed { .. }
+                    )
+            })
+            .map(|n| n.state.parked.as_ref().map_or(0, SpillBuffer::spilled_len))
+            .sum();
+        assert!(reached_parked > 0, "the parked sets must spill");
+        assert_eq!(
+            read, reached_parked,
+            "records read from spilled parked sets"
         );
     }
 

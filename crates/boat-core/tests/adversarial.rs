@@ -114,6 +114,27 @@ fn zero_recursion_budget() {
 }
 
 #[test]
+fn every_failed_node_counts_under_one_reason() {
+    // Untrimmed intervals on F7 still fail verification at some nodes.
+    let mut cfg = tiny_config(7);
+    cfg.confidence_trim = 0.0;
+    let source = GeneratorConfig::new(LabelFunction::F7)
+        .with_seed(7)
+        .source(5_000);
+    let fit = Boat::new(cfg.clone()).fit(&source).unwrap();
+    let reference = reference_tree(&source, Gini, cfg.limits).unwrap();
+    assert_eq!(fit.tree, reference);
+    let m = &fit.stats.metrics;
+    let failed = m.counter("boat.verify.fail");
+    assert!(failed > 0, "F7 must fail some node");
+    let by_reason: u64 = ["mismatch", "categorical", "boundary", "interior"]
+        .iter()
+        .map(|reason| m.counter(&format!("boat.verify.fail.{reason}")))
+        .sum();
+    assert_eq!(by_reason, failed, "failure reasons must add up");
+}
+
+#[test]
 fn sample_larger_than_dataset() {
     let mut cfg = tiny_config(8);
     cfg.sample_size = 100_000; // the whole dataset becomes the sample

@@ -210,7 +210,7 @@ proptest! {
                 full_size,
                 &mut rng(),
                 &Registry::new(),
-            )
+            ).unwrap()
         };
         let ungated = coarse_of(config.clone().with_split_subsample(0.0));
         prop_assert_eq!(&ungated, &reference, "gate-off columnar vs reference diverge");
@@ -316,6 +316,7 @@ fn adversarial_grid_is_exact_across_engines() {
                 &mut rng(),
                 metrics,
             )
+            .unwrap()
         };
         let reference =
             reference_coarse_tree(&schema, &records, &selector, &config, full_size, &mut rng());

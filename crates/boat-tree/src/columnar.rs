@@ -233,10 +233,10 @@ impl NodeRows {
     }
 
     /// Rank-preserving partition: split every list into (left, right) by
-    /// the membership bitmap `in_left`, preserving relative order — the
-    /// children's sorted lists stay sorted without re-sorting (stable
-    /// filter, O(node) total).
-    fn partition(&self, in_left: &[bool]) -> (NodeRows, NodeRows) {
+    /// the membership bitmap `in_left` (indexed by row id), preserving
+    /// relative order — the children's sorted lists stay sorted without
+    /// re-sorting (stable filter, O(node) total).
+    pub fn partition(&self, in_left: &[bool]) -> (NodeRows, NodeRows) {
         let split_list = |list: &[u32]| {
             let mut l = Vec::new();
             let mut r = Vec::new();
