@@ -27,10 +27,11 @@ fn bench_codec(c: &mut Criterion) {
             }
         })
     });
+    let layout = boat_data::codec::RowLayout::new(&schema);
     c.bench_function("codec/decode_1k", |b| {
         b.iter(|| {
             for bytes in &encoded {
-                black_box(boat_data::codec::decode(&schema, black_box(bytes)).unwrap());
+                black_box(layout.decode(black_box(bytes)).unwrap());
             }
         })
     });

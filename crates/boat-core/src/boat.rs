@@ -333,7 +333,7 @@ impl<I: Impurity + Clone> Boat<I> {
                 let r = r?;
                 if let Some(target) = work.route_to_job(&r) {
                     if let Some((_, buf)) = buffers.iter_mut().find(|(i, _)| *i == target) {
-                        buf.push(r)?;
+                        buf.push(&r)?;
                     }
                 }
             }

@@ -733,7 +733,7 @@ impl WorkTree {
             Ok(())
         })?;
         match self.nodes[end].state.buffer() {
-            Some(buf) => buf.push(r.clone()),
+            Some(buf) => buf.push(r),
             None => Ok(()),
         }
     }
@@ -746,9 +746,10 @@ impl WorkTree {
     /// counter moves. Otherwise deleting a record that was never inserted
     /// would underflow a `u64` cell several levels down after its ancestors
     /// were already decremented. A failed delete is therefore a no-op and
-    /// the model stays usable. [`SpillBuffer::remove_many`] replicates the exact sequential
-    /// `remove_one` ordering, but a D-record chunk rewrites each touched
-    /// spilled buffer once (`O(n)`) instead of `D` times (`O(D·n)`).
+    /// the model stays usable. [`SpillBuffer::remove_many`] leaves each
+    /// buffer as one-record removals in sequence would, but a D-record chunk
+    /// rewrites each touched spilled buffer once (`O(n)`) instead of `D`
+    /// times (`O(D·n)`).
     ///
     /// Returns how many records were fully applied, plus the error that
     /// stopped the batch (if any). On an error the prefix before the failing
@@ -847,8 +848,8 @@ impl WorkTree {
     }
 
     /// Apply one chunk's spill-bound deposits (parked `S_n` tuples and
-    /// retained frontier-family records) to the shared buffers, decoding
-    /// each row on this thread, which also frees it.
+    /// retained frontier-family records) to the shared buffers, copying
+    /// each row's bytes as they are: no row is decoded.
     ///
     /// Deposits preserve scan order within a chunk; the caller applies
     /// chunks in ascending chunk index — i.e. serial scan order — so every
@@ -862,7 +863,7 @@ impl WorkTree {
                 .state
                 .buffer()
                 .expect("deposits go only to nodes with a buffer")
-                .push(layout.decode(row)?)?;
+                .push_row(row)?;
         }
         Ok(())
     }
@@ -1558,7 +1559,7 @@ fn build_exact_node(
             work.spill_stats.clone(),
             config.spill_dir.clone(),
         );
-        family.extend(records)?;
+        family.extend(&records)?;
         work.nodes.push(WorkNode {
             crit: None,
             reason: Some(FrontierReason::SampleLeaf),
@@ -1631,7 +1632,7 @@ fn build_exact_node(
         match step {
             Step::LeftEdge | Step::Left => left_recs.push(r),
             Step::Right => right_recs.push(r),
-            Step::Park => parked.push(r)?,
+            Step::Park => parked.push(&r)?,
             Step::Leaf => unreachable!("an internal criterion routes every record"),
         }
     }

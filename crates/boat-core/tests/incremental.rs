@@ -473,8 +473,8 @@ fn batch_delete_shrinks_spill_write_traffic() {
             model.delete(&mem(&schema, chunk)).unwrap();
         }
         let delta = registry.snapshot().since(&before);
-        // Checked once the spill counters are read: reading a buffer
-        // flushes its staged records, which would skew them.
+        // Checked after the delta is taken, so it counts only the
+        // deletions' spill traffic.
         model.check_invariants();
         let tree = model.tree().unwrap().clone();
         model.check_invariants();

@@ -48,39 +48,11 @@ pub fn encode(schema: &Schema, record: &Record) -> Result<Vec<u8>> {
     Ok(buf)
 }
 
-/// Decode one record from `bytes`, which must be exactly
-/// `schema.record_width()` bytes long. Reads the schema in place; a loop
-/// over many rows can build one [`RowLayout`] and call
-/// [`RowLayout::decode`] instead.
-pub fn decode(schema: &Schema, bytes: &[u8]) -> Result<Record> {
-    let mut fields = Vec::with_capacity(schema.n_attributes());
-    let label = walk_row(
-        bytes,
-        schema.record_width(),
-        schema.n_classes(),
-        field_offsets(schema),
-        |f| fields.push(f),
-    )?;
-    Ok(Record::new(fields, label))
-}
-
-/// The byte offset and type of every attribute's field in `schema`'s
-/// encoded rows, in schema order.
-fn field_offsets(schema: &Schema) -> impl Iterator<Item = (usize, AttrType)> + '_ {
-    let mut off = 0usize;
-    schema.attributes().iter().map(move |attr| {
-        let ty = attr.ty();
-        let at = off;
-        off += if ty.is_numeric() { 8 } else { 4 };
-        (at, ty)
-    })
-}
-
 /// The decode checks, in one place: `row` is exactly `width` bytes, every
 /// category code among `fields` is below its cardinality and the label is
 /// below `n_classes`. Hands each field of `fields` to `visit` in order and
-/// returns the label. Every decode and [`RowLayout::check`] run through
-/// this function.
+/// returns the label. [`RowLayout::decode`] and [`RowLayout::check`] run
+/// through this function.
 #[inline]
 fn walk_row(
     row: &[u8],
@@ -149,7 +121,17 @@ pub struct RowLayout {
 impl RowLayout {
     /// The layout of `schema`'s encoded rows.
     pub fn new(schema: &Schema) -> Self {
-        let fields: Box<[(usize, AttrType)]> = field_offsets(schema).collect();
+        let mut off = 0usize;
+        let fields: Box<[(usize, AttrType)]> = schema
+            .attributes()
+            .iter()
+            .map(|attr| {
+                let ty = attr.ty();
+                let at = off;
+                off += if ty.is_numeric() { 8 } else { 4 };
+                (at, ty)
+            })
+            .collect();
         let cats = fields
             .iter()
             .filter(|(_, ty)| !ty.is_numeric())
@@ -204,6 +186,24 @@ impl RowLayout {
         read_label(row)
     }
 
+    /// Whether `row` holds a record equal to `record` as `Record ==`
+    /// compares them: the same label and, field by field, the same category
+    /// code or an `==` numeric value (so `0.0` matches `-0.0` and NaN matches
+    /// nothing). A record whose fields do not fit the schema matches no row.
+    pub fn matches(&self, row: &[u8], record: &Record) -> bool {
+        read_label(row) == record.label()
+            && self.fields.len() == record.fields().len()
+            && self
+                .fields
+                .iter()
+                .zip(record.fields())
+                .all(|(&(off, ty), field)| match (ty, field) {
+                    (AttrType::Numeric, Field::Num(v)) => read_num(row, off) == *v,
+                    (AttrType::Categorical { .. }, Field::Cat(c)) => read_cat(row, off) == *c,
+                    _ => false,
+                })
+    }
+
     /// Decode one row, making the checks of [`RowLayout::check`].
     pub fn decode(&self, row: &[u8]) -> Result<Record> {
         let mut fields = Vec::with_capacity(self.fields.len());
@@ -241,14 +241,14 @@ mod tests {
         let r = Record::new(vec![Field::Num(-1.25), Field::Cat(7), Field::Num(1e9)], 2);
         let bytes = encode(&s, &r).unwrap();
         assert_eq!(bytes.len(), s.record_width());
-        let back = decode(&s, &bytes).unwrap();
+        let back = RowLayout::new(&s).decode(&bytes).unwrap();
         assert_eq!(back, r);
     }
 
     #[test]
     fn decode_rejects_wrong_length() {
         let s = schema();
-        assert!(decode(&s, &[0u8; 5]).is_err());
+        assert!(RowLayout::new(&s).decode(&[0u8; 5]).is_err());
     }
 
     #[test]
@@ -257,7 +257,7 @@ mod tests {
         let r = Record::new(vec![Field::Num(0.0), Field::Cat(3), Field::Num(0.0)], 0);
         let mut bytes = encode(&s, &r).unwrap();
         bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-        assert!(decode(&s, &bytes).is_err());
+        assert!(RowLayout::new(&s).decode(&bytes).is_err());
     }
 
     #[test]
@@ -267,7 +267,7 @@ mod tests {
         let mut bytes = encode(&s, &r).unwrap();
         let w = s.record_width();
         bytes[w - 2..].copy_from_slice(&9u16.to_le_bytes());
-        assert!(decode(&s, &bytes).is_err());
+        assert!(RowLayout::new(&s).decode(&bytes).is_err());
     }
 
     #[test]
@@ -286,6 +286,33 @@ mod tests {
     }
 
     #[test]
+    fn matches_compares_like_record_eq() {
+        let s = schema();
+        let layout = RowLayout::new(&s);
+        let r = Record::new(vec![Field::Num(-0.0), Field::Cat(7), Field::Num(1e9)], 2);
+        let bytes = encode(&s, &r).unwrap();
+        let pos_zero = Record::new(vec![Field::Num(0.0), Field::Cat(7), Field::Num(1e9)], 2);
+        assert_eq!(pos_zero, r, "Record == treats the zeros as equal");
+        assert!(layout.matches(&bytes, &r));
+        assert!(layout.matches(&bytes, &pos_zero));
+        let other_label = Record::new(vec![Field::Num(0.0), Field::Cat(7), Field::Num(1e9)], 1);
+        let other_cat = Record::new(vec![Field::Num(0.0), Field::Cat(6), Field::Num(1e9)], 2);
+        let wrong_type = Record::new(vec![Field::Cat(0), Field::Cat(7), Field::Num(1e9)], 2);
+        let short = Record::new(vec![Field::Num(0.0)], 2);
+        for miss in [other_label, other_cat, wrong_type, short] {
+            assert!(!layout.matches(&bytes, &miss), "{miss:?}");
+        }
+        let nan = Record::new(
+            vec![Field::Num(f64::NAN), Field::Cat(7), Field::Num(1e9)],
+            2,
+        );
+        assert!(
+            !layout.matches(&encode(&s, &nan).unwrap(), &nan),
+            "NaN != NaN"
+        );
+    }
+
+    #[test]
     fn encode_rejects_type_mismatch() {
         let s = schema();
         let r = Record::new(vec![Field::Cat(0), Field::Cat(1), Field::Num(0.0)], 0);
@@ -297,9 +324,10 @@ mod tests {
     #[test]
     fn negative_zero_and_specials_roundtrip() {
         let s = Schema::new(vec![Attribute::numeric("x")], 2).unwrap();
+        let layout = RowLayout::new(&s);
         for v in [-0.0f64, f64::MIN, f64::MAX, f64::EPSILON] {
             let r = Record::new(vec![Field::Num(v)], 1);
-            let back = decode(&s, &encode(&s, &r).unwrap()).unwrap();
+            let back = layout.decode(&encode(&s, &r).unwrap()).unwrap();
             assert_eq!(back.num(0).to_bits(), v.to_bits());
         }
     }

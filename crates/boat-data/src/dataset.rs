@@ -370,7 +370,15 @@ impl FileDataset {
         let schema = Arc::new(read_schema(&mut reader)?);
         let n_records = u64::from_le_bytes(read_exact_buf::<8>(&mut reader)?);
         let data_offset = reader.stream_position()?;
-        let expected = data_offset + n_records * schema.record_width() as u64;
+        let expected = n_records
+            .checked_mul(schema.record_width() as u64)
+            .and_then(|bytes| bytes.checked_add(data_offset))
+            .ok_or_else(|| {
+                DataError::Corrupt(format!(
+                    "{}: header record count {n_records} overflows the file size",
+                    path.display()
+                ))
+            })?;
         let actual = std::fs::metadata(&path)?.len();
         if actual != expected {
             return Err(DataError::Corrupt(format!(
@@ -667,6 +675,34 @@ mod tests {
         f.set_len(full - 3).unwrap();
         drop(f);
         assert!(FileDataset::open(&path, IoStats::new()).is_err());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn open_rejects_a_record_count_that_overflows() {
+        let dir = std::env::temp_dir().join("boat-data-test-count-overflow");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("c{}.boat", std::process::id()));
+        let schema = Schema::shared(vec![Attribute::numeric("x")], 2).unwrap();
+        assert_eq!(schema.record_width(), 10);
+        let mut w = FileDatasetWriter::create(&path, schema, IoStats::new()).unwrap();
+        w.append(&Record::new(vec![Field::Num(1.0)], 1)).unwrap();
+        let len = std::fs::metadata(w.finish().unwrap().path()).unwrap().len();
+        // The count sits just before the one 10-byte row. 2^63 + 1 rows of
+        // 10 bytes wrap to exactly 10 bytes in u64 arithmetic.
+        for count in [u64::MAX, (1u64 << 63) + 1] {
+            let mut bytes = std::fs::read(&path).unwrap();
+            let at = (len - 10 - 8) as usize;
+            bytes[at..at + 8].copy_from_slice(&count.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(
+                matches!(
+                    FileDataset::open(&path, IoStats::new()),
+                    Err(DataError::Corrupt(_))
+                ),
+                "count {count}"
+            );
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -16,9 +16,8 @@
 //!   in the bench harness reports these alongside wall time.
 //! * [`sample`] — reservoir sampling over a stream and bootstrap resampling.
 //! * [`spill`] — memory-budgeted record buffers that transparently spill to
-//!   temporary files (the paper's `S_n` files), batched as columnar
-//!   segments.
-//! * [`colspill`] — the columnar segment codec behind [`spill`].
+//!   temporary files (the paper's `S_n` files), holding [`codec`] rows in
+//!   memory and on disk.
 //! * [`wal`] — a durable write-ahead log for streaming insert/delete
 //!   chunks: concurrent producers, a single fsync-batching appender
 //!   thread, checksummed segment files, and durable-prefix crash replay.
@@ -32,7 +31,6 @@
 
 pub mod audit;
 pub mod codec;
-pub mod colspill;
 pub mod csv;
 pub mod dataset;
 pub mod error;

@@ -4,14 +4,17 @@
 //! inside the node's confidence interval (the paper's set `S_n`). These sets
 //! are usually small, but the paper notes its implementation "writes
 //! temporary files to disk to be truly scalable" (§3.3). [`SpillBuffer`]
-//! reproduces that: records are kept in memory up to a budget and staged to
+//! reproduces that: records are kept in memory up to a budget and written to
 //! a private temporary file beyond it; iteration is transparent either way.
 //!
-//! Overflowed records are not appended row-at-a-time: they accumulate in a
-//! small staging buffer and are flushed as *columnar segments* (see
-//! [`crate::colspill`]) of up to [`SEGMENT_CAPACITY`] records — the same
-//! dense column layout the sample engine uses in memory — turning thousands
-//! of tiny writes into a few batched ones.
+//! Both tiers hold rows in the fixed-width [`crate::codec`] layout, the
+//! format of the dataset files: in memory the rows sit back to back in one
+//! byte vector, and past the budget they go through a buffered writer into
+//! the temporary file as plain rows, with no header. [`SpillBuffer::push_row`]
+//! takes a row as the cleanup scan routed it, so a parked tuple is copied,
+//! never decoded, on its way in. Every row that leaves the buffer is decoded
+//! by [`RowLayout::decode`] and so passes the checks of an input row: a
+//! truncated or corrupt spill file is [`DataError::Corrupt`].
 //!
 //! Temporary files live in [`std::env::temp_dir`] by default; callers can
 //! redirect them with [`SpillBuffer::new_in`] (the `BoatConfig::spill_dir`
@@ -19,14 +22,14 @@
 //! [`sweep_stale_spill_files`] pass so files orphaned by a crashed process
 //! do not pile up forever.
 
-use crate::colspill::{self, SEGMENT_CAPACITY};
+use crate::codec::{self, RowLayout};
 use crate::iostats::IoStats;
 use crate::record::Record;
 use crate::schema::Schema;
-use crate::Result;
+use crate::{DataError, Result};
 use std::collections::BTreeSet;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -113,7 +116,7 @@ fn sweep_once(dir: &Path) {
 struct SpillFile {
     path: PathBuf,
     writer: Option<BufWriter<File>>,
-    /// Records in fully written segments (excludes the staging buffer).
+    /// Rows written to the file.
     n_records: u64,
 }
 
@@ -129,11 +132,25 @@ impl SpillFile {
         })
     }
 
-    fn flush(&mut self) -> Result<()> {
+    fn write(&mut self, rows: &[u8]) -> Result<()> {
+        self.writer
+            .as_mut()
+            .expect("writer open while buffer is live")
+            .write_all(rows)?;
+        Ok(())
+    }
+
+    /// Flush the writer and open the file for reading from the start.
+    fn rows(&mut self, width: usize, stats: &IoStats) -> Result<SpilledRows> {
         if let Some(w) = self.writer.as_mut() {
             w.flush()?;
         }
-        Ok(())
+        Ok(SpilledRows {
+            reader: BufReader::with_capacity(1 << 16, File::open(&self.path)?),
+            remaining: self.n_records,
+            row: vec![0; width],
+            stats: stats.clone(),
+        })
     }
 }
 
@@ -144,16 +161,43 @@ impl Drop for SpillFile {
     }
 }
 
+/// A spill file's rows read back in order, one reused row at a time, with
+/// the read traffic counted.
+struct SpilledRows {
+    reader: BufReader<File>,
+    remaining: u64,
+    row: Vec<u8>,
+    stats: IoStats,
+}
+
+impl SpilledRows {
+    /// The next row, unchecked. A file that ends before its last row is
+    /// [`DataError::Corrupt`].
+    fn next_row(&mut self) -> Result<Option<&[u8]>> {
+        if self.remaining == 0 {
+            return Ok(None);
+        }
+        self.reader.read_exact(&mut self.row).map_err(|e| {
+            if e.kind() == ErrorKind::UnexpectedEof {
+                DataError::Corrupt(format!("spill file ends {} rows early", self.remaining))
+            } else {
+                DataError::Io(e)
+            }
+        })?;
+        self.remaining -= 1;
+        self.stats.record_read(1, self.row.len() as u64);
+        Ok(Some(&self.row))
+    }
+}
+
 /// A container of records that spills to a temporary file once it exceeds a
 /// configured in-memory budget. The temporary file is deleted on drop.
 pub struct SpillBuffer {
     schema: Arc<Schema>,
+    layout: RowLayout,
     mem_budget: usize,
-    in_mem: Vec<Record>,
-    /// Overflowed records not yet flushed as a segment. Logically these sit
-    /// *after* the on-disk records: spilled order is disk segments, then
-    /// staging, matching append order.
-    staged: Vec<Record>,
+    /// The in-memory prefix: at most `mem_budget` rows, back to back.
+    in_mem: Vec<u8>,
     spill: Option<SpillFile>,
     dir: Option<PathBuf>,
     stats: IoStats,
@@ -176,10 +220,10 @@ impl SpillBuffer {
         dir: Option<PathBuf>,
     ) -> Self {
         SpillBuffer {
+            layout: RowLayout::new(&schema),
             schema,
             mem_budget,
             in_mem: Vec::new(),
-            staged: Vec::new(),
             spill: None,
             dir,
             stats,
@@ -188,7 +232,7 @@ impl SpillBuffer {
 
     /// Total records held (in memory + spilled).
     pub fn len(&self) -> u64 {
-        self.in_mem.len() as u64 + self.spilled_len()
+        self.in_mem_len() as u64 + self.spilled_len()
     }
 
     /// Whether the buffer holds no records.
@@ -196,10 +240,13 @@ impl SpillBuffer {
         self.len() == 0
     }
 
-    /// Number of records that have overflowed the in-memory budget
-    /// (flushed segments plus the staging buffer).
+    /// Number of records in the spill file.
     pub fn spilled_len(&self) -> u64 {
-        self.staged.len() as u64 + self.spill.as_ref().map_or(0, |s| s.n_records)
+        self.spill.as_ref().map_or(0, |s| s.n_records)
+    }
+
+    fn in_mem_len(&self) -> usize {
+        self.in_mem.len() / self.layout.width()
     }
 
     /// The schema of the buffered records.
@@ -211,42 +258,59 @@ impl SpillBuffer {
         self.dir.clone().unwrap_or_else(std::env::temp_dir)
     }
 
-    /// Write the staging buffer out as one columnar segment.
-    fn flush_staged(&mut self) -> Result<()> {
-        if self.staged.is_empty() {
-            return Ok(());
+    /// Append one record, encoded as a row. A record whose fields do not
+    /// have the schema's types is [`DataError::Schema`]; one with an
+    /// out-of-range code or label is refused as by [`SpillBuffer::push_row`].
+    /// A refused record leaves the buffer unchanged.
+    pub fn push(&mut self, record: &Record) -> Result<()> {
+        let at = self.in_mem.len();
+        let encoded = codec::encode_into(&self.schema, record, &mut self.in_mem)
+            .and_then(|()| self.layout.check(&self.in_mem[at..]));
+        if let Err(e) = encoded {
+            self.in_mem.truncate(at);
+            return Err(e);
         }
-        let spill = self.spill.as_mut().expect("staged records imply a file");
-        let writer = spill
-            .writer
-            .as_mut()
-            .expect("writer open while buffer is live");
-        let bytes = colspill::write_segment(writer, &self.schema, &self.staged)?;
-        spill.n_records += self.staged.len() as u64;
-        self.stats.record_write(self.staged.len() as u64, bytes);
-        self.staged.clear();
-        Ok(())
+        self.settle(at)
     }
 
-    /// Append one record.
-    pub fn push(&mut self, record: Record) -> Result<()> {
-        if self.in_mem.len() < self.mem_budget {
-            self.in_mem.push(record);
+    /// Append one encoded row. The row must pass [`RowLayout::check`], or
+    /// the buffer refuses it with [`DataError::Corrupt`].
+    pub fn push_row(&mut self, row: &[u8]) -> Result<()> {
+        self.layout.check(row)?;
+        let at = self.in_mem.len();
+        self.in_mem.extend_from_slice(row);
+        self.settle(at)
+    }
+
+    /// Keep the row just appended to `in_mem` at byte `at` while the
+    /// in-memory prefix is under budget; otherwise move it to the spill
+    /// file. Either way, on return the row is in exactly one tier, or in
+    /// none on an error.
+    fn settle(&mut self, at: usize) -> Result<()> {
+        if at / self.layout.width() < self.mem_budget {
             return Ok(());
         }
+        let written = self.write_spilled(at);
+        self.in_mem.truncate(at);
+        written
+    }
+
+    /// Append the row at byte `at` of `in_mem` to the spill file, creating
+    /// the file on the first overflow.
+    fn write_spilled(&mut self, at: usize) -> Result<()> {
         if self.spill.is_none() {
             self.spill = Some(SpillFile::create(&self.spill_dir())?);
             self.stats.record_spill_event();
         }
-        self.staged.push(record);
-        if self.staged.len() >= SEGMENT_CAPACITY {
-            self.flush_staged()?;
-        }
+        let spill = self.spill.as_mut().expect("created above");
+        spill.write(&self.in_mem[at..])?;
+        spill.n_records += 1;
+        self.stats.record_write(1, self.layout.width() as u64);
         Ok(())
     }
 
     /// Append many records.
-    pub fn extend(&mut self, records: impl IntoIterator<Item = Record>) -> Result<()> {
+    pub fn extend<'a>(&mut self, records: impl IntoIterator<Item = &'a Record>) -> Result<()> {
         for r in records {
             self.push(r)?;
         }
@@ -254,28 +318,31 @@ impl SpillBuffer {
     }
 
     /// Iterate over all records: the in-memory prefix first, then the
-    /// spilled suffix (read back from the temporary file a segment at a
-    /// time).
+    /// spilled suffix read back from the temporary file. Every row is
+    /// decoded by [`RowLayout::decode`], so a corrupt spill file yields
+    /// [`DataError::Corrupt`].
     pub fn iter(&mut self) -> Result<impl Iterator<Item = Result<Record>> + '_> {
-        self.flush_staged()?;
-        let spilled: Option<(BufReader<File>, u64)> = match self.spill.as_mut() {
-            Some(s) => {
-                s.flush()?;
-                Some((
-                    BufReader::with_capacity(1 << 16, File::open(&s.path)?),
-                    s.n_records,
-                ))
-            }
+        let width = self.layout.width();
+        let mut spilled = match self.spill.as_mut() {
+            Some(s) => Some(s.rows(width, &self.stats)?),
             None => None,
         };
-        let mem_iter = self.in_mem.iter().map(|r| Ok(r.clone()));
-        let seg_iter = SegmentIter {
-            reader: spilled,
-            schema: self.schema.clone(),
-            pending: std::collections::VecDeque::new(),
-            stats: self.stats.clone(),
-        };
-        Ok(mem_iter.chain(seg_iter))
+        let layout = &self.layout;
+        let mem_iter = self
+            .in_mem
+            .chunks_exact(width)
+            .map(|row| layout.decode(row));
+        let disk_iter = std::iter::from_fn(move || {
+            let next = spilled
+                .as_mut()?
+                .next_row()
+                .and_then(|row| row.map(|row| layout.decode(row)).transpose());
+            if !matches!(next, Ok(Some(_))) {
+                spilled = None; // end of file or first error: stop
+            }
+            next.transpose()
+        });
+        Ok(mem_iter.chain(disk_iter))
     }
 
     /// Materialize every record into a vector.
@@ -287,188 +354,127 @@ impl SpillBuffer {
         Ok(out)
     }
 
-    /// Read the on-disk segments back into a vector (disk order), without
-    /// touching `in_mem` or the staging buffer.
-    fn read_disk(&mut self) -> Result<Vec<Record>> {
+    /// Hand every spilled row, checked by [`RowLayout::check`], to `visit`
+    /// in file order.
+    fn for_each_spilled(&mut self, mut visit: impl FnMut(&RowLayout, &[u8])) -> Result<()> {
         let Some(s) = self.spill.as_mut() else {
-            return Ok(Vec::new());
-        };
-        s.flush()?;
-        let mut reader = BufReader::with_capacity(1 << 16, File::open(&s.path)?);
-        let mut out = Vec::with_capacity(s.n_records as usize);
-        while let Some((records, bytes)) = colspill::read_segment(&mut reader, &self.schema)? {
-            self.stats.record_read(records.len() as u64, bytes);
-            out.extend(records);
-        }
-        Ok(out)
-    }
-
-    /// Replace the on-disk tier with `records` (the staging buffer must
-    /// already be folded in by the caller), rewriting the file once.
-    fn rewrite_disk(&mut self, records: &[Record]) -> Result<()> {
-        self.spill = None; // drops + deletes the old file
-        self.staged.clear();
-        if records.is_empty() {
             return Ok(());
+        };
+        let mut rows = s.rows(self.layout.width(), &self.stats)?;
+        while let Some(row) = rows.next_row()? {
+            self.layout.check(row)?;
+            visit(&self.layout, row);
         }
-        let mut fresh = SpillFile::create(&self.spill_dir())?;
-        {
-            let writer = fresh.writer.as_mut().expect("writer open");
-            for seg in records.chunks(SEGMENT_CAPACITY) {
-                let bytes = colspill::write_segment(writer, &self.schema, seg)?;
-                self.stats.record_write(seg.len() as u64, bytes);
-            }
-        }
-        fresh.n_records = records.len() as u64;
-        fresh.flush()?;
-        self.spill = Some(fresh);
         Ok(())
     }
 
-    /// Remove one record equal to `target` (by value), if present. Returns
-    /// whether a record was removed. Equivalent to a one-element
-    /// [`SpillBuffer::remove_many`].
-    pub fn remove_one(&mut self, target: &Record) -> Result<bool> {
-        Ok(self.remove_many(std::slice::from_ref(target))? == 1)
+    /// Replace the spill file with `rows`, written once.
+    fn rewrite_spilled(&mut self, rows: &[u8]) -> Result<()> {
+        self.spill = None; // drops + deletes the old file
+        if rows.is_empty() {
+            return Ok(());
+        }
+        let mut fresh = SpillFile::create(&self.spill_dir())?;
+        fresh.write(rows)?;
+        fresh.n_records = (rows.len() / self.layout.width()) as u64;
+        self.stats.record_write(fresh.n_records, rows.len() as u64);
+        self.spill = Some(fresh);
+        Ok(())
     }
 
     /// Remove one occurrence per entry of `targets` (multiset semantics:
     /// a record listed twice is removed twice, if present twice). Returns
     /// how many records were actually removed.
     ///
+    /// Rows are compared to each target field by field
+    /// ([`RowLayout::matches`], so `0.0` matches a stored `-0.0`). A
+    /// matching in-memory row is taken first; otherwise the first matching
+    /// spilled row. The removed row's place is taken by the last row of its
+    /// tier (a swap-remove), so the result — contents and order — is that
+    /// of one-target calls made in sequence.
+    ///
     /// This is the batched form incremental *deletions* go through: a
-    /// maintain cycle with `D` deletes used to rewrite the spilled file `D`
-    /// times (O(D·n) I/O); `remove_many` materializes the spilled tier at
-    /// most once and rewrites it at most once, regardless of `D`. The
-    /// result — contents and order — is identical to `D` sequential
-    /// [`SpillBuffer::remove_one`] calls.
+    /// maintain cycle with `D` deletes would otherwise rewrite the spill
+    /// file `D` times (O(D·n) I/O); `remove_many` reads the spilled tier
+    /// at most once and rewrites it at most once, regardless of `D`.
     pub fn remove_many(&mut self, targets: &[Record]) -> Result<u64> {
+        let width = self.layout.width();
         let mut removed = 0u64;
-        // Lazily materialized spilled tier: disk segments then staging,
-        // i.e. append order.
-        let mut spilled: Option<Vec<Record>> = None;
+        // The spilled tier, read on first need.
+        let mut spilled: Option<Vec<u8>> = None;
         let mut spilled_dirty = false;
         for target in targets {
-            if let Some(pos) = self.in_mem.iter().position(|r| r == target) {
-                self.in_mem.swap_remove(pos);
+            if let Some(pos) = self.position(&self.in_mem, target) {
+                swap_remove_row(&mut self.in_mem, pos, width);
                 removed += 1;
                 continue;
             }
-            if self.spill.is_none() && self.staged.is_empty() {
+            if self.spill.is_none() {
                 continue;
             }
             if spilled.is_none() {
-                let mut all = self.read_disk()?;
-                all.extend(self.staged.iter().cloned());
-                spilled = Some(all);
+                let mut rows = Vec::with_capacity(self.spilled_len() as usize * width);
+                self.for_each_spilled(|_, row| rows.extend_from_slice(row))?;
+                spilled = Some(rows);
             }
-            let tier = spilled.as_mut().expect("materialized above");
-            if let Some(pos) = tier.iter().position(|r| r == target) {
-                tier.swap_remove(pos);
+            let tier = spilled.as_mut().expect("read above");
+            if let Some(pos) = self.position(tier, target) {
+                swap_remove_row(tier, pos, width);
                 removed += 1;
                 spilled_dirty = true;
             }
         }
         if spilled_dirty {
-            let tier = spilled.expect("dirty implies materialized");
-            self.rewrite_disk(&tier)?;
+            let tier = spilled.expect("dirty implies read");
+            self.rewrite_spilled(&tier)?;
         }
         Ok(removed)
     }
 
-    /// How many records equal to `target` (by value) the buffer holds,
-    /// without mutating it. Used by incremental deletions to *validate* a
-    /// batch of deletes — which may name the same tuple several times —
-    /// before any counter is decremented anywhere in the tree.
-    pub fn count_matching(&mut self, target: &Record) -> Result<u64> {
-        let mut n = self.in_mem.iter().filter(|r| *r == target).count() as u64;
-        n += self.staged.iter().filter(|r| *r == target).count() as u64;
-        if let Some(s) = self.spill.as_mut() {
-            s.flush()?;
-            let mut reader = BufReader::with_capacity(1 << 16, File::open(&s.path)?);
-            while let Some((records, bytes)) = colspill::read_segment(&mut reader, &self.schema)? {
-                self.stats.record_read(records.len() as u64, bytes);
-                n += records.iter().filter(|r| *r == target).count() as u64;
-            }
-        }
-        Ok(n)
+    /// The index of the first row of `rows` that matches `target`.
+    fn position(&self, rows: &[u8], target: &Record) -> Option<usize> {
+        rows.chunks_exact(self.layout.width())
+            .position(|row| self.layout.matches(row, target))
     }
 
-    /// Whether a record equal to `target` (by value) is present, without
-    /// mutating the buffer.
-    pub fn contains(&mut self, target: &Record) -> Result<bool> {
-        if self.in_mem.iter().any(|r| r == target) || self.staged.iter().any(|r| r == target) {
-            return Ok(true);
-        }
-        let Some(s) = self.spill.as_mut() else {
-            return Ok(false);
-        };
-        s.flush()?;
-        let mut reader = BufReader::with_capacity(1 << 16, File::open(&s.path)?);
-        while let Some((records, bytes)) = colspill::read_segment(&mut reader, &self.schema)? {
-            self.stats.record_read(records.len() as u64, bytes);
-            if records.iter().any(|r| r == target) {
-                return Ok(true);
-            }
-        }
-        Ok(false)
+    /// How many records equal to `target` (by value, as in
+    /// [`SpillBuffer::remove_many`]) the buffer holds, without mutating it.
+    /// Used by incremental deletions to *validate* a batch of deletes —
+    /// which may name the same tuple several times — before any counter is
+    /// decremented anywhere in the tree.
+    pub fn count_matching(&mut self, target: &Record) -> Result<u64> {
+        let mut n = self
+            .in_mem
+            .chunks_exact(self.layout.width())
+            .filter(|row| self.layout.matches(row, target))
+            .count() as u64;
+        self.for_each_spilled(|layout, row| n += u64::from(layout.matches(row, target)))?;
+        Ok(n)
     }
 
     /// Drop all contents (and the temporary file, if any).
     pub fn clear(&mut self) {
         self.in_mem.clear();
-        self.staged.clear();
         self.spill = None;
     }
+}
+
+/// Move the last `width`-byte row of `rows` into row `pos` and drop the
+/// last row, as [`Vec::swap_remove`] does for one element.
+fn swap_remove_row(rows: &mut Vec<u8>, pos: usize, width: usize) {
+    let last = rows.len() - width;
+    rows.copy_within(last.., pos * width);
+    rows.truncate(last);
 }
 
 impl std::fmt::Debug for SpillBuffer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SpillBuffer")
             .field("len", &self.len())
-            .field("in_mem", &self.in_mem.len())
+            .field("in_mem", &self.in_mem_len())
             .field("spilled", &self.spilled_len())
             .field("budget", &self.mem_budget)
             .finish()
-    }
-}
-
-struct SegmentIter {
-    reader: Option<(BufReader<File>, u64)>,
-    schema: Arc<Schema>,
-    pending: std::collections::VecDeque<Record>,
-    stats: IoStats,
-}
-
-impl Iterator for SegmentIter {
-    type Item = Result<Record>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(r) = self.pending.pop_front() {
-                return Some(Ok(r));
-            }
-            let (reader, remaining) = self.reader.as_mut()?;
-            if *remaining == 0 {
-                self.reader = None;
-                return None;
-            }
-            match colspill::read_segment(reader, &self.schema) {
-                Ok(Some((records, bytes))) => {
-                    *remaining = remaining.saturating_sub(records.len() as u64);
-                    self.stats.record_read(records.len() as u64, bytes);
-                    self.pending.extend(records);
-                }
-                Ok(None) => {
-                    self.reader = None;
-                    return None;
-                }
-                Err(e) => {
-                    self.reader = None;
-                    return Some(Err(e));
-                }
-            }
-        }
     }
 }
 
@@ -490,7 +496,7 @@ mod tests {
     fn stays_in_memory_under_budget() {
         let mut b = SpillBuffer::new(schema(), 10, IoStats::new());
         for i in 0..10 {
-            b.push(rec(i as f64)).unwrap();
+            b.push(&rec(i as f64)).unwrap();
         }
         assert_eq!(b.len(), 10);
         assert_eq!(b.spilled_len(), 0);
@@ -503,7 +509,7 @@ mod tests {
     fn spills_beyond_budget_and_preserves_order() {
         let mut b = SpillBuffer::new(schema(), 4, IoStats::new());
         for i in 0..20 {
-            b.push(rec(i as f64)).unwrap();
+            b.push(&rec(i as f64)).unwrap();
         }
         assert_eq!(b.len(), 20);
         assert_eq!(b.spilled_len(), 16);
@@ -513,11 +519,11 @@ mod tests {
     }
 
     #[test]
-    fn order_survives_multiple_segment_flushes() {
-        let n = SEGMENT_CAPACITY * 3 + 17;
+    fn order_survives_a_long_spill() {
+        let n = 3 * 256 + 17;
         let mut b = SpillBuffer::new(schema(), 2, IoStats::new());
         for i in 0..n {
-            b.push(rec(i as f64)).unwrap();
+            b.push(&rec(i as f64)).unwrap();
         }
         let xs: Vec<f64> = b.to_vec().unwrap().iter().map(|r| r.num(0)).collect();
         assert_eq!(xs, (0..n).map(|i| i as f64).collect::<Vec<_>>());
@@ -527,7 +533,7 @@ mod tests {
     fn budget_zero_spills_everything() {
         let mut b = SpillBuffer::new(schema(), 0, IoStats::new());
         for i in 0..5 {
-            b.push(rec(i as f64)).unwrap();
+            b.push(&rec(i as f64)).unwrap();
         }
         assert_eq!(b.spilled_len(), 5);
         assert_eq!(b.to_vec().unwrap().len(), 5);
@@ -537,25 +543,25 @@ mod tests {
     fn iterate_push_iterate_again() {
         let mut b = SpillBuffer::new(schema(), 2, IoStats::new());
         for i in 0..4 {
-            b.push(rec(i as f64)).unwrap();
+            b.push(&rec(i as f64)).unwrap();
         }
         assert_eq!(b.to_vec().unwrap().len(), 4);
-        b.push(rec(99.0)).unwrap();
+        b.push(&rec(99.0)).unwrap();
         let v = b.to_vec().unwrap();
         assert_eq!(v.len(), 5);
         assert_eq!(v.last().unwrap().num(0), 99.0);
     }
 
     #[test]
-    fn remove_one_from_memory_and_disk() {
+    fn remove_one_target_from_memory_and_disk() {
         let mut b = SpillBuffer::new(schema(), 2, IoStats::new());
         for i in 0..6 {
-            b.push(rec(i as f64)).unwrap();
+            b.push(&rec(i as f64)).unwrap();
         }
         // in_mem = [0,1], spilled = [2,3,4,5]
-        assert!(b.remove_one(&rec(1.0)).unwrap());
-        assert!(b.remove_one(&rec(4.0)).unwrap());
-        assert!(!b.remove_one(&rec(42.0)).unwrap());
+        assert_eq!(b.remove_many(&[rec(1.0)]).unwrap(), 1);
+        assert_eq!(b.remove_many(&[rec(4.0)]).unwrap(), 1);
+        assert_eq!(b.remove_many(&[rec(42.0)]).unwrap(), 0);
         let mut xs: Vec<i64> = b
             .to_vec()
             .unwrap()
@@ -567,30 +573,30 @@ mod tests {
     }
 
     #[test]
-    fn remove_one_removes_only_one_duplicate() {
+    fn one_target_removes_only_one_duplicate() {
         let mut b = SpillBuffer::new(schema(), 1, IoStats::new());
-        b.push(rec(7.0)).unwrap();
-        b.push(rec(7.0)).unwrap();
-        b.push(rec(7.0)).unwrap();
-        assert!(b.remove_one(&rec(7.0)).unwrap());
+        b.push(&rec(7.0)).unwrap();
+        b.push(&rec(7.0)).unwrap();
+        b.push(&rec(7.0)).unwrap();
+        assert_eq!(b.remove_many(&[rec(7.0)]).unwrap(), 1);
         assert_eq!(b.len(), 2);
     }
 
     #[test]
-    fn remove_many_matches_sequential_remove_one() {
+    fn remove_many_matches_sequential_one_target_calls() {
         let targets: Vec<Record> = [9.0, 2.0, 9.0, 77.0, 0.0, 5.0].map(rec).to_vec();
         let mut batched = SpillBuffer::new(schema(), 3, IoStats::new());
         let mut serial = SpillBuffer::new(schema(), 3, IoStats::new());
         for i in 0..12 {
-            batched.push(rec(i as f64)).unwrap();
-            serial.push(rec(i as f64)).unwrap();
+            batched.push(&rec(i as f64)).unwrap();
+            serial.push(&rec(i as f64)).unwrap();
         }
-        batched.push(rec(9.0)).unwrap(); // a duplicate, so 9.0 exists twice
-        serial.push(rec(9.0)).unwrap();
+        batched.push(&rec(9.0)).unwrap(); // a duplicate, so 9.0 exists twice
+        serial.push(&rec(9.0)).unwrap();
         let n = batched.remove_many(&targets).unwrap();
         let mut m = 0;
         for t in &targets {
-            m += u64::from(serial.remove_one(t).unwrap());
+            m += serial.remove_many(std::slice::from_ref(t)).unwrap();
         }
         assert_eq!(n, m);
         assert_eq!(n, 5, "77.0 is absent, everything else present");
@@ -602,19 +608,36 @@ mod tests {
     }
 
     #[test]
+    fn removal_swap_removes_within_each_tier() {
+        let mut b = SpillBuffer::new(schema(), 3, IoStats::new());
+        for i in 0..8 {
+            b.push(&rec(i as f64)).unwrap();
+        }
+        // in_mem = [0,1,2], spilled = [3,4,5,6,7]: each removed row's place
+        // is taken by the last row of its tier.
+        assert_eq!(b.remove_many(&[rec(1.0), rec(4.0)]).unwrap(), 2);
+        let xs: Vec<f64> = b.to_vec().unwrap().iter().map(|r| r.num(0)).collect();
+        assert_eq!(xs, [0.0, 2.0, 3.0, 7.0, 5.0, 6.0]);
+        // The in-memory tier refills before the file grows.
+        b.push(&rec(8.0)).unwrap();
+        assert_eq!(b.spilled_len(), 4);
+        let xs: Vec<f64> = b.to_vec().unwrap().iter().map(|r| r.num(0)).collect();
+        assert_eq!(xs, [0.0, 2.0, 8.0, 3.0, 7.0, 5.0, 6.0]);
+    }
+
+    #[test]
     fn remove_many_rewrites_once() {
         let stats = IoStats::new();
         let mut b = SpillBuffer::new(schema(), 0, stats.clone());
         for i in 0..40 {
-            b.push(rec(i as f64)).unwrap();
+            b.push(&rec(i as f64)).unwrap();
         }
-        b.iter().unwrap().for_each(drop); // force the segment flush
         let before = stats.snapshot();
         let targets: Vec<Record> = (0..8).map(|i| rec(i as f64 * 4.0)).collect();
         assert_eq!(b.remove_many(&targets).unwrap(), 8);
         let delta = stats.snapshot() - before;
-        // One materialization (40 reads) + one rewrite of the 32 survivors;
-        // eight remove_one calls would have rewritten 39+38+…+32 records.
+        // One read (40 rows) + one rewrite of the 32 survivors; eight
+        // one-target calls would have rewritten 39+38+…+32 records.
         assert_eq!(delta.records_read, 40);
         assert_eq!(delta.records_written, 32);
         assert_eq!(b.len(), 32);
@@ -625,7 +648,7 @@ mod tests {
         let stats = IoStats::new();
         let mut b = SpillBuffer::new(schema(), 10, stats.clone());
         for i in 0..5 {
-            b.push(rec(i as f64)).unwrap();
+            b.push(&rec(i as f64)).unwrap();
         }
         assert_eq!(b.remove_many(&[rec(1.0), rec(3.0)]).unwrap(), 2);
         let snap = stats.snapshot();
@@ -636,10 +659,10 @@ mod tests {
     #[test]
     fn count_matching_counts_across_tiers() {
         let mut b = SpillBuffer::new(schema(), 1, IoStats::new());
-        b.push(rec(7.0)).unwrap(); // in_mem
-        b.push(rec(7.0)).unwrap(); // staged/spilled
-        b.push(rec(3.0)).unwrap();
-        b.push(rec(7.0)).unwrap();
+        b.push(&rec(7.0)).unwrap(); // in_mem
+        b.push(&rec(7.0)).unwrap(); // spilled
+        b.push(&rec(3.0)).unwrap();
+        b.push(&rec(7.0)).unwrap();
         assert_eq!(b.count_matching(&rec(7.0)).unwrap(), 3);
         assert_eq!(b.count_matching(&rec(3.0)).unwrap(), 1);
         assert_eq!(b.count_matching(&rec(42.0)).unwrap(), 0);
@@ -650,7 +673,7 @@ mod tests {
     fn clear_removes_everything() {
         let mut b = SpillBuffer::new(schema(), 1, IoStats::new());
         for i in 0..5 {
-            b.push(rec(i as f64)).unwrap();
+            b.push(&rec(i as f64)).unwrap();
         }
         let spill_path = b.spill.as_ref().unwrap().path.clone();
         assert!(spill_path.exists());
@@ -664,7 +687,7 @@ mod tests {
         let path;
         {
             let mut b = SpillBuffer::new(schema(), 0, IoStats::new());
-            b.push(rec(1.0)).unwrap();
+            b.push(&rec(1.0)).unwrap();
             path = b.spill.as_ref().unwrap().path.clone();
             assert!(path.exists());
         }
@@ -676,12 +699,17 @@ mod tests {
         let stats = IoStats::new();
         let mut b = SpillBuffer::new(schema(), 0, stats.clone());
         for i in 0..3 {
-            b.push(rec(i as f64)).unwrap();
+            b.push(&rec(i as f64)).unwrap();
         }
         b.to_vec().unwrap();
         let snap = stats.snapshot();
         assert_eq!(snap.records_written, 3);
         assert_eq!(snap.records_read, 3);
+        // Plain 10-byte rows: no header, the file is rows only.
+        assert_eq!(snap.bytes_written, 30);
+        assert_eq!(snap.bytes_read, 30);
+        let path = &b.spill.as_ref().unwrap().path;
+        assert_eq!(std::fs::metadata(path).unwrap().len(), 30);
         assert_eq!(snap.spill_events, 1, "one spill file opened");
     }
 
@@ -690,25 +718,129 @@ mod tests {
         let stats = IoStats::new();
         let mut b = SpillBuffer::new(schema(), 16, stats.clone());
         for i in 0..8 {
-            b.push(rec(i as f64)).unwrap();
+            b.push(&rec(i as f64)).unwrap();
         }
         assert_eq!(stats.snapshot().spill_events, 0);
     }
 
     #[test]
-    fn contains_is_non_destructive() {
+    fn count_matching_is_non_destructive() {
         let mut b = SpillBuffer::new(schema(), 2, IoStats::new());
         for i in 0..6 {
-            b.push(rec(i as f64)).unwrap();
+            b.push(&rec(i as f64)).unwrap();
         }
         // in_mem = [0,1], spilled = [2,3,4,5]
-        assert!(b.contains(&rec(1.0)).unwrap());
-        assert!(b.contains(&rec(4.0)).unwrap());
-        assert!(!b.contains(&rec(42.0)).unwrap());
-        assert_eq!(b.len(), 6, "contains must not remove anything");
+        assert!(b.count_matching(&rec(1.0)).unwrap() > 0);
+        assert!(b.count_matching(&rec(4.0)).unwrap() > 0);
+        assert_eq!(b.count_matching(&rec(42.0)).unwrap(), 0);
+        assert_eq!(b.len(), 6, "count_matching must not remove anything");
         // Buffer still fully usable after probing the spilled region.
-        b.push(rec(6.0)).unwrap();
+        b.push(&rec(6.0)).unwrap();
         assert_eq!(b.to_vec().unwrap().len(), 7);
+    }
+
+    /// A schema with a categorical field, and a buffer of `n` rows of it,
+    /// every one spilled.
+    fn spilled_cat_rows(n: u32) -> SpillBuffer {
+        let schema = Schema::shared(
+            vec![Attribute::numeric("x"), Attribute::categorical("c", 4)],
+            3,
+        )
+        .unwrap();
+        let mut b = SpillBuffer::new(schema, 0, IoStats::new());
+        for i in 0..n {
+            let r = Record::new(
+                vec![Field::Num(f64::from(i)), Field::Cat(i % 4)],
+                (i % 3) as u16,
+            );
+            b.push(&r).unwrap();
+        }
+        b
+    }
+
+    /// `b`'s spill file, flushed and opened for writing.
+    fn open_spill_file(b: &mut SpillBuffer) -> File {
+        let spill = b.spill.as_mut().unwrap();
+        spill.writer.as_mut().unwrap().flush().unwrap();
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&spill.path)
+            .unwrap()
+    }
+
+    /// Overwrite `bytes` at `offset` of `b`'s spill file.
+    fn patch_spill_file(b: &mut SpillBuffer, offset: u64, bytes: &[u8]) {
+        use std::io::{Seek, SeekFrom};
+        let mut f = open_spill_file(b);
+        f.seek(SeekFrom::Start(offset)).unwrap();
+        f.write_all(bytes).unwrap();
+    }
+
+    fn assert_corrupt(b: &mut SpillBuffer, what: &str) {
+        assert!(
+            matches!(b.to_vec(), Err(DataError::Corrupt(_))),
+            "{what}: to_vec"
+        );
+        let probe = Record::new(vec![Field::Num(0.0), Field::Cat(0)], 0);
+        assert!(
+            matches!(b.count_matching(&probe), Err(DataError::Corrupt(_))),
+            "{what}: count_matching"
+        );
+        assert!(
+            matches!(b.remove_many(&[probe]), Err(DataError::Corrupt(_))),
+            "{what}: remove_many"
+        );
+    }
+
+    #[test]
+    fn truncated_spill_file_is_corrupt() {
+        let mut b = spilled_cat_rows(5);
+        let width = b.layout.width() as u64;
+        let f = open_spill_file(&mut b);
+        f.set_len(4 * width + 3).unwrap(); // cut the last row mid-row
+        assert_corrupt(&mut b, "cut mid-row");
+    }
+
+    #[test]
+    fn out_of_range_spilled_label_or_code_is_corrupt() {
+        // Row layout: x (8 bytes), c (4 bytes), label (2 bytes).
+        let mut b = spilled_cat_rows(3);
+        patch_spill_file(&mut b, 14 + 12, &3u16.to_le_bytes());
+        assert_corrupt(&mut b, "label 3 of 3 classes");
+
+        let mut b = spilled_cat_rows(3);
+        patch_spill_file(&mut b, 14 + 8, &4u32.to_le_bytes());
+        assert_corrupt(&mut b, "code 4 of cardinality 4");
+    }
+
+    #[test]
+    fn push_refuses_records_that_do_not_fit_the_schema() {
+        for budget in [0, 4] {
+            let mut b = spilled_cat_rows(0);
+            b.mem_budget = budget;
+            let wrong_type = Record::new(vec![Field::Cat(0), Field::Cat(0)], 0);
+            assert!(matches!(b.push(&wrong_type), Err(DataError::Schema(_))));
+            let bad_code = Record::new(vec![Field::Num(0.0), Field::Cat(4)], 0);
+            assert!(matches!(b.push(&bad_code), Err(DataError::Corrupt(_))));
+            let mut row = [0u8; 14];
+            row[12..].copy_from_slice(&3u16.to_le_bytes());
+            assert!(matches!(b.push_row(&row), Err(DataError::Corrupt(_))));
+            assert!(matches!(b.push_row(&[0u8; 13]), Err(DataError::Corrupt(_))));
+            assert!(b.is_empty(), "a refused record leaves no bytes behind");
+            assert_eq!(b.in_mem.len(), 0);
+        }
+    }
+
+    #[test]
+    fn deleting_zero_removes_a_stored_negative_zero() {
+        for budget in [0, 8] {
+            let mut b = SpillBuffer::new(schema(), budget, IoStats::new());
+            b.push(&rec(-0.0)).unwrap();
+            b.push(&rec(1.0)).unwrap();
+            assert_eq!(b.count_matching(&rec(0.0)).unwrap(), 1);
+            assert_eq!(b.remove_many(&[rec(0.0)]).unwrap(), 1, "budget {budget}");
+            assert_eq!(b.to_vec().unwrap(), vec![rec(1.0)]);
+        }
     }
 
     #[test]
@@ -716,7 +848,7 @@ mod tests {
         let dir = std::env::temp_dir().join("boat-spill-dir-test");
         std::fs::create_dir_all(&dir).unwrap();
         let mut b = SpillBuffer::new_in(schema(), 0, IoStats::new(), Some(dir.clone()));
-        b.push(rec(1.0)).unwrap();
+        b.push(&rec(1.0)).unwrap();
         let path = b.spill.as_ref().unwrap().path.clone();
         assert_eq!(path.parent().unwrap(), dir.as_path());
         drop(b);
@@ -767,7 +899,7 @@ mod tests {
         let stale = dir.join(format!("boat-spill-{}-9.tmp", u32::MAX));
         std::fs::write(&stale, b"orphan").unwrap();
         let mut b = SpillBuffer::new_in(schema(), 0, IoStats::new(), Some(dir.clone()));
-        b.push(rec(1.0)).unwrap();
+        b.push(&rec(1.0)).unwrap();
         if cfg!(target_os = "linux") {
             assert!(!stale.exists(), "creating a spill file must sweep orphans");
         }

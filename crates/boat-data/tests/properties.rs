@@ -2,8 +2,9 @@
 //! arbitrary schema-conformant records, spill-buffer transparency, and
 //! reservoir-sampling invariants.
 
+use boat_data::codec::{self, RowLayout};
 use boat_data::spill::SpillBuffer;
-use boat_data::{codec, Attribute, Field, IoStats, MemoryDataset, Record, Schema};
+use boat_data::{Attribute, Field, IoStats, MemoryDataset, Record, Schema};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -53,11 +54,12 @@ proptest! {
         (schema, records) in arb_schema()
             .prop_flat_map(|s| (Just(s.clone()), arb_records(s, 8)))
     ) {
+        let layout = RowLayout::new(&schema);
         for r in &records {
             r.validate(&schema).unwrap();
             let bytes = codec::encode(&schema, r).unwrap();
             prop_assert_eq!(bytes.len(), schema.record_width());
-            let back = codec::decode(&schema, &bytes).unwrap();
+            let back = layout.decode(&bytes).unwrap();
             // Bitwise equality for floats (total fidelity).
             prop_assert_eq!(back.label(), r.label());
             for (a, b) in back.fields().iter().zip(r.fields()) {
@@ -76,17 +78,29 @@ proptest! {
             .prop_flat_map(|s| (Just(s.clone()), arb_records(s, 40))),
         budget in 0usize..8,
     ) {
-        let mut buf = SpillBuffer::new(schema, budget, IoStats::new());
+        // One buffer fed encoded rows, as the cleanup scan routes them, and
+        // one fed the records those rows decode to.
+        let mut rows = SpillBuffer::new(schema.clone(), budget, IoStats::new());
+        let mut decoded = SpillBuffer::new(schema.clone(), budget, IoStats::new());
+        let layout = RowLayout::new(&schema);
         for r in &records {
-            buf.push(r.clone()).unwrap();
+            let row = codec::encode(&schema, r).unwrap();
+            rows.push_row(&row).unwrap();
+            decoded.push(&layout.decode(&row).unwrap()).unwrap();
         }
-        prop_assert_eq!(buf.len(), records.len() as u64);
-        let out = buf.to_vec().unwrap();
-        prop_assert_eq!(out, records);
+        prop_assert_eq!(rows.len(), records.len() as u64);
+        prop_assert_eq!(rows.spilled_len(), decoded.spilled_len());
+        let out = rows.to_vec().unwrap();
+        prop_assert_eq!(&out, &records);
+        // Bit for bit: the two buffers hold the same rows.
+        let bits = |rs: &[Record]| -> Vec<Vec<u8>> {
+            rs.iter().map(|r| codec::encode(&schema, r).unwrap()).collect()
+        };
+        prop_assert_eq!(bits(&decoded.to_vec().unwrap()), bits(&out));
     }
 
     #[test]
-    fn spill_buffer_remove_one_matches_vec_semantics(
+    fn spill_buffer_one_target_removal_matches_vec_semantics(
         (schema, records) in arb_schema()
             .prop_flat_map(|s| (Just(s.clone()), arb_records(s, 20))),
         budget in 0usize..4,
@@ -96,9 +110,9 @@ proptest! {
         let victim = &records[victim % records.len()];
         let mut buf = SpillBuffer::new(schema, budget, IoStats::new());
         for r in &records {
-            buf.push(r.clone()).unwrap();
+            buf.push(r).unwrap();
         }
-        prop_assert!(buf.remove_one(victim).unwrap());
+        prop_assert_eq!(buf.remove_many(std::slice::from_ref(victim)).unwrap(), 1);
         prop_assert_eq!(buf.len(), records.len() as u64 - 1);
         // Multiset equality with a Vec that had one matching element removed.
         let mut expect = records.clone();
