@@ -3,15 +3,16 @@
 //! `boat-obs` metrics snapshot rather than eyeballed from a table:
 //!
 //! 1. **Two scans** (paper §3.4): a clean fit makes exactly 2 sequential
-//!    scans over the input — sampling + cleanup — checked three ways
-//!    (`BoatRunStats::scans_over_input`, the `boat.fit.input_scans`
-//!    counter, and the `data.input.scans` I/O counter all agree).
+//!    scans over the input — sampling + cleanup — with no failed node;
+//!    `BoatRunStats::scans_over_input` must equal the `data.input.scans`
+//!    I/O counter.
 //! 2. **Bounded spill**: the cleanup phase writes only parked/frontier
 //!    tuples to temporary files, so spill traffic is bounded by the input
 //!    traffic (`data.spill.bytes_written <= data.input.bytes_read`).
 //! 3. **Span coverage**: the per-phase wall-time spans
-//!    (`boat.phase.*`) account for at least 90 % of the measured fit wall
-//!    time — the instrumentation sees where the time goes.
+//!    (`boat.phase.*`) account for 90–100 % of the measured fit wall
+//!    time — the instrumentation sees where the time goes, and no phase
+//!    is counted twice.
 //! 4. **One read per spilled tuple**: on a fit without failed nodes, every
 //!    spilled parked or family tuple is read back once (verification reads
 //!    each parked set once and routes the same records on), so
@@ -66,13 +67,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 1. Exactly two sequential scans over the input for a clean fit.
     let input_scans = m.counter("data.input.scans");
-    let fit_scans = m.counter("boat.fit.input_scans");
     check(
         "two-scan construction",
-        r.failed_nodes == 0 && r.scans == 2 && input_scans == 2 && fit_scans == 2,
+        r.failed_nodes == 0 && r.scans == input_scans && input_scans == 2,
         format!(
-            "stats.scans={} boat.fit.input_scans={fit_scans} data.input.scans={input_scans} \
-             failed_nodes={} (want 2/2/2 with 0 failures)",
+            "stats.scans_over_input={} data.input.scans={input_scans} failed_nodes={} \
+             (want 2/2 with 0 failures)",
             r.scans, r.failed_nodes
         ),
     );
@@ -88,17 +88,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         format!("data.spill.bytes_written={spill_bytes} <= data.input.bytes_read={input_bytes}"),
     );
 
-    // 3. Phase spans cover >= 90% of the measured fit wall time. (Recursive
-    //    sub-runs record into the same registry, so coverage can exceed
-    //    100% — this is a floor, not an identity.)
+    // 3. Phase spans cover 90–100% of the measured fit wall time. The
+    //    phases run one after another and do not nest, so their sum cannot
+    //    exceed the wall time; more than 100% means a phase counted twice.
     let phase_ns = m.histogram_sum_by_prefix("boat.phase.");
     let wall_ns = r.time.as_nanos() as u64;
     let coverage = phase_ns as f64 / wall_ns as f64;
     check(
         "phase-span coverage",
-        coverage >= 0.90,
+        (0.90..=1.00).contains(&coverage),
         format!(
-            "boat.phase.* spans sum to {} of {} fit wall time ({:.1}% >= 90%)",
+            "boat.phase.* spans sum to {} of {} fit wall time ({:.1}% in [90%, 100%])",
             fmt_duration(std::time::Duration::from_nanos(phase_ns)),
             fmt_duration(r.time),
             coverage * 100.0

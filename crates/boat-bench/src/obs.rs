@@ -128,7 +128,7 @@ pub fn print_metrics_summary(snap: &Snapshot) {
     let counter = |name: &str| (name.to_string(), snap.counter(name));
     for (name, value) in [
         counter("boat.fit.runs"),
-        counter("boat.fit.input_scans"),
+        counter("data.input.scans"),
         counter("data.input.records_read"),
         counter("data.input.bytes_read"),
         counter("data.spill.records_written"),

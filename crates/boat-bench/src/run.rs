@@ -172,7 +172,7 @@ mod tests {
         assert!(h.scans >= 2);
         assert!(v.scans >= h.scans);
         // The embedded metrics delta agrees with the classic stats.
-        assert_eq!(b.metrics.counter("boat.fit.input_scans"), b.scans);
+        assert_eq!(b.metrics.counter("data.input.scans"), b.scans);
         assert_eq!(b.metrics.counter("boat.fit.runs"), 1);
         assert!(
             h.metrics.counters.is_empty(),

@@ -5,9 +5,11 @@
 //! of the training database: one to draw the sample, one to clean up. A
 //! third scan happens only when a completion job's records were not
 //! retained: a frontier whose sample was pure but whose full family is
-//! not, or a failed subtree over a frontier that kept no family. Huge
-//! unfinished partitions recurse into BOAT itself; small ones finish with
-//! the in-memory builder, exactly as §3.5 prescribes.
+//! not, or a failed subtree over a frontier that kept no family. Every
+//! completion job's family is gathered in memory, so it finishes with the
+//! columnar in-memory builder. The paper (§3.5) recurses into BOAT for
+//! families too large for memory; that needs streamed families and is not
+//! done here (DESIGN §3.5, R6).
 
 use crate::coarse::{build_coarse_tree_columnar, columnar_sample};
 use crate::config::BoatConfig;
@@ -16,15 +18,12 @@ use crate::work::{limits_for_subtree, Job, Resolution, WorkTree};
 use boat_data::dataset::RecordSource;
 use boat_data::sample::reservoir_sample;
 use boat_data::spill::SpillBuffer;
-use boat_data::{DataError, FileDatasetWriter, IoSnapshot, IoStats, Record, Result};
+use boat_data::{DataError, IoSnapshot, IoStats, Record, Result};
 use boat_obs::Registry;
 use boat_tree::{Gini, GrowthLimits, Impurity, ImpuritySelector, TdTreeBuilder, Tree};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-static REBUILD_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// Result of a BOAT construction run.
 #[derive(Debug, Clone)]
@@ -44,9 +43,8 @@ pub struct Boat<I: Impurity + Clone = Gini> {
     /// Observability registry: every phase span, verification verdict,
     /// cleanup-shard timer and I/O counter of this instance's runs records
     /// here. Fresh (private) per instance so parallel fits never share
-    /// counters; recursive sub-runs share their parent's registry. Swap in
-    /// [`boat_obs::Registry::global`] via [`Boat::with_metrics`] for one
-    /// flat process-wide namespace.
+    /// counters. Swap in [`boat_obs::Registry::global`] via
+    /// [`Boat::with_metrics`] for one flat process-wide namespace.
     metrics: Registry,
 }
 
@@ -128,26 +126,36 @@ impl<I: Impurity + Clone> Boat<I> {
             let records = source.collect_records()?;
             let tree = self.inmem_tree(source.schema(), &records, self.config.limits);
             span.finish();
-            self.metrics.counter("boat.fit.input_scans").inc();
             self.metrics.counter("boat.fit.inmem_builds").inc();
             let mut stats = BoatRunStats {
-                scans_over_input: 1,
                 sample_records: records.len() as u64,
                 inmem_builds: 1,
                 postprocess_time: t0.elapsed(),
                 ..Default::default()
             };
-            stats.io = source.stats().snapshot() - io_before;
-            mirror_io(&self.metrics, "data.input", stats.io);
-            stats.metrics = self.metrics.snapshot().since(&metrics_before);
+            self.finish_stats(&mut stats, source, io_before, &metrics_before);
             return Ok(BoatFit { tree, stats });
         }
-        let (work, mut stats) = self.fit_work(source, self.config.max_recursion, false)?;
+        let (work, mut stats) = self.fit_work(source, false)?;
         let tree = work.extract_tree();
-        stats.io = source.stats().snapshot() - io_before;
-        mirror_io(&self.metrics, "data.input", stats.io);
-        stats.metrics = self.metrics.snapshot().since(&metrics_before);
+        self.finish_stats(&mut stats, source, io_before, &metrics_before);
         Ok(BoatFit { tree, stats })
+    }
+
+    /// Close a top-level run's statistics: the input I/O delta (mirrored
+    /// into `data.input.*`), the scan count read from it, and the metrics
+    /// delta.
+    pub(crate) fn finish_stats(
+        &self,
+        stats: &mut BoatRunStats,
+        source: &dyn RecordSource,
+        io_before: IoSnapshot,
+        metrics_before: &boat_obs::Snapshot,
+    ) {
+        stats.io = source.stats().snapshot() - io_before;
+        stats.scans_over_input = stats.io.scans;
+        mirror_io(&self.metrics, "data.input", stats.io);
+        stats.metrics = self.metrics.snapshot().since(metrics_before);
     }
 
     /// Run the full BOAT pipeline, returning the finalized working tree
@@ -155,7 +163,6 @@ impl<I: Impurity + Clone> Boat<I> {
     pub(crate) fn fit_work(
         &self,
         source: &dyn RecordSource,
-        recursion_left: u32,
         retain_all_families: bool,
     ) -> Result<(WorkTree, BoatRunStats)> {
         let mut stats = BoatRunStats::default();
@@ -168,8 +175,6 @@ impl<I: Impurity + Clone> Boat<I> {
         let sample_span = self.metrics.span("boat.phase.sample");
         let sample = reservoir_sample(source, self.config.sample_size, &mut rng)?;
         sample_span.finish();
-        stats.scans_over_input += 1;
-        self.metrics.counter("boat.fit.input_scans").inc();
         stats.sample_records = sample.len() as u64;
         // The sample is transposed and presorted once: the bootstrap trees
         // grow on it, and `prepare` reads every node's statistics from it.
@@ -196,9 +201,9 @@ impl<I: Impurity + Clone> Boat<I> {
             &self.config,
             source.len(),
             retain_all_families,
-            // Temporary files (parked sets, families, rebuild partitions)
-            // are accounted separately from the input source, so callers
-            // can tell scans-over-D apart from local spill traffic. The
+            // Temporary files (parked sets, families) are accounted
+            // separately from the input source, so callers can tell
+            // scans-over-D apart from local spill traffic. The
             // handle shares its counters with the registry (`data.spill.*`),
             // so spill traffic shows in metric snapshots as it happens.
             IoStats::registered(&self.metrics, "data.spill"),
@@ -206,8 +211,8 @@ impl<I: Impurity + Clone> Boat<I> {
         );
         drop(cs);
         prepare_span.finish();
-        // The spill handle shares registry counters across runs and
-        // sub-runs, so this run's spill traffic is a delta, not an absolute.
+        // The spill handle shares registry counters across runs, so this
+        // run's spill traffic is a delta, not an absolute.
         let spill_io_before = work.spill_stats.snapshot();
         stats.sampling_time = t0.elapsed();
 
@@ -224,8 +229,6 @@ impl<I: Impurity + Clone> Boat<I> {
             self.config.cleanup_chunk_size,
         )?;
         cleanup_span.finish();
-        stats.scans_over_input += 1;
-        self.metrics.counter("boat.fit.input_scans").inc();
         stats.parked_tuples = work.parked_total();
         stats.cleanup_time = t1.elapsed();
 
@@ -245,7 +248,6 @@ impl<I: Impurity + Clone> Boat<I> {
                 &mut work,
                 jobs,
                 Some(source),
-                recursion_left,
                 source.len(),
                 promote,
                 &mut stats,
@@ -278,15 +280,13 @@ impl<I: Impurity + Clone> Boat<I> {
     }
 
     /// Execute completion jobs: gather each job's records (from retained
-    /// buffers, or one collection scan over `source`), then grow the
-    /// subtree in memory or via recursive BOAT.
-    #[allow(clippy::too_many_arguments)] // internal plumbing shared by fit and the model
+    /// buffers, or one collection scan over `source`), then grow each
+    /// subtree in memory or promote it into maintained state.
     pub(crate) fn execute_jobs(
         &self,
         work: &mut WorkTree,
         jobs: Vec<Job>,
         source: Option<&dyn RecordSource>,
-        recursion_left: u32,
         input_len: u64,
         promote: bool,
         stats: &mut BoatRunStats,
@@ -326,8 +326,6 @@ impl<I: Impurity + Clone> Boat<I> {
                     )
                 })
                 .collect();
-            stats.scans_over_input += 1;
-            self.metrics.counter("boat.fit.input_scans").inc();
             self.metrics.counter("boat.jobs.collection_scans").inc();
             for r in source.scan()? {
                 let r = r?;
@@ -359,37 +357,49 @@ impl<I: Impurity + Clone> Boat<I> {
             // Maintained models *promote* oversized subtrees into spliced
             // BOAT state (so future updates stream through them) instead
             // of growing a static tree that would be re-grown on every
-            // touch. The sub-run covers only the subtree's *stored*
+            // touch. The promoted state covers only the subtree's *stored*
             // records — ancestor-parked (`carried`) tuples stay parked at
             // the ancestors, preserving the parking invariant; the caller
             // re-runs the verification pass afterwards so the spliced
             // nodes get resolved with the carried tuples routed in.
-            // Whole-input families are exempt (a sub-run over the same
-            // data would hit the identical unresolved root and loop); they
-            // fall through to the damped grow path.
+            // Whole-input families are exempt (promoting the same data
+            // would hit the identical unresolved root and loop); they grow
+            // in memory.
             let family = records.len() + job.carried.len();
             let whole_input = family as u64 * 10 >= input_len.saturating_mul(9);
             // Positions whose promoted state keeps failing verification are
             // fit to noise; maintaining them is wasted work, so after two
             // promotions they fall back to cheap static regrowth.
             let noise_prone = work.nodes[job.idx].promotions >= 2;
+            let limits = limits_for_subtree(self.config.limits, work.nodes[job.idx].depth);
             if promote
-                && recursion_left > 0
                 && !whole_input
                 && !noise_prone
                 && family as u64 > self.config.in_memory_threshold
             {
                 let promotions = work.nodes[job.idx].promotions + 1;
                 self.metrics.counter("boat.jobs.promoted").inc();
-                let sub_work = self.promote_records(work, job.idx, records, stats)?;
+                // Exact construction from the family (no bootstrap; every
+                // criterion computed from the full family, so the next
+                // verification pass confirms it trivially).
+                let sub_work = crate::work::build_exact_work(
+                    work.schema.clone(),
+                    records,
+                    &self.impurity,
+                    &self.config,
+                    limits,
+                    work.spill_stats.clone(),
+                    work.metrics.clone(),
+                )?;
                 work.splice(job.idx, sub_work);
                 work.nodes[job.idx].promotions = promotions;
                 promoted_any = true;
                 continue;
             }
             records.extend(job.carried.iter().cloned());
-            let tree =
-                self.grow_records(work, job.idx, records, recursion_left, input_len, stats)?;
+            stats.inmem_builds += 1;
+            self.metrics.counter("boat.fit.inmem_builds").inc();
+            let tree = self.inmem_tree(&work.schema, &records, limits);
             debug_assert_eq!(
                 work.nodes[job.idx]
                     .resolution
@@ -405,117 +415,6 @@ impl<I: Impurity + Clone> Boat<I> {
         }
         Ok(promoted_any)
     }
-
-    /// Promote an oversized frontier/failed family into a fully maintained
-    /// sub-worktree via *exact construction* from the family records (no
-    /// bootstrap; every criterion computed from the full family, so the
-    /// next verification pass confirms it trivially).
-    fn promote_records(
-        &self,
-        work: &WorkTree,
-        idx: usize,
-        records: Vec<Record>,
-        stats: &mut BoatRunStats,
-    ) -> Result<WorkTree> {
-        let depth = work.nodes[idx].depth;
-        let sub_limits = limits_for_subtree(self.config.limits, depth);
-        stats.recursive_builds += 1;
-        self.metrics.counter("boat.fit.recursive_builds").inc();
-        crate::work::build_exact_work(
-            work.schema.clone(),
-            records,
-            &self.impurity,
-            &self.config,
-            sub_limits,
-            work.spill_stats.clone(),
-            work.metrics.clone(),
-        )
-    }
-
-    /// Grow a completion subtree from its family records: in memory when it
-    /// fits (or recursion is exhausted), else recursive BOAT over a
-    /// temporary partition file (§3.5).
-    fn grow_records(
-        &self,
-        work: &WorkTree,
-        idx: usize,
-        records: Vec<Record>,
-        recursion_left: u32,
-        input_len: u64,
-        stats: &mut BoatRunStats,
-    ) -> Result<Tree> {
-        let depth = work.nodes[idx].depth;
-        let sub_limits = limits_for_subtree(self.config.limits, depth);
-        if records.len() as u64 <= self.config.in_memory_threshold || recursion_left == 0 {
-            stats.inmem_builds += 1;
-            self.metrics.counter("boat.fit.inmem_builds").inc();
-            return Ok(self.inmem_tree(&work.schema, &records, sub_limits));
-        }
-        // Recursion damping: if this partition is (nearly) the whole input,
-        // the optimistic phase already saw this data and failed — grant one
-        // retry with a doubled sample, then fall back to the in-memory
-        // builder instead of looping on an intrinsically unstable node
-        // (the paper's Figure 12 observes growth simply stops there).
-        let whole_input = records.len() as u64 * 10 >= input_len.saturating_mul(9);
-        let sub_recursion = if whole_input { 0 } else { recursion_left - 1 };
-        let sub_sample = if whole_input {
-            self.config.sample_size.saturating_mul(2)
-        } else {
-            self.config.sample_size
-        };
-        stats.recursive_builds += 1;
-        self.metrics.counter("boat.fit.recursive_builds").inc();
-        // The global counter only keeps temp-file names unique. The
-        // sub-run's seed must NOT depend on it: run statistics are part of
-        // the library's contract (the parallel-exactness oracle compares
-        // them across thread counts), so they must be a pure function of
-        // (config, data) — independent of how many rebuilds *other* fits in
-        // this process have performed. Derive the seed from the rebuild's
-        // own position and family instead.
-        let id = REBUILD_COUNTER.fetch_add(1, Ordering::Relaxed);
-        let sub_seed = self.config.seed
-            ^ (0xD1CE << 16)
-            ^ ((idx as u64) << 40)
-            ^ ((depth as u64) << 32)
-            ^ records.len() as u64;
-        // Rebuild partitions are temp files like the spill buffers, so they
-        // honor the same `spill_dir` override (and the same stale-file
-        // sweep prefix).
-        let dir = self
-            .config
-            .spill_dir
-            .clone()
-            .unwrap_or_else(std::env::temp_dir);
-        let path = dir.join(format!("boat-rebuild-{}-{id}.boat", std::process::id()));
-        let sub = Boat {
-            config: BoatConfig {
-                limits: sub_limits,
-                seed: sub_seed,
-                sample_size: sub_sample,
-                ..self.config.clone()
-            },
-            impurity: self.impurity.clone(),
-            // Sub-runs record into the parent's registry, so a fit's
-            // metrics snapshot covers its whole recursive pipeline.
-            metrics: self.metrics.clone(),
-        };
-        // Every step that can fail after the file exists runs inside the
-        // closure, so the partition file is removed on every path.
-        let result = (|| -> Result<Tree> {
-            let mut writer =
-                FileDatasetWriter::create(&path, work.schema.clone(), work.spill_stats.clone())?;
-            for r in &records {
-                writer.append(r)?;
-            }
-            drop(records);
-            let partition = writer.finish()?;
-            let (w, sub_stats) = sub.fit_work(&partition, sub_recursion, false)?;
-            stats.absorb(&sub_stats);
-            Ok(w.extract_tree())
-        })();
-        let _ = std::fs::remove_file(&path);
-        result
-    }
 }
 
 /// Mirror an [`IoSnapshot`] delta into registry counters under `prefix`
@@ -524,9 +423,8 @@ impl<I: Impurity + Clone> Boat<I> {
 /// Input-source I/O is counted by the *caller's* detached [`IoStats`]
 /// handle, not ours; public entry points mirror the per-run delta into the
 /// registry once, so `data.input.*` counters line up with `data.spill.*`
-/// in the same snapshot without double-counting recursive partition scans
-/// (sub-partitions are temp files, accounted as spill traffic).
-pub(crate) fn mirror_io(metrics: &Registry, prefix: &str, d: IoSnapshot) {
+/// in the same snapshot.
+fn mirror_io(metrics: &Registry, prefix: &str, d: IoSnapshot) {
     metrics.counter(&format!("{prefix}.scans")).add(d.scans);
     metrics
         .counter(&format!("{prefix}.records_read"))
@@ -582,51 +480,4 @@ pub fn reference_tree<I: Impurity + Clone>(
     let records = source.collect_records()?;
     let selector = ImpuritySelector::new(impurity);
     Ok(TdTreeBuilder::new(&selector, limits).fit(source.schema(), &records))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use boat_data::{Attribute, Field, Schema};
-
-    #[test]
-    fn grow_records_removes_its_partition_file_when_writing_fails() {
-        let dir = std::env::temp_dir().join(format!("boat-rebuild-leak-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let config = BoatConfig {
-            in_memory_threshold: 4,
-            spill_dir: Some(dir.clone()),
-            ..BoatConfig::default()
-        };
-        let boat = Boat::new(config.clone());
-        let schema = Schema::shared(vec![Attribute::numeric("x")], 2).unwrap();
-        let work = crate::work::build_exact_work(
-            schema,
-            Vec::new(),
-            &Gini,
-            &config,
-            GrowthLimits::default(),
-            IoStats::new(),
-            Registry::new(),
-        )
-        .unwrap();
-        // More records than the in-memory threshold, so the family goes to
-        // a partition file; the last one has the wrong arity, so encoding
-        // it fails halfway through the write.
-        let mut records: Vec<Record> = (0..8)
-            .map(|i| Record::new(vec![Field::Num(i as f64)], (i % 2) as u16))
-            .collect();
-        records.push(Record::new(vec![Field::Num(1.0), Field::Num(2.0)], 0));
-        let mut stats = BoatRunStats::default();
-        let result = boat.grow_records(&work, 0, records, 1, 100, &mut stats);
-        assert!(matches!(result, Err(DataError::Schema(_))), "{result:?}");
-        let left: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .filter(|name| name.starts_with("boat-rebuild-"))
-            .collect();
-        std::fs::remove_dir_all(&dir).unwrap();
-        assert!(left.is_empty(), "partition files left behind: {left:?}");
-    }
 }

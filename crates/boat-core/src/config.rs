@@ -80,8 +80,12 @@ pub struct BoatConfig {
     /// before taking the confidence interval (0.0 = the full min..max
     /// range). Wider intervals park more tuples but fail less often.
     pub confidence_trim: f64,
-    /// Node families of at most this many tuples are finished with the
-    /// in-memory builder instead of BOAT machinery (§3.5).
+    /// The in-memory switch (§3.5), in tuples. An input of at most this
+    /// many tuples is fit in memory in one scan; the bootstrap stops
+    /// growing the coarse tree at families this small; a maintained model
+    /// promotes a regrown family larger than this into maintained BOAT
+    /// state. Completion families are gathered in memory, so they always
+    /// finish with the in-memory builder whatever their size.
     pub in_memory_threshold: u64,
     /// Per-node in-memory budget (records) for parked-tuple buffers before
     /// they spill to temporary files.
@@ -97,9 +101,6 @@ pub struct BoatConfig {
     pub agreement: AgreementRule,
     /// Stopping rules, shared verbatim with the reference builder.
     pub limits: GrowthLimits,
-    /// Maximum recursion depth for failed/unfinished subtrees before
-    /// falling back to the in-memory builder unconditionally.
-    pub max_recursion: u32,
     /// Seed for sampling and bootstrapping.
     pub seed: u64,
     /// Worker threads for the cleanup scan. `0` means "use the machine's
@@ -110,9 +111,10 @@ pub struct BoatConfig {
     /// Records per chunk handed to a cleanup worker. Large enough to
     /// amortize channel traffic, small enough to keep all workers busy.
     pub cleanup_chunk_size: usize,
-    /// Directory for spill and rebuild temporary files. `None` (default)
-    /// uses [`std::env::temp_dir`]. The first spill into a directory also
-    /// sweeps temp files orphaned there by dead processes.
+    /// Directory for spill temporary files (parked sets and retained
+    /// families). `None` (default) uses [`std::env::temp_dir`]. The first
+    /// spill into a directory also sweeps temp files orphaned there by dead
+    /// processes.
     pub spill_dir: Option<std::path::PathBuf>,
     /// Fraction of a node's rows the columnar engine's confidence-gated
     /// split search sub-samples as exact boundary candidates before corner
@@ -141,7 +143,6 @@ impl Default for BoatConfig {
             discretize: DiscretizeStrategy::default(),
             agreement: AgreementRule::default(),
             limits: GrowthLimits::default(),
-            max_recursion: 8,
             seed: 0xB0A7,
             cleanup_threads: 0,
             cleanup_chunk_size: 8_192,

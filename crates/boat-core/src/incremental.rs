@@ -82,11 +82,9 @@ impl<I: Impurity + Clone> Boat<I> {
         let metrics_before = self.metrics().snapshot();
         let io_before = source.stats().snapshot();
         self.metrics().counter("boat.fit.runs").inc();
-        let (work, mut stats) = self.fit_work(source, self.config().max_recursion, true)?;
+        let (work, mut stats) = self.fit_work(source, true)?;
         let tree = work.extract_tree();
-        stats.io = source.stats().snapshot() - io_before;
-        crate::boat::mirror_io(self.metrics(), "data.input", stats.io);
-        stats.metrics = self.metrics().snapshot().since(&metrics_before);
+        self.finish_stats(&mut stats, source, io_before, &metrics_before);
         Ok((
             BoatModel {
                 algo: self.clone(),
@@ -225,22 +223,15 @@ impl<I: Impurity + Clone> BoatModel<I> {
         let imp = self.algo.impurity().clone();
         let limits = self.config().limits;
         let mut stats = BoatRunStats::default();
-        let max_recursion = self.config().max_recursion;
         let total: u64 = self.work.root_family();
         // Promotions splice maintained subtrees in and require a
         // re-verification pass (bounded: the final round disables
         // promotion, and static growth always completes).
         for round in 0..4u32 {
             let jobs = self.work.finalize(&imp, limits)?;
-            let promoted = self.algo.execute_jobs(
-                &mut self.work,
-                jobs,
-                None,
-                max_recursion,
-                total,
-                round < 3,
-                &mut stats,
-            )?;
+            let promoted =
+                self.algo
+                    .execute_jobs(&mut self.work, jobs, None, total, round < 3, &mut stats)?;
             if !promoted {
                 break;
             }

@@ -12,8 +12,9 @@ use std::time::Duration;
 #[derive(Debug, Clone, Default)]
 pub struct BoatRunStats {
     /// Sequential scans made over the *input* training database (sampling
-    /// scan + cleanup scan + any failure-recovery scans). The paper's
-    /// headline: typically 2.
+    /// scan + cleanup scan + any collection scan), read from the input's
+    /// I/O counters (`io.scans`, `data.input.scans`). The paper's headline:
+    /// typically 2.
     pub scans_over_input: u64,
     /// Records actually drawn into the in-memory sample `D'`.
     pub sample_records: u64,
@@ -28,10 +29,9 @@ pub struct BoatRunStats {
     pub parked_tuples: u64,
     /// Parked/frontier tuples that overflowed to temporary files.
     pub spilled_tuples: u64,
-    /// Frontier subtrees finished with the in-memory builder.
+    /// Families finished with the in-memory builder: the whole input on
+    /// the small-input fast path, or each completion job's family.
     pub inmem_builds: u64,
-    /// Frontier/failed subtrees re-run through BOAT recursively.
-    pub recursive_builds: u64,
     /// Completion jobs actually executed (grown, regrown or promoted) —
     /// reusable jobs whose grown subtree is provably unchanged are skipped
     /// and not counted. Accumulated across every verification round.
@@ -44,8 +44,7 @@ pub struct BoatRunStats {
     pub postprocess_time: Duration,
     /// I/O over the *input* training database.
     pub io: IoSnapshot,
-    /// I/O over temporary files (parked sets `S_n`, retained families,
-    /// rebuild partitions).
+    /// I/O over temporary files (parked sets `S_n`, retained families).
     pub spill_io: IoSnapshot,
     /// Full observability snapshot of the run: the delta of the owning
     /// `Boat`'s metric registry over this fit (phase spans, verification
@@ -60,23 +59,6 @@ impl BoatRunStats {
     pub fn total_time(&self) -> Duration {
         self.sampling_time + self.cleanup_time + self.postprocess_time
     }
-
-    /// Merge a recursive sub-run into this one (scan counts and totals
-    /// accumulate; phase times accumulate).
-    pub fn absorb(&mut self, sub: &BoatRunStats) {
-        self.scans_over_input += sub.scans_over_input;
-        self.coarse_nodes += sub.coarse_nodes;
-        self.verified_nodes += sub.verified_nodes;
-        self.failed_nodes += sub.failed_nodes;
-        self.parked_tuples += sub.parked_tuples;
-        self.spilled_tuples += sub.spilled_tuples;
-        self.inmem_builds += sub.inmem_builds;
-        self.recursive_builds += sub.recursive_builds;
-        self.jobs_executed += sub.jobs_executed;
-        self.sampling_time += sub.sampling_time;
-        self.cleanup_time += sub.cleanup_time;
-        self.postprocess_time += sub.postprocess_time;
-    }
 }
 
 impl std::fmt::Display for BoatRunStats {
@@ -84,7 +66,7 @@ impl std::fmt::Display for BoatRunStats {
         write!(
             f,
             "scans={} coarse={} verified={} failed={} parked={} spilled={} \
-             inmem={} recursive={} time={:?}",
+             inmem={} time={:?}",
             self.scans_over_input,
             self.coarse_nodes,
             self.verified_nodes,
@@ -92,7 +74,6 @@ impl std::fmt::Display for BoatRunStats {
             self.parked_tuples,
             self.spilled_tuples,
             self.inmem_builds,
-            self.recursive_builds,
             self.total_time()
         )
     }
@@ -101,26 +82,6 @@ impl std::fmt::Display for BoatRunStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn absorb_accumulates() {
-        let mut a = BoatRunStats {
-            scans_over_input: 2,
-            failed_nodes: 1,
-            ..Default::default()
-        };
-        let b = BoatRunStats {
-            scans_over_input: 2,
-            inmem_builds: 3,
-            sampling_time: Duration::from_millis(5),
-            ..Default::default()
-        };
-        a.absorb(&b);
-        assert_eq!(a.scans_over_input, 4);
-        assert_eq!(a.failed_nodes, 1);
-        assert_eq!(a.inmem_builds, 3);
-        assert_eq!(a.total_time(), Duration::from_millis(5));
-    }
 
     #[test]
     fn display_mentions_scans() {

@@ -101,25 +101,34 @@ fn extreme_confidence_trim() {
 }
 
 #[test]
-fn zero_recursion_budget() {
-    let mut cfg = tiny_config(7);
-    cfg.max_recursion = 0; // every oversized completion goes in-memory
+fn failed_nodes_regrow_in_memory_without_extra_scans() {
+    // F7 fails verification at this size; each failed family is gathered
+    // in memory and regrown there, so the fit reads the input only in its
+    // own passes and writes less spill than it reads input.
+    let cfg = tiny_config(8);
     let source = GeneratorConfig::new(LabelFunction::F7)
-        .with_seed(7)
+        .with_seed(8)
         .source(5_000);
     let fit = Boat::new(cfg.clone()).fit(&source).unwrap();
     let reference = reference_tree(&source, Gini, cfg.limits).unwrap();
     assert_eq!(fit.tree, reference);
-    assert_eq!(fit.stats.recursive_builds, 0);
+    let m = &fit.stats.metrics;
+    assert!(m.counter("boat.verify.fail") >= 1, "F7 must fail some node");
+    assert_eq!(fit.stats.scans_over_input, m.counter("data.input.scans"));
+    let (spilled, read) = (
+        m.counter("data.spill.bytes_written"),
+        m.counter("data.input.bytes_read"),
+    );
+    assert!(spilled <= read, "spill {spilled} B > input {read} B");
 }
 
 #[test]
 fn every_failed_node_counts_under_one_reason() {
     // Untrimmed intervals on F7 still fail verification at some nodes.
-    let mut cfg = tiny_config(7);
+    let mut cfg = tiny_config(8);
     cfg.confidence_trim = 0.0;
     let source = GeneratorConfig::new(LabelFunction::F7)
-        .with_seed(7)
+        .with_seed(8)
         .source(5_000);
     let fit = Boat::new(cfg.clone()).fit(&source).unwrap();
     let reference = reference_tree(&source, Gini, cfg.limits).unwrap();

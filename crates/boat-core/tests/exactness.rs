@@ -231,7 +231,7 @@ fn typical_case_uses_two_scans() {
 #[test]
 fn paper_mode_f1_needs_few_scans_and_stays_exact() {
     // F1 at paper-mode settings: the occasional structural disagreement may
-    // cost a recursive partition pass, but scan counts stay far below the
+    // cost a collection scan, but scan counts stay far below the
     // one-scan-per-level baseline and the tree stays exact.
     let source = GeneratorConfig::new(LabelFunction::F1)
         .with_seed(13)

@@ -27,8 +27,8 @@ fn config(seed: u64) -> BoatConfig {
 /// in-memory switch at the stopping size. The cost-model claims ("two
 /// scans", "spill bounded by the parked/frontier subset of the input") are
 /// statements about *this* regime — a deliberately tiny in-memory threshold
-/// instead forces recursive partitioning whose temp traffic can exceed the
-/// input.
+/// instead grows deep coarse trees whose many parked sets and retained
+/// families are not what the claims describe.
 fn paper_config(n: u64, seed: u64) -> BoatConfig {
     let stop = (n * 3 / 20).max(500);
     let mut cfg = BoatConfig::scaled_for(n).with_seed(seed);
@@ -58,10 +58,9 @@ fn clean_fit_makes_exactly_two_scans() {
     let fit = Boat::new(paper_config(8_000, 4100)).fit(&data).unwrap();
     let m = &fit.stats.metrics;
     assert_eq!(fit.stats.failed_nodes, 0, "fixture must verify cleanly");
-    // The paper's headline, checked three independent ways that must agree:
-    // classic stats, the fit-phase counter, and the mirrored I/O counter.
+    // The paper's headline, in the classic stats and in the mirrored I/O
+    // counter they are read from.
     assert_eq!(fit.stats.scans_over_input, 2);
-    assert_eq!(m.counter("boat.fit.input_scans"), 2);
     assert_eq!(m.counter("data.input.scans"), 2);
     assert_eq!(m.counter("boat.jobs.collection_scans"), 0);
     // Two scans = every input record read exactly twice.

@@ -52,7 +52,6 @@ struct DeterministicStats {
     parked_tuples: u64,
     spilled_tuples: u64,
     inmem_builds: u64,
-    recursive_builds: u64,
     input_records_read: u64,
     input_bytes_read: u64,
 }
@@ -68,7 +67,6 @@ impl DeterministicStats {
             parked_tuples: stats.parked_tuples,
             spilled_tuples: stats.spilled_tuples,
             inmem_builds: stats.inmem_builds,
-            recursive_builds: stats.recursive_builds,
             input_records_read: stats.io.records_read,
             input_bytes_read: stats.io.bytes_read,
         }
@@ -287,8 +285,8 @@ fn bet_config() -> BoatConfig {
         sample_size: 400,
         bootstrap_reps: 10,
         bootstrap_sample_size: 200,
-        // Above either half's family, below the input: the frontier jobs
-        // build in memory without a recursive sub-run.
+        // Above either half's family, below the input: the fit runs the
+        // BOAT pipeline rather than the top-level in-memory build.
         in_memory_threshold: 15_000,
         spill_budget: 64,
         cleanup_chunk_size: 512,

@@ -36,10 +36,11 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 static SPILL_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-/// File-name prefixes this module considers its own when sweeping. The
-/// rebuild partition files written by `boat-core` and the WAL segments
-/// written by [`crate::wal`] share the temp directory and the
-/// crash-orphaning problem, so the sweep covers all three.
+/// File-name prefixes this module considers its own when sweeping. The WAL
+/// segments written by [`crate::wal`] share the temp directory and the
+/// crash-orphaning problem, and earlier versions of `boat-core` wrote
+/// `boat-rebuild-` partition files that a crashed process may have left
+/// behind, so the sweep covers all three.
 const STALE_PREFIXES: [&str; 3] = ["boat-spill-", "boat-rebuild-", "boat-wal-"];
 
 fn fresh_temp_path(dir: &Path) -> PathBuf {

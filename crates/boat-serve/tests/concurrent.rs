@@ -14,7 +14,7 @@ use boat_serve::{
 };
 use boat_tree::{Gini, GrowthLimits};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 fn config(seed: u64) -> BoatConfig {
     BoatConfig {
@@ -68,24 +68,33 @@ fn readers_observe_only_pre_or_post_maintenance_trees() {
     // overlaps with serving — runs while readers spin.
     model.insert(&mem(&schema, all[5_000..].to_vec())).unwrap();
 
+    // Every reader has started before maintenance does, and each takes at
+    // least one snapshot, even when maintain finishes before the reader is
+    // scheduled again.
     let stop = Arc::new(AtomicBool::new(false));
+    let readers = 4;
+    let started = Barrier::new(readers + 1);
     let mut observations: Vec<Vec<(u64, Vec<u16>)>> = Vec::new();
     std::thread::scope(|s| {
         let mut joins = Vec::new();
-        for _ in 0..4 {
+        for _ in 0..readers {
             let handle = handle.clone();
             let stop = Arc::clone(&stop);
-            let schema = &schema;
-            let probes = &probes;
+            let (schema, probes, started) = (&schema, &probes, &started);
             joins.push(s.spawn(move || {
                 let mut seen = Vec::new();
-                while !stop.load(Ordering::Relaxed) {
+                started.wait();
+                loop {
                     let (snap, epoch) = handle.snapshot_with_epoch();
                     seen.push((epoch, fingerprint(&snap, schema, probes)));
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
                 seen
             }));
         }
+        started.wait();
         model.maintain().unwrap();
         stop.store(true, Ordering::Relaxed);
         for j in joins {

@@ -59,7 +59,7 @@ fn all_algorithms_agree_on_disk_data() {
 #[test]
 fn boat_reads_less_than_level_synchronous_rainforest() {
     // The headline cost comparison, measured as *records read* (the BOAT
-    // handle also counts its temporary spill/partition files, so this is
+    // handle also counts its temporary spill files, so this is
     // total I/O, not just scans of D).
     let path = tmpfile("scans.boat");
     let gen = GeneratorConfig::new(LabelFunction::F7).with_seed(60);
