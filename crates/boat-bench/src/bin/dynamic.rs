@@ -179,7 +179,7 @@ fn run_updates(
         let cumulative = base_n + (i + 1) * chunk_n;
 
         // Incremental update: stream the chunk, then materialize the tree
-        // (verification + any promotions/rebuilds).
+        // (verification + regrowth of any failed subtree).
         let report = model.insert(&chunk)?;
         let maintenance = model.maintain()?;
         let update_time = report.time + maintenance.time;

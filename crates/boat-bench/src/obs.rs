@@ -139,7 +139,6 @@ pub fn print_metrics_summary(snap: &Snapshot) {
         counter("boat.verify.fail"),
         counter("boat.jobs.executed"),
         counter("boat.jobs.reused"),
-        counter("boat.jobs.promoted"),
         counter("boat.jobs.collection_scans"),
     ] {
         table.row(vec![name, value.to_string()]);

@@ -233,30 +233,13 @@ impl<I: Impurity + Clone> Boat<I> {
         stats.cleanup_time = t1.elapsed();
 
         // ---- verification + completion ----
-        // Promotions splice fresh maintained subtrees in; their nodes then
-        // need a verification pass with the ancestor-parked tuples routed
-        // down, so iterate to a fixed point (bounded: the final round runs
-        // without promotion, so static growth always completes it).
         let t2 = Instant::now();
-        for round in 0..4u32 {
-            let verify_span = self.metrics.span("boat.phase.verify");
-            let jobs = work.finalize(&self.impurity, self.config.limits)?;
-            verify_span.finish();
-            let promote = retain_all_families && round < 3;
-            let rebuild_span = self.metrics.span("boat.phase.rebuild");
-            let promoted = self.execute_jobs(
-                &mut work,
-                jobs,
-                Some(source),
-                source.len(),
-                promote,
-                &mut stats,
-            )?;
-            rebuild_span.finish();
-            if !promoted {
-                break;
-            }
-        }
+        let verify_span = self.metrics.span("boat.phase.verify");
+        let jobs = work.finalize(&self.impurity, self.config.limits)?;
+        verify_span.finish();
+        let rebuild_span = self.metrics.span("boat.phase.rebuild");
+        self.execute_jobs(&mut work, jobs, Some(source), &mut stats)?;
+        rebuild_span.finish();
         for node in &work.nodes {
             match node.resolution {
                 Resolution::Split { .. } => stats.verified_nodes += 1,
@@ -281,17 +264,14 @@ impl<I: Impurity + Clone> Boat<I> {
 
     /// Execute completion jobs: gather each job's records (from retained
     /// buffers, or one collection scan over `source`), then grow each
-    /// subtree in memory or promote it into maintained state.
+    /// subtree in memory.
     pub(crate) fn execute_jobs(
         &self,
         work: &mut WorkTree,
         jobs: Vec<Job>,
         source: Option<&dyn RecordSource>,
-        input_len: u64,
-        promote: bool,
         stats: &mut BoatRunStats,
-    ) -> Result<bool> {
-        let mut promoted_any = false;
+    ) -> Result<()> {
         // Reuse grown subtrees that are provably unchanged.
         let mut pending: Vec<(Job, Option<Vec<Record>>)> = Vec::new();
         for job in jobs {
@@ -354,48 +334,7 @@ impl<I: Impurity + Clone> Boat<I> {
             stats.jobs_executed += 1;
             self.metrics.counter("boat.jobs.executed").inc();
             let mut records = records.expect("records gathered above");
-            // Maintained models *promote* oversized subtrees into spliced
-            // BOAT state (so future updates stream through them) instead
-            // of growing a static tree that would be re-grown on every
-            // touch. The promoted state covers only the subtree's *stored*
-            // records — ancestor-parked (`carried`) tuples stay parked at
-            // the ancestors, preserving the parking invariant; the caller
-            // re-runs the verification pass afterwards so the spliced
-            // nodes get resolved with the carried tuples routed in.
-            // Whole-input families are exempt (promoting the same data
-            // would hit the identical unresolved root and loop); they grow
-            // in memory.
-            let family = records.len() + job.carried.len();
-            let whole_input = family as u64 * 10 >= input_len.saturating_mul(9);
-            // Positions whose promoted state keeps failing verification are
-            // fit to noise; maintaining them is wasted work, so after two
-            // promotions they fall back to cheap static regrowth.
-            let noise_prone = work.nodes[job.idx].promotions >= 2;
             let limits = limits_for_subtree(self.config.limits, work.nodes[job.idx].depth);
-            if promote
-                && !whole_input
-                && !noise_prone
-                && family as u64 > self.config.in_memory_threshold
-            {
-                let promotions = work.nodes[job.idx].promotions + 1;
-                self.metrics.counter("boat.jobs.promoted").inc();
-                // Exact construction from the family (no bootstrap; every
-                // criterion computed from the full family, so the next
-                // verification pass confirms it trivially).
-                let sub_work = crate::work::build_exact_work(
-                    work.schema.clone(),
-                    records,
-                    &self.impurity,
-                    &self.config,
-                    limits,
-                    work.spill_stats.clone(),
-                    work.metrics.clone(),
-                )?;
-                work.splice(job.idx, sub_work);
-                work.nodes[job.idx].promotions = promotions;
-                promoted_any = true;
-                continue;
-            }
             records.extend(job.carried.iter().cloned());
             stats.inmem_builds += 1;
             self.metrics.counter("boat.fit.inmem_builds").inc();
@@ -413,7 +352,7 @@ impl<I: Impurity + Clone> Boat<I> {
             node.grown_carried_fp = Some(job.carried_fp);
             clear_subtree_dirty(work, job.idx);
         }
-        Ok(promoted_any)
+        Ok(())
     }
 }
 

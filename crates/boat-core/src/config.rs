@@ -80,12 +80,12 @@ pub struct BoatConfig {
     /// before taking the confidence interval (0.0 = the full min..max
     /// range). Wider intervals park more tuples but fail less often.
     pub confidence_trim: f64,
-    /// The in-memory switch (§3.5), in tuples. An input of at most this
-    /// many tuples is fit in memory in one scan; the bootstrap stops
-    /// growing the coarse tree at families this small; a maintained model
-    /// promotes a regrown family larger than this into maintained BOAT
-    /// state. Completion families are gathered in memory, so they always
-    /// finish with the in-memory builder whatever their size.
+    /// The in-memory switch (§3.5), in tuples. It has two uses: an input
+    /// of at most this many tuples is fit in memory in one scan, and the
+    /// bootstrap stops growing the coarse tree at families this small.
+    /// Completion families are gathered in memory, so they always finish
+    /// with the in-memory builder whatever their size, in a fit and in a
+    /// maintained model alike.
     pub in_memory_threshold: u64,
     /// Per-node in-memory budget (records) for parked-tuple buffers before
     /// they spill to temporary files.

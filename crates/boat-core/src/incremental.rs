@@ -18,9 +18,9 @@
 //! training database is **never rescanned**. If the distribution changed
 //! somewhere, verification fails exactly at the affected subtree, and only
 //! that subtree is rebuilt (from records the model itself retained).
-//! Frontier leaves that outgrow the in-memory threshold are *promoted*
-//! into fully maintained state, so the maintained region tracks the
-//! growing database.
+//! Every regrown family — a failed node's or a frontier leaf's, however
+//! large it has become — is grown in memory, so the maintained region is
+//! the coarse tree of the initial fit.
 
 use crate::boat::{Boat, BoatFit};
 use crate::config::BoatConfig;
@@ -49,7 +49,8 @@ pub struct MaintainReport {
     /// Coarse nodes whose criterion failed verification (their subtrees
     /// were rebuilt).
     pub failed_nodes: u64,
-    /// Completion jobs executed (subtrees grown, regrown or promoted).
+    /// Completion jobs executed: subtrees grown or regrown in memory. A
+    /// job whose grown subtree is provably unchanged is reused, not counted.
     pub regrown_subtrees: u64,
     /// Wall time of verification + completion.
     pub time: Duration,
@@ -208,9 +209,9 @@ impl<I: Impurity + Clone> BoatModel<I> {
         }
     }
 
-    /// Run pending maintenance now: the verification pass, subtree
-    /// completion, and promotion of outgrown frontier nodes. Idempotent;
-    /// a no-op when the tree is already current.
+    /// Run pending maintenance now: one verification pass, then the
+    /// in-memory regrowth of every subtree it left to complete.
+    /// Idempotent; a no-op when the tree is already current.
     pub fn maintain(&mut self) -> Result<MaintainReport> {
         let mut report = MaintainReport::default();
         if self.tree.is_some() {
@@ -223,23 +224,11 @@ impl<I: Impurity + Clone> BoatModel<I> {
         let imp = self.algo.impurity().clone();
         let limits = self.config().limits;
         let mut stats = BoatRunStats::default();
-        let total: u64 = self.work.root_family();
-        // Promotions splice maintained subtrees in and require a
-        // re-verification pass (bounded: the final round disables
-        // promotion, and static growth always completes).
-        for round in 0..4u32 {
-            let jobs = self.work.finalize(&imp, limits)?;
-            let promoted =
-                self.algo
-                    .execute_jobs(&mut self.work, jobs, None, total, round < 3, &mut stats)?;
-            if !promoted {
-                break;
-            }
-        }
-        // Jobs *executed* across every promotion round — rounds 1–3 regrow
-        // the subtrees the promotions spliced in, and reusable jobs (grown
-        // subtree provably unchanged) are skipped, so this is neither the
-        // round-0 job count nor the sum of per-round job lists.
+        let jobs = self.work.finalize(&imp, limits)?;
+        self.algo
+            .execute_jobs(&mut self.work, jobs, None, &mut stats)?;
+        // Jobs *executed*: reusable jobs (grown subtree provably unchanged)
+        // are skipped, so this can be below the number of jobs.
         report.regrown_subtrees = stats.jobs_executed;
         report.failed_nodes = self
             .work

@@ -32,9 +32,9 @@ pub struct BoatRunStats {
     /// Families finished with the in-memory builder: the whole input on
     /// the small-input fast path, or each completion job's family.
     pub inmem_builds: u64,
-    /// Completion jobs actually executed (grown, regrown or promoted) —
-    /// reusable jobs whose grown subtree is provably unchanged are skipped
-    /// and not counted. Accumulated across every verification round.
+    /// Completion jobs actually executed (subtrees grown or regrown in
+    /// memory) — reusable jobs whose grown subtree is provably unchanged
+    /// are skipped and not counted.
     pub jobs_executed: u64,
     /// Wall time of the sampling + bootstrap phase.
     pub sampling_time: Duration,

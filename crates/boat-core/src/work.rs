@@ -14,7 +14,7 @@
 //! carrying parked ancestor tuples downward *transiently*.
 
 use crate::buckets::{build_boundaries, BucketSet, ValueRuns};
-use crate::coarse::{CoarseCriterion, CoarseTree, FrontierReason};
+use crate::coarse::{CoarseCriterion, CoarseTree};
 use crate::config::BoatConfig;
 use crate::verify::bucket_passes;
 use boat_data::codec::RowLayout;
@@ -27,6 +27,7 @@ use boat_tree::{
     SplitSelector, Tree,
 };
 use std::cmp::Ordering;
+use std::collections::btree_map::Entry;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
@@ -372,27 +373,15 @@ pub(crate) struct Job {
 /// One node of the working tree.
 pub(crate) struct WorkNode {
     pub crit: Option<CoarseCriterion>,
-    /// Why the coarse node is a frontier leaf (diagnostics).
-    #[allow(dead_code)]
-    pub reason: Option<FrontierReason>,
     pub left: Option<usize>,
     pub right: Option<usize>,
-    #[allow(dead_code)] // parent links are kept for diagnostics/debugging
-    pub parent: Option<usize>,
     pub depth: u32,
-    /// Estimated `|F_n|` extrapolated from the sample (spill policy only).
-    #[allow(dead_code)]
-    pub est_family: u64,
     pub state: NodeState,
     pub resolution: Resolution,
     /// Completed subtree for Frontier/Failed nodes.
     pub grown: Option<Tree>,
     /// Fingerprint of the carried set the grown subtree was built with.
     pub grown_carried_fp: Option<u64>,
-    /// How many times this position has been promoted to maintained state.
-    /// Positions that keep failing verification (noise-driven structure)
-    /// fall back to cheap static regrowth instead of re-promoting.
-    pub promotions: u32,
 }
 
 /// The working tree: coarse structure + cleanup state + resolutions.
@@ -602,7 +591,6 @@ impl WorkTree {
             for &row in &rows.rows {
                 totals[sample.label(row) as usize] += 1;
             }
-            let est_family = (rows.len() as f64 * scale).round() as u64;
             let (crit, state) = match &cn.crit {
                 Some(coarse_crit) => {
                     // Internal: estimate the node's minimum impurity from
@@ -612,20 +600,13 @@ impl WorkTree {
                         .select_columnar(sample, &rows, &ones, &totals)
                         .map_or(0.0, |e| e.impurity);
                     let (crit, counts) = internal_counts(
-                        &schema,
                         coarse_crit.clone(),
+                        sample,
+                        &rows,
                         &totals,
                         est_min,
                         imp,
                         config,
-                        |a, runs| {
-                            let col = sample.num_column(a);
-                            let list = rows.sorted[a].as_deref().expect("presorted sample");
-                            runs.fill_sorted(
-                                list.iter()
-                                    .map(|&row| (col[row as usize], sample.label(row))),
-                            );
-                        },
                     );
                     // The sample routes by the coarse criterion, numeric
                     // ones at the interval midpoint.
@@ -660,6 +641,7 @@ impl WorkTree {
                     // pure leaf, which its class counts settle without its
                     // records; a lost bet costs one collection scan.
                     let sample_pure = totals.iter().filter(|&&c| c > 0).count() == 1;
+                    let est_family = (rows.len() as f64 * scale).round() as u64;
                     let keep = retain_all_families
                         || (!sample_pure
                             && match config.limits.stop_family_size {
@@ -677,17 +659,13 @@ impl WorkTree {
             };
             built[i] = Some(WorkNode {
                 crit,
-                reason: cn.reason,
                 left: cn.left,
                 right: cn.right,
-                parent: cn.parent,
                 depth: cn.depth,
-                est_family,
                 state,
                 resolution: Resolution::Pending,
                 grown: None,
                 grown_carried_fp: None,
-                promotions: 0,
             });
         }
         let nodes = built
@@ -746,20 +724,35 @@ impl WorkTree {
     /// counter moves. Otherwise deleting a record that was never inserted
     /// would underflow a `u64` cell several levels down after its ancestors
     /// were already decremented. A failed delete is therefore a no-op and
-    /// the model stays usable. [`SpillBuffer::remove_many`] leaves each
-    /// buffer as one-record removals in sequence would, but a D-record chunk
-    /// rewrites each touched spilled buffer once (`O(n)`) instead of `D`
-    /// times (`O(D·n)`).
+    /// the model stays usable. Membership is counted with one
+    /// [`SpillBuffer::count_matching`] per touched buffer, and
+    /// [`SpillBuffer::remove_many`] leaves each buffer as one-record removals
+    /// in sequence would, so a D-record chunk reads and rewrites each touched
+    /// spilled buffer once (`O(n)`) instead of `D` times (`O(D·n)`).
     ///
     /// Returns how many records were fully applied, plus the error that
     /// stopped the batch (if any). On an error the prefix before the failing
     /// record is still applied.
     pub fn absorb_delete_batch(&mut self, records: &[Record]) -> (u64, Option<DataError>) {
+        // Where each record's walk stops, and its place among the records
+        // that stop there. Routing reads only the criteria, which deletions
+        // never change.
+        let mut targets: BTreeMap<usize, Vec<&Record>> = BTreeMap::new();
+        let mut slots = Vec::with_capacity(records.len());
+        for r in records {
+            let end = self
+                .walk(r, |_, _| Ok(()))
+                .expect("a walk that checks nothing cannot fail");
+            let group = targets.entry(end).or_default();
+            slots.push((end, group.len()));
+            group.push(r);
+        }
+        let mut stored: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
         let mut pending: BTreeMap<usize, Vec<Record>> = BTreeMap::new();
         let mut applied = 0u64;
         let mut err: Option<DataError> = None;
-        for r in records {
-            match self.delete_deferred(r, &mut pending) {
+        for (r, &slot) in records.iter().zip(&slots) {
+            match self.delete_deferred(r, slot, &targets, &mut stored, &mut pending) {
                 Ok(()) => applied += 1,
                 Err(e) => {
                     err = Some(e);
@@ -778,25 +771,36 @@ impl WorkTree {
         (applied, err)
     }
 
-    /// One deletion of [`WorkTree::absorb_delete_batch`]. Validates the whole
-    /// routing path first. Buffer membership is checked net of the removals
-    /// already in `pending`: the buffer must hold **more** copies than are
-    /// earmarked, or a duplicate deletion in one chunk would validate
-    /// against the same stored record twice. Then decrements the counters
-    /// and queues the buffer removal in `pending`.
+    /// One deletion of [`WorkTree::absorb_delete_batch`]: `r` is record
+    /// `slot.1` of those whose walk stops at node `slot.0`, and `targets`
+    /// lists them per node. Validates the whole routing path first. The
+    /// first deletion that reaches a buffer counts the stored copies of all
+    /// of that buffer's targets in one read into `stored`. Membership is
+    /// then checked net of the removals already in `pending`: the buffer
+    /// must hold **more** copies than are earmarked, or a duplicate
+    /// deletion in one chunk would validate against the same stored record
+    /// twice. Then decrements the counters and queues the buffer removal in
+    /// `pending`.
     fn delete_deferred(
         &mut self,
         r: &Record,
+        (end, slot): (usize, usize),
+        targets: &BTreeMap<usize, Vec<&Record>>,
+        stored: &mut BTreeMap<usize, Vec<u64>>,
         pending: &mut BTreeMap<usize, Vec<Record>>,
     ) -> Result<()> {
         // `&mut` walk only because probing a spilled buffer flushes its
         // writer; validation mutates no statistic.
-        let end = self.walk(r, |state, step| state.counts.check_sub(r, step))?;
+        self.walk(r, |state, step| state.counts.check_sub(r, step))?;
         if let Some(buf) = self.nodes[end].state.buffer() {
+            let copies = match stored.entry(end) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => e.insert(buf.count_matching(&targets[&end])?),
+            };
             let held = pending
                 .get(&end)
                 .map_or(0, |queued| queued.iter().filter(|p| *p == r).count() as u64);
-            if buf.count_matching(r)? <= held {
+            if copies[slot] <= held {
                 return Err(DataError::Invalid(
                     "deletion of a record missing from its S_n or frontier family".into(),
                 ));
@@ -1259,7 +1263,7 @@ impl WorkTree {
     ) -> Result<()> {
         let fp = fingerprint(&self.schema, &carried);
         // A failed verdict is exactly a rebuild trigger: the job pushed
-        // below regrows (or promotes) this subtree.
+        // below regrows this subtree.
         self.metrics.counter("boat.verify.fail").inc();
         self.metrics.counter(reason.counter()).inc();
         self.nodes[idx].resolution = Resolution::Failed { counts: combined };
@@ -1376,39 +1380,6 @@ impl WorkTree {
         }
     }
 
-    /// Splice another working tree in place of node `at`: the sub-tree's
-    /// root replaces `at`, its other nodes are appended with indices
-    /// remapped, and its depths are shifted. Used by incremental
-    /// maintenance to *promote* a frontier node that outgrew the in-memory
-    /// threshold into fully maintained BOAT state (paper §4: the tree's
-    /// per-node information is kept up to date as the tree grows).
-    pub fn splice(&mut self, at: usize, sub: WorkTree) {
-        let base = self.nodes.len();
-        let depth_offset = self.nodes[at].depth;
-        let parent_of_at = self.nodes[at].parent;
-        let remap = |j: usize| if j == 0 { at } else { base + j - 1 };
-        for (j, mut n) in sub.nodes.into_iter().enumerate() {
-            n.depth += depth_offset;
-            n.left = n.left.map(remap);
-            n.right = n.right.map(remap);
-            n.parent = if j == 0 {
-                parent_of_at
-            } else {
-                Some(remap(n.parent.expect("non-root")))
-            };
-            if j == 0 {
-                self.nodes[at] = n;
-            } else {
-                self.nodes.push(n);
-            }
-        }
-    }
-
-    /// Size of the root family (the current logical dataset size).
-    pub fn root_family(&self) -> u64 {
-        self.nodes[0].state.counts.class_totals.iter().sum()
-    }
-
     /// Total parked tuples across all nodes.
     pub fn parked_total(&self) -> u64 {
         self.nodes
@@ -1495,174 +1466,6 @@ impl WorkTree {
     }
 }
 
-/// Build maintained BOAT state *exactly* from an in-memory family: every
-/// split is computed from the full family (not a sample), numeric criteria
-/// get degenerate confidence intervals at the exact split point, and bucket
-/// / category statistics are built from the family itself. Used to
-/// *promote* a frontier node that outgrew the in-memory threshold into
-/// fully maintained state (paper §4 keeps the whole tree's per-node
-/// information current as the tree grows) — much cheaper than a bootstrap
-/// sub-run, and it verifies trivially on the next pass.
-///
-/// The records handed in must follow the parking invariant (no
-/// ancestor-parked tuples); the returned tree's nodes follow it too.
-pub(crate) fn build_exact_work(
-    schema: Arc<Schema>,
-    records: Vec<Record>,
-    imp: &dyn Impurity,
-    config: &BoatConfig,
-    limits: GrowthLimits,
-    spill_stats: IoStats,
-    metrics: Registry,
-) -> Result<WorkTree> {
-    let mut work = WorkTree {
-        schema,
-        nodes: Vec::new(),
-        spill_stats,
-        metrics,
-    };
-    build_exact_node(&mut work, None, 0, records, imp, config, limits)?;
-    Ok(work)
-}
-
-fn build_exact_node(
-    work: &mut WorkTree,
-    parent: Option<usize>,
-    depth: u32,
-    records: Vec<Record>,
-    imp: &dyn Impurity,
-    config: &BoatConfig,
-    limits: GrowthLimits,
-) -> Result<usize> {
-    let schema = work.schema.clone();
-    let k = schema.n_classes();
-    let mut class_totals = vec![0u64; k];
-    for r in &records {
-        class_totals[r.label() as usize] += 1;
-    }
-    let idx = work.nodes.len();
-
-    let selector = boat_tree::ImpuritySelector::new(ErasedImpurity(imp));
-    let refs: Vec<&Record> = records.iter().collect();
-    let eval = if limits.must_stop(&class_totals, depth) {
-        None
-    } else {
-        boat_tree::grow::SplitSelector::select_records(&selector, &schema, &refs)
-    };
-    drop(refs);
-
-    let Some(eval) = eval else {
-        // Frontier leaf: retain the family so future growth never rescans.
-        let mut family = SpillBuffer::new_in(
-            schema.clone(),
-            config.spill_budget,
-            work.spill_stats.clone(),
-            config.spill_dir.clone(),
-        );
-        family.extend(&records)?;
-        work.nodes.push(WorkNode {
-            crit: None,
-            reason: Some(FrontierReason::SampleLeaf),
-            left: None,
-            right: None,
-            parent,
-            depth,
-            est_family: class_totals.iter().sum(),
-            state: NodeState {
-                counts: NodeCounts {
-                    class_totals,
-                    ..NodeCounts::new(k, Vec::new(), Vec::new())
-                },
-                parked: None,
-                family: Some(family),
-                dirty: true,
-            },
-            resolution: Resolution::Pending,
-            grown: None,
-            grown_carried_fp: None,
-            promotions: 0,
-        });
-        return Ok(idx);
-    };
-
-    // Exact criterion. Numeric splits get the statistical *shelf* around
-    // the exact split point as their confidence interval (not a degenerate
-    // point: future chunks shift the optimum within sampling noise, and
-    // the interval must absorb that or every update would re-promote).
-    // Per-attribute statistics are discretized from the family itself, one
-    // attribute's sorted `(value, label)` pairs at a time.
-    let crit = match eval.split.predicate {
-        boat_tree::Predicate::NumLe(x) => CoarseCriterion::Num {
-            attr: eval.split.attr,
-            lo: x,
-            hi: x,
-        },
-        boat_tree::Predicate::CatIn(subset) => CoarseCriterion::Cat {
-            attr: eval.split.attr,
-            subset,
-        },
-    };
-    let mut pairs: Vec<(f64, u16)> = Vec::with_capacity(records.len());
-    let (crit, mut counts) = internal_counts(
-        &schema,
-        crit,
-        &class_totals,
-        eval.impurity,
-        imp,
-        config,
-        |a, runs| {
-            pairs.clear();
-            pairs.extend(records.iter().map(|r| (r.num(a), r.label())));
-            runs.fill_from_pairs(&mut pairs);
-        },
-    );
-    drop(pairs);
-
-    // Partition by the exact criterion with parking, counting every record
-    // as the cleanup scan would.
-    let mut parked = SpillBuffer::new(
-        schema.clone(),
-        config.spill_budget,
-        work.spill_stats.clone(),
-    );
-    let (mut left_recs, mut right_recs) = (Vec::new(), Vec::new());
-    for r in records {
-        let step = Step::of(Some(&crit), &r);
-        counts.add(&r, step);
-        match step {
-            Step::LeftEdge | Step::Left => left_recs.push(r),
-            Step::Right => right_recs.push(r),
-            Step::Park => parked.push(&r)?,
-            Step::Leaf => unreachable!("an internal criterion routes every record"),
-        }
-    }
-
-    work.nodes.push(WorkNode {
-        crit: Some(crit.clone()),
-        reason: None,
-        left: None,
-        right: None,
-        parent,
-        depth,
-        est_family: class_totals.iter().sum(),
-        state: NodeState {
-            counts,
-            parked: matches!(crit, CoarseCriterion::Num { .. }).then_some(parked),
-            family: None,
-            dirty: true,
-        },
-        resolution: Resolution::Pending,
-        grown: None,
-        grown_carried_fp: None,
-        promotions: 0,
-    });
-    let l = build_exact_node(work, Some(idx), depth + 1, left_recs, imp, config, limits)?;
-    let r = build_exact_node(work, Some(idx), depth + 1, right_recs, imp, config, limits)?;
-    work.nodes[idx].left = Some(l);
-    work.nodes[idx].right = Some(r);
-    Ok(idx)
-}
-
 /// Adapter making a `&dyn Impurity` usable where an owned `Impurity` is
 /// expected.
 #[derive(Debug, Clone, Copy)]
@@ -1692,22 +1495,22 @@ fn fingerprint(schema: &Schema, records: &[Record]) -> u64 {
     acc
 }
 
-/// The cleanup statistics of an internal node whose family (the sample
-/// family in [`WorkTree::prepare`], the full family in exact construction)
+/// The cleanup statistics of an internal node whose sample family `rows`
 /// has class totals `totals` and estimated minimum impurity `est_min`: the
 /// criterion, its numeric interval widened over the family's runs on the
 /// splitting attribute, and zeroed counts with a category/class table per
 /// categorical attribute and a bucket set per numeric one, discretized from
-/// the same runs. `fill(a, runs)` loads numeric attribute `a`'s runs.
+/// the same runs.
 fn internal_counts(
-    schema: &Schema,
     mut crit: CoarseCriterion,
+    sample: &ColumnarSample,
+    rows: &NodeRows,
     totals: &[u64],
     est_min: f64,
     imp: &dyn Impurity,
     config: &BoatConfig,
-    mut fill: impl FnMut(usize, &mut ValueRuns),
 ) -> (CoarseCriterion, NodeCounts) {
+    let schema = sample.schema();
     let k = totals.len();
     let mut runs = ValueRuns::new(k);
     let mut cat = Vec::with_capacity(schema.n_attributes());
@@ -1720,7 +1523,12 @@ fn internal_counts(
             }
             AttrType::Numeric => {
                 cat.push(None);
-                fill(a, &mut runs);
+                let col = sample.num_column(a);
+                let list = rows.sorted[a].as_deref().expect("presorted sample");
+                runs.fill_sorted(
+                    list.iter()
+                        .map(|&row| (col[row as usize], sample.label(row))),
+                );
                 let edges;
                 let must_include: &[f64] = match &mut crit {
                     CoarseCriterion::Num { attr, lo, hi } if *attr == a => {
@@ -1925,7 +1733,10 @@ mod tests {
         for r in &records {
             work.absorb(r).unwrap();
         }
-        assert_eq!(work.root_family(), 4000);
+        assert_eq!(
+            work.nodes[0].state.counts.class_totals.iter().sum::<u64>(),
+            4000
+        );
         let jobs = work.finalize(&Gini, cfg.limits).unwrap();
         // Root must be a verified split at exactly 500.
         match &work.nodes[0].resolution {
@@ -2091,97 +1902,6 @@ mod tests {
     }
 
     #[test]
-    fn build_exact_work_verifies_trivially() {
-        let records = threshold_records(2000);
-        let cfg = small_cfg();
-        let work_limits = GrowthLimits::default();
-        let mut work = build_exact_work(
-            schema(),
-            records.clone(),
-            &Gini,
-            &cfg,
-            work_limits,
-            boat_data::IoStats::new(),
-            boat_obs::Registry::new(),
-        )
-        .unwrap();
-        let jobs = work.finalize(&Gini, work_limits).unwrap();
-        assert!(
-            matches!(work.nodes[0].resolution, Resolution::Split { .. }),
-            "exact-built root must verify"
-        );
-        assert!(
-            !work
-                .nodes
-                .iter()
-                .any(|n| matches!(n.resolution, Resolution::Failed { .. })),
-            "exact-built state must not fail its own verification"
-        );
-        // Frontier jobs (pure leaves resolved as Leaf) need no records.
-        for job in &jobs {
-            assert!(matches!(
-                work.nodes[job.idx].resolution,
-                Resolution::Frontier { .. }
-            ));
-        }
-        // The extracted tree (after executing trivial jobs) matches the
-        // reference builder.
-        let selector = ImpuritySelector::new(Gini);
-        let reference =
-            boat_tree::TdTreeBuilder::new(&selector, work_limits).fit(&schema(), &records);
-        // Execute jobs in-place via static growth (families retained).
-        for job in jobs {
-            let mut family = work.collect_subtree(job.idx).unwrap().unwrap();
-            family.extend(job.carried.iter().cloned());
-            let sub = boat_tree::TdTreeBuilder::new(&selector, work_limits).fit(&schema(), &family);
-            work.nodes[job.idx].grown = Some(sub);
-            work.nodes[job.idx].grown_carried_fp = Some(job.carried_fp);
-        }
-        assert_eq!(work.extract_tree(), reference);
-    }
-
-    #[test]
-    fn splice_remaps_structure_and_depths() {
-        let records = threshold_records(2000);
-        let cfg = small_cfg();
-        let mut outer = build_exact_work(
-            schema(),
-            records.clone(),
-            &Gini,
-            &cfg,
-            GrowthLimits::default(),
-            boat_data::IoStats::new(),
-            boat_obs::Registry::new(),
-        )
-        .unwrap();
-        let n_before = outer.nodes.len();
-        // Splice a small exact tree over the root's left child.
-        let left = outer.nodes[0].left.unwrap();
-        let child_depth = outer.nodes[left].depth;
-        let sub = build_exact_work(
-            schema(),
-            threshold_records(300),
-            &Gini,
-            &cfg,
-            GrowthLimits::default(),
-            boat_data::IoStats::new(),
-            boat_obs::Registry::new(),
-        )
-        .unwrap();
-        let sub_nodes = sub.nodes.len();
-        outer.splice(left, sub);
-        assert_eq!(outer.nodes.len(), n_before + sub_nodes - 1);
-        // Depths below the splice point are shifted by the child's depth.
-        assert_eq!(outer.nodes[left].depth, child_depth);
-        if let Some(l2) = outer.nodes[left].left {
-            assert_eq!(outer.nodes[l2].depth, child_depth + 1);
-            assert_eq!(outer.nodes[l2].parent, Some(left));
-        }
-        // Parent link of the splice root is preserved.
-        assert_eq!(outer.nodes[left].parent, Some(0));
-    }
-
-    #[test]
     fn widen_interval_covers_the_shelf_and_pads() {
         // Steep curve: minimum at 10, neighbors clearly worse.
         let mut pairs = Vec::new();
@@ -2230,7 +1950,6 @@ mod tests {
     /// One node of [`row_form_prepare`].
     struct RowFormNode {
         crit: Option<CoarseCriterion>,
-        est_family: u64,
         boundaries: Vec<Option<Vec<f64>>>,
         keeps_family: bool,
     }
@@ -2292,7 +2011,6 @@ mod tests {
                                 .is_none_or(|t| est_family.saturating_mul(2) > t));
                     return RowFormNode {
                         crit: None,
-                        est_family,
                         boundaries: Vec::new(),
                         keeps_family,
                     };
@@ -2332,7 +2050,6 @@ mod tests {
                     .collect();
                 RowFormNode {
                     crit: Some(crit),
-                    est_family,
                     boundaries,
                     keeps_family: false,
                 }
@@ -2376,10 +2093,6 @@ mod tests {
                 ),
                 (got, want) => assert_eq!(got, want, "{case}: criterion at node {i}"),
             }
-            assert_eq!(
-                node.est_family, want.est_family,
-                "{case}: est_family at node {i}"
-            );
             assert_eq!(
                 node.state.family.is_some(),
                 want.keeps_family,

@@ -158,8 +158,8 @@ fn sample_larger_than_dataset() {
 
 #[test]
 fn model_on_tiny_base_then_large_inserts() {
-    // The model must grow from a 100-record base to 30x its size through
-    // promotions, staying exact throughout.
+    // The model must grow from a 100-record base to 31x its size, its
+    // frontier families regrown in memory, staying exact throughout.
     let gen = GeneratorConfig::new(LabelFunction::F1).with_seed(9);
     let schema = gen.schema();
     let all = gen.generate_vec(3_100);

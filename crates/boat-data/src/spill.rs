@@ -310,14 +310,6 @@ impl SpillBuffer {
         Ok(())
     }
 
-    /// Append many records.
-    pub fn extend<'a>(&mut self, records: impl IntoIterator<Item = &'a Record>) -> Result<()> {
-        for r in records {
-            self.push(r)?;
-        }
-        Ok(())
-    }
-
     /// Iterate over all records: the in-memory prefix first, then the
     /// spilled suffix read back from the temporary file. Every row is
     /// decoded by [`RowLayout::decode`], so a corrupt spill file yields
@@ -438,19 +430,25 @@ impl SpillBuffer {
             .position(|row| self.layout.matches(row, target))
     }
 
-    /// How many records equal to `target` (by value, as in
-    /// [`SpillBuffer::remove_many`]) the buffer holds, without mutating it.
-    /// Used by incremental deletions to *validate* a batch of deletes —
-    /// which may name the same tuple several times — before any counter is
-    /// decremented anywhere in the tree.
-    pub fn count_matching(&mut self, target: &Record) -> Result<u64> {
-        let mut n = self
-            .in_mem
-            .chunks_exact(self.layout.width())
-            .filter(|row| self.layout.matches(row, target))
-            .count() as u64;
-        self.for_each_spilled(|layout, row| n += u64::from(layout.matches(row, target)))?;
-        Ok(n)
+    /// How many records equal to each of `targets` (by value, as in
+    /// [`SpillBuffer::remove_many`]) the buffer holds, without mutating it:
+    /// one count per target, in order. The spilled tier is read once
+    /// however many targets there are. Used by incremental deletions to
+    /// *validate* a batch of deletes — which may name the same tuple
+    /// several times — before any counter is decremented anywhere in the
+    /// tree.
+    pub fn count_matching(&mut self, targets: &[&Record]) -> Result<Vec<u64>> {
+        let mut counts = vec![0u64; targets.len()];
+        let mut tally = |layout: &RowLayout, row: &[u8]| {
+            for (n, target) in counts.iter_mut().zip(targets) {
+                *n += u64::from(layout.matches(row, target));
+            }
+        };
+        for row in self.in_mem.chunks_exact(self.layout.width()) {
+            tally(&self.layout, row);
+        }
+        self.for_each_spilled(tally)?;
+        Ok(counts)
     }
 
     /// Drop all contents (and the temporary file, if any).
@@ -664,10 +662,28 @@ mod tests {
         b.push(&rec(7.0)).unwrap(); // spilled
         b.push(&rec(3.0)).unwrap();
         b.push(&rec(7.0)).unwrap();
-        assert_eq!(b.count_matching(&rec(7.0)).unwrap(), 3);
-        assert_eq!(b.count_matching(&rec(3.0)).unwrap(), 1);
-        assert_eq!(b.count_matching(&rec(42.0)).unwrap(), 0);
+        let targets = [&rec(7.0), &rec(3.0), &rec(42.0), &rec(7.0)];
+        assert_eq!(b.count_matching(&targets).unwrap(), vec![3, 1, 0, 3]);
+        assert_eq!(b.count_matching(&[]).unwrap(), Vec::<u64>::new());
         assert_eq!(b.len(), 4, "counting must not mutate");
+    }
+
+    #[test]
+    fn count_matching_reads_the_spilled_tier_once() {
+        let stats = IoStats::new();
+        let mut b = SpillBuffer::new(schema(), 2, stats.clone());
+        for i in 0..10 {
+            b.push(&rec(i as f64)).unwrap();
+        }
+        let before = stats.snapshot().records_read;
+        let targets: Vec<Record> = (0..10).map(|i| rec(i as f64)).collect();
+        let refs: Vec<&Record> = targets.iter().collect();
+        assert_eq!(b.count_matching(&refs).unwrap(), vec![1; 10]);
+        assert_eq!(
+            stats.snapshot().records_read - before,
+            8,
+            "one pass over 8 spilled rows"
+        );
     }
 
     #[test]
@@ -731,9 +747,10 @@ mod tests {
             b.push(&rec(i as f64)).unwrap();
         }
         // in_mem = [0,1], spilled = [2,3,4,5]
-        assert!(b.count_matching(&rec(1.0)).unwrap() > 0);
-        assert!(b.count_matching(&rec(4.0)).unwrap() > 0);
-        assert_eq!(b.count_matching(&rec(42.0)).unwrap(), 0);
+        let counts = b
+            .count_matching(&[&rec(1.0), &rec(4.0), &rec(42.0)])
+            .unwrap();
+        assert_eq!(counts, vec![1, 1, 0]);
         assert_eq!(b.len(), 6, "count_matching must not remove anything");
         // Buffer still fully usable after probing the spilled region.
         b.push(&rec(6.0)).unwrap();
@@ -784,7 +801,7 @@ mod tests {
         );
         let probe = Record::new(vec![Field::Num(0.0), Field::Cat(0)], 0);
         assert!(
-            matches!(b.count_matching(&probe), Err(DataError::Corrupt(_))),
+            matches!(b.count_matching(&[&probe]), Err(DataError::Corrupt(_))),
             "{what}: count_matching"
         );
         assert!(
@@ -838,7 +855,7 @@ mod tests {
             let mut b = SpillBuffer::new(schema(), budget, IoStats::new());
             b.push(&rec(-0.0)).unwrap();
             b.push(&rec(1.0)).unwrap();
-            assert_eq!(b.count_matching(&rec(0.0)).unwrap(), 1);
+            assert_eq!(b.count_matching(&[&rec(0.0)]).unwrap(), vec![1]);
             assert_eq!(b.remove_many(&[rec(0.0)]).unwrap(), 1, "budget {budget}");
             assert_eq!(b.to_vec().unwrap(), vec![rec(1.0)]);
         }
