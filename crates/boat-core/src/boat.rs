@@ -16,7 +16,7 @@ use crate::config::BoatConfig;
 use crate::stats::BoatRunStats;
 use crate::work::{limits_for_subtree, Job, Resolution, WorkTree};
 use boat_data::dataset::RecordSource;
-use boat_data::sample::reservoir_sample;
+use boat_data::sample::{reservoir_rows, SAMPLE_CHUNK_ROWS};
 use boat_data::spill::SpillBuffer;
 use boat_data::{DataError, IoSnapshot, IoStats, Record, Result};
 use boat_obs::Registry;
@@ -173,13 +173,14 @@ impl<I: Impurity + Clone> Boat<I> {
         // ---- sampling phase (scan 1 + bootstrap) ----
         let t0 = Instant::now();
         let sample_span = self.metrics.span("boat.phase.sample");
-        let sample = reservoir_sample(source, self.config.sample_size, &mut rng)?;
+        let sample = reservoir_rows(source, self.config.sample_size, SAMPLE_CHUNK_ROWS, &mut rng)?;
         sample_span.finish();
         stats.sample_records = sample.len() as u64;
-        // The sample is transposed and presorted once: the bootstrap trees
-        // grow on it, and `prepare` reads every node's statistics from it.
+        // The encoded sample is transposed and presorted once: the
+        // bootstrap trees grow on it, and `prepare` reads every node's
+        // statistics from it.
         let bootstrap_span = self.metrics.span("boat.phase.bootstrap");
-        let cs = columnar_sample(&schema, &sample, &self.metrics);
+        let cs = columnar_sample(&schema, sample.rows(), &self.metrics);
         drop(sample);
         let coarse = build_coarse_tree_columnar(
             &cs,

@@ -15,7 +15,7 @@
 //!   split point with high probability.
 
 use crate::config::{AgreementRule, BoatConfig};
-use boat_data::{DataError, Record, Result, Schema};
+use boat_data::{DataError, Fields, Record, Result, Schema};
 use boat_obs::Registry;
 use boat_tree::grow::SplitSelector;
 use boat_tree::model::Predicate;
@@ -73,8 +73,6 @@ pub struct CoarseNode {
     pub left: Option<usize>,
     /// Right child.
     pub right: Option<usize>,
-    /// Parent index.
-    pub parent: Option<usize>,
     /// Depth below the coarse root.
     pub depth: u32,
     /// The `b` bootstrap split points (numeric criteria only) — kept for
@@ -109,7 +107,6 @@ impl CoarseTree {
                 reason: Some(FrontierReason::SampleLeaf),
                 left: None,
                 right: None,
-                parent: None,
                 depth: 0,
                 bootstrap_points: Vec::new(),
             }],
@@ -164,16 +161,20 @@ pub fn build_coarse_tree<S: SplitSelector + ?Sized>(
     rng: &mut StdRng,
     metrics: &Registry,
 ) -> Result<CoarseTree> {
-    let cs = columnar_sample(schema, sample, metrics);
+    let cs = columnar_sample(schema, sample.iter(), metrics);
     build_coarse_tree_columnar(&cs, selector, config, full_size, rng, metrics)
 }
 
 /// The sample in columnar form, presorted: what the bootstrap trees grow
 /// on and what `WorkTree::prepare` reads its per-node statistics from.
 /// Records the `boat.sample.transpose` and `boat.sample.presort` spans.
-pub fn columnar_sample(schema: &Schema, sample: &[Record], metrics: &Registry) -> ColumnarSample {
+pub fn columnar_sample<F: Fields>(
+    schema: &Schema,
+    rows: impl ExactSizeIterator<Item = F>,
+    metrics: &Registry,
+) -> ColumnarSample {
     let transpose_span = metrics.span("boat.sample.transpose");
-    let mut cs = ColumnarSample::transpose(schema, sample);
+    let mut cs = ColumnarSample::transpose(schema, rows);
     transpose_span.finish();
     let presort_span = metrics.span("boat.sample.presort");
     cs.presort();
@@ -270,7 +271,7 @@ fn agree_all(trees: &[Tree], config: &BoatConfig) -> CoarseTree {
         .enumerate()
         .map(|(i, t)| (i, t.root()))
         .collect();
-    agree(trees, cursors, None, 0, config, &mut coarse);
+    agree(trees, cursors, 0, config, &mut coarse);
     coarse
 }
 
@@ -404,7 +405,6 @@ fn vote_of(tree: &Tree, id: NodeId) -> Vote {
 fn agree(
     trees: &[Tree],
     cursors: Vec<(usize, NodeId)>,
-    parent: Option<usize>,
     depth: u32,
     config: &BoatConfig,
     coarse: &mut CoarseTree,
@@ -415,7 +415,6 @@ fn agree(
         reason: None,
         left: None,
         right: None,
-        parent,
         depth,
         bootstrap_points: Vec::new(),
     });
@@ -533,8 +532,8 @@ fn agree(
         .iter()
         .map(|&(ti, id)| (ti, trees[ti].node(id).children().expect("internal").1))
         .collect();
-    let l = agree(trees, lefts, Some(idx), depth + 1, config, coarse);
-    let r = agree(trees, rights, Some(idx), depth + 1, config, coarse);
+    let l = agree(trees, lefts, depth + 1, config, coarse);
+    let r = agree(trees, rights, depth + 1, config, coarse);
     coarse.nodes[idx].left = Some(l);
     coarse.nodes[idx].right = Some(r);
     idx
@@ -560,8 +559,8 @@ fn finish_internal(
         .iter()
         .map(|&(ti, id)| (ti, trees[ti].node(id).children().expect("internal").1))
         .collect();
-    let l = agree(trees, lefts, Some(idx), depth + 1, config, coarse);
-    let r = agree(trees, rights, Some(idx), depth + 1, config, coarse);
+    let l = agree(trees, lefts, depth + 1, config, coarse);
+    let r = agree(trees, rights, depth + 1, config, coarse);
     coarse.nodes[idx].left = Some(l);
     coarse.nodes[idx].right = Some(r);
     idx
@@ -767,7 +766,7 @@ mod tests {
     }
 
     #[test]
-    fn depths_and_parents_are_consistent() {
+    fn depths_are_consistent() {
         let schema = schema();
         let sample = clean_sample(1000);
         let sel = ImpuritySelector::new(Gini);
@@ -782,17 +781,12 @@ mod tests {
             &Registry::new(),
         )
         .unwrap();
-        for (i, n) in coarse.nodes.iter().enumerate() {
-            if let Some(p) = n.parent {
-                assert_eq!(coarse.nodes[p].depth + 1, n.depth);
-                let pn = &coarse.nodes[p];
-                assert!(pn.left == Some(i) || pn.right == Some(i));
-            } else {
-                assert_eq!(i, 0);
-                assert_eq!(n.depth, 0);
-            }
+        assert_eq!(coarse.nodes[0].depth, 0);
+        for n in &coarse.nodes {
             if n.crit.is_some() {
-                assert!(n.left.is_some() && n.right.is_some());
+                let (l, r) = (n.left.unwrap(), n.right.unwrap());
+                assert_eq!(coarse.nodes[l].depth, n.depth + 1);
+                assert_eq!(coarse.nodes[r].depth, n.depth + 1);
             } else {
                 assert!(n.left.is_none() && n.right.is_none());
             }

@@ -17,9 +17,11 @@ use crate::buckets::{build_boundaries, BucketSet, ValueRuns};
 use crate::coarse::{CoarseCriterion, CoarseTree};
 use crate::config::BoatConfig;
 use crate::verify::bucket_passes;
-use boat_data::codec::RowLayout;
+use boat_data::codec::{EncodedRow, RowLayout};
 use boat_data::spill::SpillBuffer;
-use boat_data::{AttrType, DataError, IoStats, Record, RecordChunk, RecordSource, Result, Schema};
+use boat_data::{
+    AttrType, DataError, Fields, IoStats, Record, RecordChunk, RecordSource, Result, Schema,
+};
 use boat_obs::Registry;
 use boat_tree::split::{best_categorical_split, cmp_splits, sweep_numeric};
 use boat_tree::{
@@ -39,55 +41,6 @@ pub(crate) fn limits_for_subtree(limits: GrowthLimits, base_depth: u32) -> Growt
     GrowthLimits {
         max_depth: limits.max_depth.map(|d| d.saturating_sub(base_depth)),
         ..limits
-    }
-}
-
-/// Read access to one tuple's fields, for the per-tuple step and count
-/// update: a decoded [`Record`] (insert, delete, verification) or an
-/// encoded row read in place (the cleanup scan).
-trait Fields {
-    /// The numeric value of attribute `attr`.
-    fn num(&self, attr: usize) -> f64;
-    /// The category code of attribute `attr`.
-    fn cat(&self, attr: usize) -> u32;
-    /// The class label.
-    fn label(&self) -> u16;
-}
-
-impl Fields for Record {
-    #[inline]
-    fn num(&self, attr: usize) -> f64 {
-        Record::num(self, attr)
-    }
-    #[inline]
-    fn cat(&self, attr: usize) -> u32 {
-        Record::cat(self, attr)
-    }
-    #[inline]
-    fn label(&self) -> u16 {
-        Record::label(self)
-    }
-}
-
-/// One encoded row that has passed [`RowLayout::check`], read through its
-/// layout's precomputed offsets.
-struct EncodedRow<'a> {
-    layout: &'a RowLayout,
-    bytes: &'a [u8],
-}
-
-impl Fields for EncodedRow<'_> {
-    #[inline]
-    fn num(&self, attr: usize) -> f64 {
-        self.layout.num(self.bytes, attr)
-    }
-    #[inline]
-    fn cat(&self, attr: usize) -> u32 {
-        self.layout.cat(self.bytes, attr)
-    }
-    #[inline]
-    fn label(&self) -> u16 {
-        self.layout.label(self.bytes)
     }
 }
 
@@ -448,19 +401,10 @@ impl CleanupShard {
         layout: &RowLayout,
         chunk: &RecordChunk,
     ) -> Result<Vec<u8>> {
-        if chunk.width() != layout.width() || !chunk.bytes.len().is_multiple_of(layout.width()) {
-            return Err(DataError::Corrupt(format!(
-                "chunk {} holds {} bytes of {}-byte rows, expected {}-byte rows",
-                chunk.index,
-                chunk.bytes.len(),
-                chunk.width(),
-                layout.width()
-            )));
-        }
+        chunk.check_width(layout.width())?;
         let mut deposits = Vec::new();
         for bytes in chunk.rows() {
-            layout.check(bytes)?;
-            self.route(tree, EncodedRow { layout, bytes }, &mut deposits);
+            self.route(tree, EncodedRow::new(layout, bytes)?, &mut deposits);
         }
         Ok(deposits)
     }
@@ -480,7 +424,7 @@ impl CleanupShard {
                 None => {
                     if node.keeps {
                         deposits.extend_from_slice(&(idx as u32).to_le_bytes());
-                        deposits.extend_from_slice(row.bytes);
+                        deposits.extend_from_slice(row.bytes());
                     }
                     return;
                 }

@@ -325,20 +325,28 @@ fn roundtrip_under_parallel_cleanup() {
 /// `MaintainReport::regrown_subtrees` must equal the number of completion
 /// jobs actually *executed* — pinned here against the `boat.jobs.executed`
 /// counter delta over the same maintenance pass.
+///
+/// Growth is certain by construction: the base holds one class, so every
+/// bootstrap tree, and hence the coarse tree, is a single leaf whatever the
+/// sample. The inserted records carry both classes, so the final tree
+/// splits at the root, below the coarse tree's depth: the root family must
+/// be regrown.
 #[test]
 fn regrown_subtrees_counts_every_executed_job() {
     let gen = GeneratorConfig::new(LabelFunction::F1).with_seed(34);
     let schema = gen.schema();
     let all = gen.generate_vec(12_000);
-    let base = mem(&schema, all[..4_000].to_vec());
+    let (base, rest): (Vec<Record>, Vec<Record>) = all.into_iter().partition(|r| r.label() == 0);
+    let base = base[..4_000].to_vec();
+    assert!(rest.iter().any(|r| r.label() != 0));
     let algo = Boat::new(config(3400));
-    let (mut model, _) = algo.fit_model(&base).unwrap();
+    let (mut model, _) = algo.fit_model(&mem(&schema, base.clone())).unwrap();
     let _ = model.tree().unwrap();
     model.check_invariants();
 
-    // Triple the data: frontier families outgrow in_memory_threshold=400
-    // and are regrown in memory.
-    model.insert(&mem(&schema, all[4_000..].to_vec())).unwrap();
+    // Insert every record of the other class: the root family outgrows
+    // in_memory_threshold=400 and is regrown in memory.
+    model.insert(&mem(&schema, rest.clone())).unwrap();
     model.check_invariants();
     let before = model.metrics().snapshot();
     let report = model.maintain().unwrap();
@@ -355,7 +363,8 @@ fn regrown_subtrees_counts_every_executed_job() {
         report.regrown_subtrees, executed,
         "regrown_subtrees must count executed jobs"
     );
-    let reference = reference_tree(&mem(&schema, all), Gini, GrowthLimits::default()).unwrap();
+    let net = [base, rest].concat();
+    let reference = reference_tree(&mem(&schema, net), Gini, GrowthLimits::default()).unwrap();
     assert_eq!(model.tree().unwrap(), &reference);
     model.check_invariants();
 }

@@ -23,9 +23,10 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 /// A [`RecordSource`] whose `scan_chunks` yields the inner dataset's chunks
-/// in a different shuffled order on every call. Record scans (`scan`) are
-/// untouched, so the sampling phase is identical across fits; only the
-/// cleanup workers see the adversarial ordering.
+/// in a different shuffled order on every call. The sample scan reads
+/// `SAMPLE_CHUNK_ROWS`-row chunks, a single chunk for the datasets here, so
+/// the sampling phase is identical across fits; only the cleanup workers
+/// see the adversarial ordering.
 struct ShuffledChunkSource {
     inner: MemoryDataset,
     /// Bumped per scan so each shuffle differs.
@@ -196,8 +197,9 @@ fn corrupt(schema: &Schema, row: &mut [u8], field: Hostile) {
 
 /// A [`RecordSource`] whose record scans are clean but whose chunked scan
 /// breaks one row in the middle of each listed chunk (by scan-order index,
-/// whatever order the inner source delivers chunks in): the sampling phase
-/// succeeds, then the cleanup scan meets the bad rows.
+/// whatever order the inner source delivers chunks in). The sample scan
+/// reads one chunk here: it either takes the bad row of chunk 0 and fails
+/// typed itself, or succeeds, and the cleanup scan meets the bad rows.
 struct HostileChunkSource<S> {
     inner: S,
     bad: Vec<(usize, Hostile)>,
@@ -288,10 +290,11 @@ fn first_bad_row_in_scan_order_wins_under_shuffled_delivery() {
     }
 }
 
-/// A [`RecordSource`] whose record scans are clean but whose chunked scan
-/// relabels every row with an out-of-range class: the sampling phase
-/// succeeds, then every chunk the cleanup routers take is bad.
-struct BadChunkSource(MemoryDataset);
+/// A [`RecordSource`] whose record scans and first chunked scan (the
+/// sampling phase's) are clean, but whose later chunked scans relabel every
+/// row with an out-of-range class: the sampling phase succeeds, then every
+/// chunk the cleanup routers take is bad.
+struct BadChunkSource(MemoryDataset, Cell<u32>);
 
 impl RecordSource for BadChunkSource {
     fn schema(&self) -> &Arc<Schema> {
@@ -311,6 +314,11 @@ impl RecordSource for BadChunkSource {
     }
 
     fn scan_chunks(&self, chunk_size: usize) -> Result<Box<dyn ChunkScan + '_>> {
+        let scans = self.1.get();
+        self.1.set(scans + 1);
+        if scans == 0 {
+            return self.0.scan_chunks(chunk_size);
+        }
         let schema = self.0.schema().clone();
         Ok(Box::new(self.0.scan_chunks(chunk_size)?.map(move |c| {
             c.map(|mut chunk| {
@@ -332,7 +340,7 @@ fn router_panics_surface_instead_of_hanging() {
     // typed error (a router panic would still be re-raised, not hang).
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
-        let source = BadChunkSource(dataset(LabelFunction::F1, 34, 4_000));
+        let source = BadChunkSource(dataset(LabelFunction::F1, 34, 4_000), Cell::new(0));
         let mut cfg = stress_config(3_400).with_cleanup_threads(2);
         cfg.cleanup_chunk_size = 32;
         let outcome =

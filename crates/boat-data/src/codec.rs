@@ -7,7 +7,7 @@
 //! sequential scans branch-free and makes file sizes exactly
 //! `n_records * schema.record_width()`.
 
-use crate::record::{Field, Record};
+use crate::record::{Field, Fields, Record};
 use crate::schema::{AttrType, Schema};
 use crate::{DataError, Result};
 
@@ -215,6 +215,50 @@ impl RowLayout {
             |f| fields.push(f),
         )?;
         Ok(Record::new(fields, label))
+    }
+}
+
+/// One encoded row that has passed [`RowLayout::check`], read in place
+/// through its layout's precomputed offsets.
+#[derive(Debug, Clone, Copy)]
+pub struct EncodedRow<'a> {
+    layout: &'a RowLayout,
+    bytes: &'a [u8],
+}
+
+impl<'a> EncodedRow<'a> {
+    /// Check `bytes` with [`RowLayout::check`] and wrap them.
+    #[inline]
+    pub fn new(layout: &'a RowLayout, bytes: &'a [u8]) -> Result<Self> {
+        layout.check(bytes)?;
+        Ok(EncodedRow { layout, bytes })
+    }
+
+    /// Wrap `bytes` that already passed `layout.check`.
+    #[inline]
+    pub(crate) fn checked(layout: &'a RowLayout, bytes: &'a [u8]) -> Self {
+        EncodedRow { layout, bytes }
+    }
+
+    /// The row's [`RowLayout::width`] bytes.
+    #[inline]
+    pub fn bytes(&self) -> &'a [u8] {
+        self.bytes
+    }
+}
+
+impl Fields for EncodedRow<'_> {
+    #[inline]
+    fn num(&self, attr: usize) -> f64 {
+        self.layout.num(self.bytes, attr)
+    }
+    #[inline]
+    fn cat(&self, attr: usize) -> u32 {
+        self.layout.cat(self.bytes, attr)
+    }
+    #[inline]
+    fn label(&self) -> u16 {
+        self.layout.label(self.bytes)
     }
 }
 

@@ -115,6 +115,20 @@ impl RecordChunk {
     pub fn rows(&self) -> std::slice::ChunksExact<'_, u8> {
         self.bytes.chunks_exact(self.width)
     }
+
+    /// Check that the chunk holds whole rows of `width` bytes, the width of
+    /// the schema's [`codec::RowLayout`]; [`DataError::Corrupt`] otherwise.
+    pub fn check_width(&self, width: usize) -> Result<()> {
+        if self.width != width || !self.bytes.len().is_multiple_of(width) {
+            return Err(DataError::Corrupt(format!(
+                "chunk {} holds {} bytes of {}-byte rows, expected {width}-byte rows",
+                self.index,
+                self.bytes.len(),
+                self.width,
+            )));
+        }
+        Ok(())
+    }
 }
 
 /// A streaming scan over chunks. The blanket impl makes any

@@ -7,14 +7,16 @@
 //!
 //! * [`schema`] — attribute schemas (numeric / categorical predictor
 //!   attributes plus the class label).
-//! * [`record`] — the in-memory record representation.
+//! * [`record`] — the in-memory record representation, and the
+//!   [`Fields`] accessor that decoded records and encoded rows share.
 //! * [`codec`] — a fixed-width binary record codec derived from the schema.
 //! * [`dataset`] — the [`dataset::RecordSource`] streaming-scan
 //!   abstraction with in-memory and on-disk implementations.
 //! * [`iostats`] — shared scan/byte/spill counters, backed by `boat-obs`
 //!   counters so the same numbers feed registry snapshots; every experiment
 //!   in the bench harness reports these alongside wall time.
-//! * [`sample`] — reservoir sampling over a stream and bootstrap resampling.
+//! * [`sample`] — skip-based reservoir sampling over a chunked scan into
+//!   encoded rows, and bootstrap resampling.
 //! * [`spill`] — memory-budgeted record buffers that transparently spill to
 //!   temporary files (the paper's `S_n` files), holding [`codec`] rows in
 //!   memory and on disk.
@@ -48,7 +50,7 @@ pub use dataset::{
 };
 pub use error::{DataError, Result};
 pub use iostats::{IoSnapshot, IoStats};
-pub use record::{Field, Record};
+pub use record::{Field, Fields, Record};
 pub use schema::{AttrType, Attribute, Schema};
 pub use spill::{sweep_stale_spill_files, SpillBuffer};
 pub use wal::{

@@ -141,6 +141,49 @@ impl Record {
     }
 }
 
+/// Read access to one tuple's fields, whatever holds them: a decoded
+/// [`Record`] or an encoded row read in place
+/// ([`EncodedRow`](crate::codec::EncodedRow)). Code generic over it reads
+/// both without decoding.
+pub trait Fields {
+    /// The numeric value of attribute `attr`.
+    fn num(&self, attr: usize) -> f64;
+    /// The category code of attribute `attr`.
+    fn cat(&self, attr: usize) -> u32;
+    /// The class label.
+    fn label(&self) -> u16;
+}
+
+impl Fields for Record {
+    #[inline]
+    fn num(&self, attr: usize) -> f64 {
+        Record::num(self, attr)
+    }
+    #[inline]
+    fn cat(&self, attr: usize) -> u32 {
+        Record::cat(self, attr)
+    }
+    #[inline]
+    fn label(&self) -> u16 {
+        Record::label(self)
+    }
+}
+
+impl<T: Fields + ?Sized> Fields for &T {
+    #[inline]
+    fn num(&self, attr: usize) -> f64 {
+        T::num(self, attr)
+    }
+    #[inline]
+    fn cat(&self, attr: usize) -> u32 {
+        T::cat(self, attr)
+    }
+    #[inline]
+    fn label(&self) -> u16 {
+        T::label(self)
+    }
+}
+
 impl fmt::Display for Record {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;

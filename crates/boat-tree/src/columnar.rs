@@ -37,7 +37,7 @@
 
 use crate::grow::{GrowthLimits, SplitSelector};
 use crate::model::{NodeId, Predicate, Split, Tree};
-use boat_data::{AttrType, Field, Record, Schema};
+use boat_data::{AttrType, Field, Fields, Record, Schema};
 
 /// One transposed attribute column of the sample.
 #[derive(Debug, Clone)]
@@ -66,27 +66,36 @@ pub struct ColumnarSample {
 }
 
 impl ColumnarSample {
-    /// Transpose `records` into dense columns. Does **not** build the
-    /// presorted indices — call [`ColumnarSample::presort`] (the split lets
-    /// callers time the two steps separately).
-    pub fn transpose(schema: &Schema, records: &[Record]) -> Self {
-        let n = records.len();
-        let columns = schema
+    /// Transpose `rows` into dense columns, in one pass over the rows. The
+    /// rows are read through [`Fields`], so decoded records and encoded
+    /// rows take the same path. Does **not** build the presorted indices —
+    /// call [`ColumnarSample::presort`] (the split lets callers time the two
+    /// steps separately).
+    pub fn transpose<F: Fields>(schema: &Schema, rows: impl ExactSizeIterator<Item = F>) -> Self {
+        let n = rows.len();
+        let mut columns: Vec<Column> = schema
             .attributes()
             .iter()
-            .enumerate()
-            .map(|(a, attr)| match attr.ty() {
-                AttrType::Numeric => Column::Num(records.iter().map(|r| r.num(a)).collect()),
-                AttrType::Categorical { .. } => {
-                    Column::Cat(records.iter().map(|r| r.cat(a)).collect())
-                }
+            .map(|attr| match attr.ty() {
+                AttrType::Numeric => Column::Num(Vec::with_capacity(n)),
+                AttrType::Categorical { .. } => Column::Cat(Vec::with_capacity(n)),
             })
             .collect();
+        let mut labels = Vec::with_capacity(n);
+        for row in rows {
+            for (a, col) in columns.iter_mut().enumerate() {
+                match col {
+                    Column::Num(v) => v.push(row.num(a)),
+                    Column::Cat(v) => v.push(row.cat(a)),
+                }
+            }
+            labels.push(row.label());
+        }
         ColumnarSample {
             schema: schema.clone(),
-            n_rows: n,
+            n_rows: labels.len(),
             columns,
-            labels: records.iter().map(|r| r.label()).collect(),
+            labels,
             sorted: vec![None; schema.n_attributes()],
         }
     }
@@ -114,7 +123,7 @@ impl ColumnarSample {
 
     /// Transpose + presort in one call.
     pub fn from_records(schema: &Schema, records: &[Record]) -> Self {
-        let mut cs = Self::transpose(schema, records);
+        let mut cs = Self::transpose(schema, records.iter());
         cs.presort();
         cs
     }
@@ -528,9 +537,30 @@ mod tests {
     fn record_inverts_transpose() {
         let schema = mixed_schema();
         let records = random_records(&schema, 50, 5);
-        let cs = ColumnarSample::transpose(&schema, &records);
+        let cs = ColumnarSample::transpose(&schema, records.iter());
         for (row, record) in records.iter().enumerate() {
             assert_eq!(&cs.record(row as u32), record);
+        }
+    }
+
+    #[test]
+    fn encoded_rows_transpose_like_records() {
+        use boat_data::codec::{encode_into, EncodedRow, RowLayout};
+        let schema = mixed_schema();
+        let records = random_records(&schema, 50, 6);
+        let layout = RowLayout::new(&schema);
+        let mut bytes = Vec::new();
+        for r in &records {
+            encode_into(&schema, r, &mut bytes).unwrap();
+        }
+        let rows = bytes
+            .chunks_exact(layout.width())
+            .map(|bytes| EncodedRow::new(&layout, bytes).unwrap());
+        let encoded = ColumnarSample::transpose(&schema, rows);
+        let decoded = ColumnarSample::transpose(&schema, records.iter());
+        assert_eq!(encoded.n_rows(), records.len());
+        for row in 0..records.len() as u32 {
+            assert_eq!(encoded.record(row), decoded.record(row));
         }
     }
 
