@@ -14,7 +14,6 @@ use boat_bench::materialize_cached;
 use boat_bench::run::paper_limits;
 use boat_core::config::AgreementRule;
 use boat_core::{Boat, BoatConfig, DiscretizeStrategy};
-use boat_data::IoStats;
 use boat_datagen::{GeneratorConfig, LabelFunction};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -31,7 +30,7 @@ fn base_config() -> BoatConfig {
 
 fn data() -> boat_data::FileDataset {
     let gen = GeneratorConfig::new(LabelFunction::F6).with_seed(20);
-    materialize_cached(&gen, N, "crit-ablation-f6", IoStats::new()).unwrap()
+    materialize_cached(&gen, N, "crit-ablation-f6").unwrap()
 }
 
 fn ablate_bootstrap_reps(c: &mut Criterion) {

@@ -7,7 +7,6 @@
 use boat_bench::run::paper_limits;
 use boat_bench::{materialize_cached, rf_budgets};
 use boat_core::{Boat, BoatConfig};
-use boat_data::IoStats;
 use boat_datagen::{GeneratorConfig, LabelFunction};
 use boat_rainforest::{RainForest, RfConfig, RfVariant};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -22,7 +21,7 @@ fn fit_benches(c: &mut Criterion) {
         ("fig6_f7", LabelFunction::F7),
     ] {
         let gen = GeneratorConfig::new(func).with_seed(5);
-        let data = materialize_cached(&gen, N, &format!("crit-{fig}"), IoStats::new()).unwrap();
+        let data = materialize_cached(&gen, N, &format!("crit-{fig}")).unwrap();
         let limits = paper_limits(N);
         let mut group = c.benchmark_group(fig);
         group.sample_size(10);
@@ -71,8 +70,7 @@ fn noise_bench(c: &mut Criterion) {
         let gen = GeneratorConfig::new(LabelFunction::F1)
             .with_seed(6)
             .with_noise(pct as f64 / 100.0);
-        let data =
-            materialize_cached(&gen, N, &format!("crit-noise-{pct}"), IoStats::new()).unwrap();
+        let data = materialize_cached(&gen, N, &format!("crit-noise-{pct}")).unwrap();
         group.bench_function(format!("boat_noise_{pct}pct"), |b| {
             let mut config = BoatConfig::scaled_for(N).with_seed(8);
             config.limits = limits;

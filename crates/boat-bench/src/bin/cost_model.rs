@@ -28,7 +28,6 @@
 use boat_bench::run::{paper_limits, run_boat};
 use boat_bench::table::fmt_duration;
 use boat_bench::{materialize_cached, print_metrics_summary, Args, BenchReport};
-use boat_data::IoStats;
 use boat_datagen::{GeneratorConfig, LabelFunction};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -46,12 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let gen = GeneratorConfig::new(func).with_seed(seed);
-    let data = materialize_cached(
-        &gen,
-        n,
-        &format!("costmodel-f{function}-{seed}"),
-        IoStats::new(),
-    )?;
+    let data = materialize_cached(&gen, n, &format!("costmodel-f{function}-{seed}"))?;
     let r = run_boat(&data, limits, seed)?;
     let m = &r.metrics;
 

@@ -24,7 +24,7 @@ use boat_bench::obs::json_array;
 use boat_bench::table::fmt_duration;
 use boat_bench::{bench_dir, print_metrics_summary, Args, BenchReport, Table};
 use boat_core::{reference_tree, Boat, BoatConfig};
-use boat_data::{FileDataset, FileDatasetWriter, IoStats, RecordSource};
+use boat_data::{FileDataset, FileDatasetWriter, RecordSource};
 use boat_datagen::{GeneratorConfig, LabelFunction};
 use boat_rainforest::{RainForest, RfConfig, RfVariant};
 use boat_tree::{Gini, GrowthLimits};
@@ -99,7 +99,7 @@ fn limits_for(total: u64) -> GrowthLimits {
 fn chunk_file(gen: &GeneratorConfig, n: u64, key: &str) -> boat_data::Result<FileDataset> {
     let path = bench_dir().join(format!("dyn-{key}-{n}.boat"));
     let _ = std::fs::remove_file(&path);
-    gen.materialize_with_stats(&path, n, IoStats::new())
+    gen.materialize(&path, n)
 }
 
 /// The next cumulative database: `prev` followed by `chunk`, written to a
@@ -109,7 +109,7 @@ fn append_chunk(
     chunk: FileDataset,
     path: &std::path::Path,
 ) -> boat_data::Result<FileDataset> {
-    let mut writer = FileDatasetWriter::create(path, prev.schema().clone(), IoStats::new())?;
+    let mut writer = FileDatasetWriter::create(path, prev.schema().clone())?;
     for source in [&prev, &chunk] {
         for r in source.scan()? {
             writer.append(&r?)?;

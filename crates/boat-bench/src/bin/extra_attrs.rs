@@ -16,7 +16,6 @@ use boat_bench::{
     materialize_cached, print_metrics_summary, rf_budgets, run_boat, run_rf_hybrid,
     run_rf_vertical, Args, BenchReport, Table,
 };
-use boat_data::IoStats;
 use boat_datagen::{GeneratorConfig, LabelFunction};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -53,12 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let gen = GeneratorConfig::new(func)
             .with_seed(seed)
             .with_extra_attrs(k as usize);
-        let data = materialize_cached(
-            &gen,
-            n,
-            &format!("extra-f{function}-{seed}-{k}"),
-            IoStats::new(),
-        )?;
+        let data = materialize_cached(&gen, n, &format!("extra-f{function}-{seed}-{k}"))?;
         let (hybrid_budget, vertical_budget) = rf_budgets(n, k as usize);
         let results = [
             run_boat(&data, limits, seed ^ k)?,

@@ -16,7 +16,6 @@ use boat_bench::{
     materialize_cached, print_metrics_summary, rf_budgets, run_boat, run_rf_hybrid,
     run_rf_vertical, Args, BenchReport, Table,
 };
-use boat_data::IoStats;
 use boat_datagen::{GeneratorConfig, LabelFunction};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -58,12 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let gen = GeneratorConfig::new(func)
             .with_seed(seed)
             .with_noise(pct as f64 / 100.0);
-        let data = materialize_cached(
-            &gen,
-            n,
-            &format!("noise-f{function}-{seed}-{pct}"),
-            IoStats::new(),
-        )?;
+        let data = materialize_cached(&gen, n, &format!("noise-f{function}-{seed}-{pct}"))?;
         let (hybrid_budget, vertical_budget) = rf_budgets(n, 0);
         let results = [
             run_boat(&data, limits, seed ^ pct)?,

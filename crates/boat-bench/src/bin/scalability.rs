@@ -17,7 +17,6 @@ use boat_bench::{
     materialize_cached, print_metrics_summary, rf_budgets, run_boat, run_rf_hybrid,
     run_rf_vertical, run_rf_write, Args, BenchReport, Table,
 };
-use boat_data::IoStats;
 use boat_datagen::{GeneratorConfig, LabelFunction};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -56,8 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rows_json: Vec<String> = Vec::new();
     for &n in &sizes {
         let gen = GeneratorConfig::new(func).with_seed(seed);
-        let data =
-            materialize_cached(&gen, n, &format!("scal-f{function}-{seed}"), IoStats::new())?;
+        let data = materialize_cached(&gen, n, &format!("scal-f{function}-{seed}"))?;
         let (hybrid_budget, vertical_budget) = rf_budgets(n, 0);
 
         let mut results = vec![

@@ -17,7 +17,7 @@ use boat_bench::{
 use boat_core::{Boat, BoatConfig, StalenessBound, StreamConfig};
 use boat_data::dataset::RecordSource;
 use boat_data::wal::{replay_segments, WalConfig, WalKind};
-use boat_data::{IoStats, MemoryDataset};
+use boat_data::MemoryDataset;
 use boat_datagen::{GeneratorConfig, LabelFunction};
 use boat_serve::spawn_streaming;
 use std::time::{Duration, Instant};
@@ -125,7 +125,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (7, LabelFunction::F7),
     ] {
         let gen = GeneratorConfig::new(func).with_seed(seed);
-        let data = materialize_cached(&gen, n, &format!("summary-f{f}-{seed}"), IoStats::new())?;
+        let data = materialize_cached(&gen, n, &format!("summary-f{f}-{seed}"))?;
         let (hb, vb) = rf_budgets(n, 0);
         let results = [
             run_boat(&data, limits, seed ^ f as u64)?,
@@ -163,12 +163,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let gen = GeneratorConfig::new(LabelFunction::F1)
             .with_seed(seed)
             .with_noise(pct as f64 / 100.0);
-        let data = materialize_cached(
-            &gen,
-            n,
-            &format!("summary-noise-{pct}-{seed}"),
-            IoStats::new(),
-        )?;
+        let data = materialize_cached(&gen, n, &format!("summary-noise-{pct}-{seed}"))?;
         let r = run_boat(&data, limits, seed ^ pct)?;
         println!(
             "  noise {pct:>2}%: {} | {} scans | {} input reads",

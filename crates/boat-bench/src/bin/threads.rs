@@ -20,7 +20,6 @@ use boat_bench::run::paper_limits;
 use boat_bench::table::fmt_duration;
 use boat_bench::{materialize_cached, print_metrics_summary, Args, BenchReport, Table};
 use boat_core::{Boat, BoatConfig};
-use boat_data::IoStats;
 use boat_datagen::{GeneratorConfig, LabelFunction};
 use boat_obs::Registry;
 use std::time::Duration;
@@ -70,12 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let gen = GeneratorConfig::new(func).with_seed(seed);
-    let data = materialize_cached(
-        &gen,
-        n,
-        &format!("threads-f{function}-{seed}"),
-        IoStats::new(),
-    )?;
+    let data = materialize_cached(&gen, n, &format!("threads-f{function}-{seed}"))?;
 
     let mut rows: Vec<Row> = Vec::new();
     let mut baseline_tree = None;

@@ -29,7 +29,7 @@ pub use run::{rf_budgets, run_boat, run_rf_hybrid, run_rf_vertical, run_rf_write
 pub use table::Table;
 
 use boat_data::dataset::RecordSource;
-use boat_data::{FileDataset, IoStats, Result};
+use boat_data::{FileDataset, Result};
 use boat_datagen::GeneratorConfig;
 use std::path::PathBuf;
 
@@ -43,20 +43,15 @@ pub fn bench_dir() -> PathBuf {
 /// Materialize (or reuse a previously materialized) dataset for a
 /// generator configuration. The cache key encodes the generator parameters
 /// and size, so sweeps don't regenerate shared datasets.
-pub fn materialize_cached(
-    gen: &GeneratorConfig,
-    n: u64,
-    key: &str,
-    stats: IoStats,
-) -> Result<FileDataset> {
+pub fn materialize_cached(gen: &GeneratorConfig, n: u64, key: &str) -> Result<FileDataset> {
     let path = bench_dir().join(format!("{key}-{n}.boat"));
     if path.exists() {
-        if let Ok(ds) = FileDataset::open(&path, stats.clone()) {
+        if let Ok(ds) = FileDataset::open(&path) {
             if ds.len() == n {
                 return Ok(ds);
             }
         }
         let _ = std::fs::remove_file(&path);
     }
-    gen.materialize_with_stats(&path, n, stats)
+    gen.materialize(&path, n)
 }

@@ -65,7 +65,6 @@ pub fn run_boat(
     if let Some(stop) = limits.stop_family_size {
         config.in_memory_threshold = stop;
     }
-    let before = data.stats().snapshot();
     let t = Instant::now();
     // Record into the process-global registry so experiment binaries can
     // embed one whole-run snapshot in their BENCH_*.json artifact.
@@ -73,12 +72,11 @@ pub fn run_boat(
         .with_metrics(boat_obs::Registry::global().clone())
         .fit(data)?;
     let time = t.elapsed();
-    let delta = data.stats().snapshot() - before;
     Ok(AlgoResult {
         algo: "BOAT",
         time,
         scans: fit.stats.scans_over_input,
-        input_reads: delta.records_read,
+        input_reads: fit.stats.io.records_read,
         spill_reads: fit.stats.spill_io.records_read,
         tree: fit.tree,
         failed_nodes: fit.stats.failed_nodes,
@@ -98,16 +96,14 @@ fn run_rf(
         in_memory_threshold: limits.stop_family_size.unwrap_or(data.len() / 10 + 1),
         limits,
     };
-    let before = data.stats().snapshot();
     let t = Instant::now();
     let fit = RainForest::new(variant, config).fit(data)?;
     let time = t.elapsed();
-    let delta = data.stats().snapshot() - before;
     Ok(AlgoResult {
         algo: label,
         time,
         scans: fit.stats.scans_over_input,
-        input_reads: delta.records_read,
+        input_reads: fit.stats.io.records_read,
         spill_reads: fit.stats.temp_io.records_read,
         tree: fit.tree,
         failed_nodes: 0,

@@ -18,8 +18,8 @@ use crate::work::{limits_for_subtree, Job, Resolution, WorkTree};
 use boat_data::dataset::RecordSource;
 use boat_data::sample::{reservoir_rows, SAMPLE_CHUNK_ROWS};
 use boat_data::spill::SpillBuffer;
-use boat_data::{DataError, IoSnapshot, IoStats, Record, Result};
-use boat_obs::Registry;
+use boat_data::{DataError, IoSnapshot, Record, Result};
+use boat_obs::{Registry, Snapshot};
 use boat_tree::{Gini, GrowthLimits, Impurity, ImpuritySelector, TdTreeBuilder, Tree};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -105,18 +105,16 @@ impl<I: Impurity + Clone> Boat<I> {
         self.metrics.counter("boat.sample.inmem_columnar").inc();
         let cs = boat_tree::ColumnarSample::from_records(schema, records);
         let weights = vec![1u32; records.len()];
-        let stats = boat_tree::SubsampleStats::default();
+        let stats = crate::coarse::subsample_stats(&self.metrics);
         let rt = crate::coarse::subsample_runtime(&self.config, &stats);
-        let tree = boat_tree::grow_weighted_gated(&cs, &weights, &selector, limits, rt.as_ref());
-        crate::coarse::record_subsample_stats(&stats, &self.metrics);
-        tree
+        boat_tree::grow_weighted_gated(&cs, &weights, &selector, limits, rt.as_ref())
     }
 
     /// Build the exact decision tree for `source`.
     pub fn fit(&self, source: &dyn RecordSource) -> Result<BoatFit> {
         self.config.validate().map_err(DataError::Invalid)?;
         let metrics_before = self.metrics.snapshot();
-        let io_before = source.stats().snapshot();
+        let input_before = source.metrics().snapshot();
         self.metrics.counter("boat.fit.runs").inc();
         // In-memory switch at top level: families that fit in memory are
         // always cheaper to build directly (§3.5).
@@ -133,29 +131,33 @@ impl<I: Impurity + Clone> Boat<I> {
                 postprocess_time: t0.elapsed(),
                 ..Default::default()
             };
-            self.finish_stats(&mut stats, source, io_before, &metrics_before);
+            self.finish_stats(&mut stats, source, &input_before, &metrics_before);
             return Ok(BoatFit { tree, stats });
         }
         let (work, mut stats) = self.fit_work(source, false)?;
         let tree = work.extract_tree();
-        self.finish_stats(&mut stats, source, io_before, &metrics_before);
+        self.finish_stats(&mut stats, source, &input_before, &metrics_before);
         Ok(BoatFit { tree, stats })
     }
 
-    /// Close a top-level run's statistics: the input I/O delta (mirrored
-    /// into `data.input.*`), the scan count read from it, and the metrics
-    /// delta.
+    /// Close a top-level run's statistics. The source counts its own
+    /// reads: the run's delta of them is folded into this instance's
+    /// registry, so `data.input.*` sits next to `data.spill.*` in the
+    /// metrics delta, and `io`, `scans_over_input` and `spill_io` are read
+    /// from the deltas.
     pub(crate) fn finish_stats(
         &self,
         stats: &mut BoatRunStats,
         source: &dyn RecordSource,
-        io_before: IoSnapshot,
-        metrics_before: &boat_obs::Snapshot,
+        input_before: &Snapshot,
+        metrics_before: &Snapshot,
     ) {
-        stats.io = source.stats().snapshot() - io_before;
+        let input = source.metrics().snapshot().since(input_before);
+        self.metrics.add_counters(&input);
+        stats.io = IoSnapshot::input(&input);
         stats.scans_over_input = stats.io.scans;
-        mirror_io(&self.metrics, "data.input", stats.io);
         stats.metrics = self.metrics.snapshot().since(metrics_before);
+        stats.spill_io = IoSnapshot::spill(&stats.metrics);
     }
 
     /// Run the full BOAT pipeline, returning the finalized working tree
@@ -202,19 +204,10 @@ impl<I: Impurity + Clone> Boat<I> {
             &self.config,
             source.len(),
             retain_all_families,
-            // Temporary files (parked sets, families) are accounted
-            // separately from the input source, so callers can tell
-            // scans-over-D apart from local spill traffic. The
-            // handle shares its counters with the registry (`data.spill.*`),
-            // so spill traffic shows in metric snapshots as it happens.
-            IoStats::registered(&self.metrics, "data.spill"),
             self.metrics.clone(),
         );
         drop(cs);
         prepare_span.finish();
-        // The spill handle shares registry counters across runs, so this
-        // run's spill traffic is a delta, not an absolute.
-        let spill_io_before = work.spill_stats.snapshot();
         stats.sampling_time = t0.elapsed();
 
         // ---- cleanup phase (scan 2) ----
@@ -249,7 +242,6 @@ impl<I: Impurity + Clone> Boat<I> {
             }
         }
         stats.spilled_tuples = work.spilled_total();
-        stats.spill_io = work.spill_stats.snapshot() - spill_io_before;
         stats.postprocess_time = t2.elapsed();
         self.metrics
             .gauge("boat.work.nodes")
@@ -301,7 +293,7 @@ impl<I: Impurity + Clone> Boat<I> {
                         SpillBuffer::new_in(
                             work.schema.clone(),
                             self.config.spill_budget,
-                            work.spill_stats.clone(),
+                            &self.metrics,
                             self.config.spill_dir.clone(),
                         ),
                     )
@@ -355,32 +347,6 @@ impl<I: Impurity + Clone> Boat<I> {
         }
         Ok(())
     }
-}
-
-/// Mirror an [`IoSnapshot`] delta into registry counters under `prefix`
-/// (`{prefix}.scans`, `{prefix}.bytes_read`, …).
-///
-/// Input-source I/O is counted by the *caller's* detached [`IoStats`]
-/// handle, not ours; public entry points mirror the per-run delta into the
-/// registry once, so `data.input.*` counters line up with `data.spill.*`
-/// in the same snapshot.
-fn mirror_io(metrics: &Registry, prefix: &str, d: IoSnapshot) {
-    metrics.counter(&format!("{prefix}.scans")).add(d.scans);
-    metrics
-        .counter(&format!("{prefix}.records_read"))
-        .add(d.records_read);
-    metrics
-        .counter(&format!("{prefix}.bytes_read"))
-        .add(d.bytes_read);
-    metrics
-        .counter(&format!("{prefix}.records_written"))
-        .add(d.records_written);
-    metrics
-        .counter(&format!("{prefix}.bytes_written"))
-        .add(d.bytes_written);
-    metrics
-        .counter(&format!("{prefix}.spill_events"))
-        .add(d.spill_events);
 }
 
 /// Whether any node in the subtree of `idx` absorbed records since its

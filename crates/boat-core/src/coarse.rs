@@ -226,14 +226,13 @@ pub fn build_coarse_tree_columnar<S: SplitSelector + ?Sized>(
         .counter("boat.sample.columnar_builds")
         .add(weight_sets.len() as u64);
     let grow_span = metrics.span("boat.sample.grow");
-    let stats = boat_tree::SubsampleStats::default();
+    let stats = subsample_stats(metrics);
     let base = subsample_runtime(config, &stats);
     let trees = build_parallel(weight_sets.len(), |i| {
         let rt = base.map(|b| b.for_rep(i as u64));
         boat_tree::grow_weighted_gated(sample, &weight_sets[i], selector, limits, rt.as_ref())
     });
     grow_span.finish();
-    record_subsample_stats(&stats, metrics);
     Ok(agree_all(&trees?, config))
 }
 
@@ -361,18 +360,14 @@ pub(crate) fn subsample_runtime<'s>(
         })
 }
 
-/// Mirror the gate's counters into the `boat.sample.subsample.*` metrics.
-pub(crate) fn record_subsample_stats(stats: &boat_tree::SubsampleStats, metrics: &Registry) {
-    let snap = stats.snapshot();
-    for (name, v) in [
-        ("boat.sample.subsample.swept", snap.swept),
-        ("boat.sample.subsample.pruned", snap.pruned),
-        ("boat.sample.subsample.fallbacks", snap.fallbacks),
-        ("boat.sample.subsample.exact_points", snap.exact_points),
-    ] {
-        if v > 0 {
-            metrics.counter(name).add(v);
-        }
+/// The gate's counters, taken from `metrics` as the
+/// `boat.sample.subsample.*` counters.
+pub(crate) fn subsample_stats(metrics: &Registry) -> boat_tree::SubsampleStats {
+    boat_tree::SubsampleStats {
+        swept: metrics.counter("boat.sample.subsample.swept"),
+        pruned: metrics.counter("boat.sample.subsample.pruned"),
+        fallbacks: metrics.counter("boat.sample.subsample.fallbacks"),
+        exact_points: metrics.counter("boat.sample.subsample.exact_points"),
     }
 }
 

@@ -81,11 +81,11 @@ impl<I: Impurity + Clone> Boat<I> {
     {
         self.config().validate().map_err(DataError::Invalid)?;
         let metrics_before = self.metrics().snapshot();
-        let io_before = source.stats().snapshot();
+        let input_before = source.metrics().snapshot();
         self.metrics().counter("boat.fit.runs").inc();
         let (work, mut stats) = self.fit_work(source, true)?;
         let tree = work.extract_tree();
-        self.finish_stats(&mut stats, source, io_before, &metrics_before);
+        self.finish_stats(&mut stats, source, &input_before, &metrics_before);
         Ok((
             BoatModel {
                 algo: self.clone(),

@@ -30,9 +30,9 @@
 //!
 //! ```no_run
 //! use boat_core::{Boat, BoatConfig};
-//! use boat_data::{FileDataset, IoStats};
+//! use boat_data::FileDataset;
 //!
-//! let data = FileDataset::open("train.boat", IoStats::new()).unwrap();
+//! let data = FileDataset::open("train.boat").unwrap();
 //! let fit = Boat::new(BoatConfig::scaled_for(1_000_000)).fit(&data).unwrap();
 //! println!("{} scans, {} nodes", fit.stats.scans_over_input, fit.tree.n_nodes());
 //! ```

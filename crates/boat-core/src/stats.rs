@@ -42,9 +42,11 @@ pub struct BoatRunStats {
     pub cleanup_time: Duration,
     /// Wall time of verification + finishing work.
     pub postprocess_time: Duration,
-    /// I/O over the *input* training database.
+    /// I/O over the *input* training database: the run's delta of the
+    /// source's `data.input.*` counters.
     pub io: IoSnapshot,
-    /// I/O over temporary files (parked sets `S_n`, retained families).
+    /// I/O over temporary files (parked sets `S_n`, retained families):
+    /// the `data.spill.*` counters of `metrics`.
     pub spill_io: IoSnapshot,
     /// Full observability snapshot of the run: the delta of the owning
     /// `Boat`'s metric registry over this fit (phase spans, verification

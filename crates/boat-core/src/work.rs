@@ -19,9 +19,7 @@ use crate::config::BoatConfig;
 use crate::verify::bucket_passes;
 use boat_data::codec::{EncodedRow, RowLayout};
 use boat_data::spill::SpillBuffer;
-use boat_data::{
-    AttrType, DataError, Fields, IoStats, Record, RecordChunk, RecordSource, Result, Schema,
-};
+use boat_data::{AttrType, DataError, Fields, Record, RecordChunk, RecordSource, Result, Schema};
 use boat_obs::Registry;
 use boat_tree::split::{best_categorical_split, cmp_splits, sweep_numeric};
 use boat_tree::{
@@ -341,9 +339,9 @@ pub(crate) struct WorkNode {
 pub(crate) struct WorkTree {
     pub schema: Arc<Schema>,
     pub nodes: Vec<WorkNode>,
-    pub spill_stats: IoStats,
     /// Observability registry (shared with the owning `Boat`): cleanup-shard
-    /// timers, merge spans and verification-verdict counters record here.
+    /// timers, merge spans, verification-verdict counters and the spill
+    /// buffers' `data.spill.*` traffic record here.
     pub metrics: Registry,
 }
 
@@ -506,7 +504,6 @@ impl WorkTree {
         config: &BoatConfig,
         full_size: u64,
         retain_all_families: bool,
-        spill_stats: IoStats,
         metrics: Registry,
     ) -> WorkTree {
         let n = sample.n_rows();
@@ -522,7 +519,7 @@ impl WorkTree {
             SpillBuffer::new_in(
                 schema.clone(),
                 config.spill_budget,
-                spill_stats.clone(),
+                &metrics,
                 config.spill_dir.clone(),
             )
         };
@@ -619,7 +616,6 @@ impl WorkTree {
         WorkTree {
             schema,
             nodes,
-            spill_stats,
             metrics,
         }
     }
@@ -1643,7 +1639,6 @@ mod tests {
             cfg,
             ds.len(),
             retain_all_families,
-            IoStats::new(),
             Registry::new(),
         );
         (sample, coarse, work)
@@ -2215,9 +2210,10 @@ mod tests {
         for r in &records {
             work.absorb(r).unwrap();
         }
-        let read_before = work.spill_stats.snapshot().records_read;
+        let spill_read = |work: &WorkTree| work.metrics.counter("data.spill.records_read").get();
+        let read_before = spill_read(&work);
         work.finalize(&Gini, cfg.limits).unwrap();
-        let read = work.spill_stats.snapshot().records_read - read_before;
+        let read = spill_read(&work) - read_before;
         // Every numeric node the pass reaches reads its parked set: it
         // either verifies (and routes the set on) or fails.
         let reached_parked: u64 = work

@@ -4,8 +4,9 @@
 
 use boat_core::{reference_tree, Boat, BoatConfig};
 use boat_data::dataset::{RecordScan, RecordSource};
-use boat_data::{Attribute, DataError, Field, IoStats, MemoryDataset, Record, Result, Schema};
+use boat_data::{Attribute, DataError, Field, MemoryDataset, Record, Result, ScanCounters, Schema};
 use boat_datagen::{GeneratorConfig, LabelFunction};
+use boat_obs::Registry;
 use boat_tree::{Gini, GrowthLimits};
 use std::sync::Arc;
 
@@ -273,7 +274,7 @@ struct FailingSource {
     schema: Arc<Schema>,
     ok_records: u64,
     claimed_len: u64,
-    stats: IoStats,
+    metrics: Registry,
 }
 
 impl RecordSource for FailingSource {
@@ -282,7 +283,7 @@ impl RecordSource for FailingSource {
     }
 
     fn scan(&self) -> Result<Box<dyn RecordScan + '_>> {
-        self.stats.record_scan();
+        ScanCounters::start(&self.metrics);
         let ok = self.ok_records;
         let total = self.claimed_len;
         Ok(Box::new((0..total).map(move |i| {
@@ -298,8 +299,8 @@ impl RecordSource for FailingSource {
         self.claimed_len
     }
 
-    fn stats(&self) -> &IoStats {
-        &self.stats
+    fn metrics(&self) -> &Registry {
+        &self.metrics
     }
 }
 
@@ -310,7 +311,7 @@ fn mid_scan_io_error_is_propagated_not_panicked() {
         schema,
         ok_records: 500,
         claimed_len: 2_000,
-        stats: IoStats::new(),
+        metrics: Registry::new(),
     };
     let err = Boat::new(tiny_config(11)).fit(&source).unwrap_err();
     assert!(err.to_string().contains("disk died"), "{err}");
@@ -328,14 +329,14 @@ fn model_update_io_error_is_propagated() {
     struct FailingChunk {
         schema: Arc<Schema>,
         template: Record,
-        stats: IoStats,
+        metrics: Registry,
     }
     impl RecordSource for FailingChunk {
         fn schema(&self) -> &Arc<Schema> {
             &self.schema
         }
         fn scan(&self) -> Result<Box<dyn RecordScan + '_>> {
-            self.stats.record_scan();
+            ScanCounters::start(&self.metrics);
             let template = self.template.clone();
             Ok(Box::new((0..10u32).map(move |i| {
                 if i < 5 {
@@ -350,14 +351,14 @@ fn model_update_io_error_is_propagated() {
         fn len(&self) -> u64 {
             10
         }
-        fn stats(&self) -> &IoStats {
-            &self.stats
+        fn metrics(&self) -> &Registry {
+            &self.metrics
         }
     }
     let chunk = FailingChunk {
         schema: gen.schema(),
         template: gen.generate_vec(1)[0].clone(),
-        stats: IoStats::new(),
+        metrics: Registry::new(),
     };
     let err = model.insert(&chunk).unwrap_err();
     assert!(err.to_string().contains("chunk truncated"), "{err}");

@@ -120,19 +120,19 @@ fn same_distribution_updates_do_not_rescan_base() {
     let base = mem(&schema, all[..6_000].to_vec());
     let algo = Boat::new(config(2400));
     let (mut model, _) = algo.fit_model(&base).unwrap();
-    let scans_after_build = base.stats().snapshot().scans;
+    let scans_after_build = base.metrics().snapshot().counter("data.input.scans");
 
     let chunk = mem(&schema, all[6_000..].to_vec());
     model.insert(&chunk).unwrap();
     model.check_invariants();
     model.maintain().unwrap();
     assert_eq!(
-        base.stats().snapshot().scans,
+        base.metrics().snapshot().counter("data.input.scans"),
         scans_after_build,
         "incremental insert + maintenance must not rescan the base dataset"
     );
     assert_eq!(
-        chunk.stats().snapshot().scans,
+        chunk.metrics().snapshot().counter("data.input.scans"),
         1,
         "exactly one scan over the chunk"
     );

@@ -7,7 +7,7 @@
 
 use boat_core::{Boat, BoatConfig};
 use boat_data::dataset::RecordSource;
-use boat_data::{FileDataset, IoStats};
+use boat_data::FileDataset;
 use boat_datagen::{GeneratorConfig, LabelFunction};
 use boat_tree::GrowthLimits;
 
@@ -48,7 +48,7 @@ fn on_disk(n: u64, seed: u64, key: &str) -> FileDataset {
     let _ = std::fs::remove_file(&path);
     GeneratorConfig::new(LabelFunction::F1)
         .with_seed(seed)
-        .materialize_with_stats(&path, n, IoStats::new())
+        .materialize(&path, n)
         .unwrap()
 }
 
@@ -58,8 +58,8 @@ fn clean_fit_makes_exactly_two_scans() {
     let fit = Boat::new(paper_config(8_000, 4100)).fit(&data).unwrap();
     let m = &fit.stats.metrics;
     assert_eq!(fit.stats.failed_nodes, 0, "fixture must verify cleanly");
-    // The paper's headline, in the classic stats and in the mirrored I/O
-    // counter they are read from.
+    // The paper's headline, in the classic stats and in the input counter
+    // they are read from.
     assert_eq!(fit.stats.scans_over_input, 2);
     assert_eq!(m.counter("data.input.scans"), 2);
     assert_eq!(m.counter("boat.jobs.collection_scans"), 0);
@@ -122,8 +122,10 @@ fn metrics_are_per_run_deltas() {
         assert_eq!(fit.stats.metrics.counter("boat.fit.runs"), 1);
         assert_eq!(fit.stats.metrics.counter("data.input.scans"), 2);
     }
-    // The shared registry accumulated both runs.
+    // The shared registry accumulated both runs, the input's scans folded
+    // in from the source's own counters.
     assert_eq!(algo.metrics().snapshot().counter("boat.fit.runs"), 2);
+    assert_eq!(algo.metrics().snapshot().counter("data.input.scans"), 4);
 }
 
 #[test]

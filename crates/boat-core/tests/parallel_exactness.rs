@@ -16,7 +16,7 @@
 
 use boat_core::{reference_tree, Boat, BoatConfig, BoatRunStats};
 use boat_data::dataset::RecordSource;
-use boat_data::{Attribute, Field, IoStats, MemoryDataset, Record, Schema};
+use boat_data::{Attribute, Field, MemoryDataset, Record, Schema};
 use boat_datagen::{GeneratorConfig, LabelFunction};
 use boat_tree::{Gini, Tree};
 use rand::rngs::StdRng;
@@ -205,7 +205,7 @@ fn parallel_exact_on_disk_dataset() {
 
     let mut first: Option<Tree> = None;
     for threads in THREADS {
-        let ds = boat_data::FileDataset::open(&path, IoStats::new()).unwrap();
+        let ds = boat_data::FileDataset::open(&path).unwrap();
         let cfg = grid_config(2_600).with_cleanup_threads(threads);
         let fit = Boat::new(cfg).fit(&ds).unwrap();
         assert_eq!(

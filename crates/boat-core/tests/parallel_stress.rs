@@ -13,8 +13,9 @@
 
 use boat_core::{Boat, BoatConfig};
 use boat_data::dataset::{ChunkScan, RecordScan, RecordSource};
-use boat_data::{AttrType, DataError, IoStats, MemoryDataset, RecordChunk, Result, Schema};
+use boat_data::{AttrType, DataError, MemoryDataset, RecordChunk, Result, Schema};
 use boat_datagen::{GeneratorConfig, LabelFunction};
+use boat_obs::Registry;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -55,8 +56,8 @@ impl RecordSource for ShuffledChunkSource {
         self.inner.len()
     }
 
-    fn stats(&self) -> &IoStats {
-        self.inner.stats()
+    fn metrics(&self) -> &Registry {
+        self.inner.metrics()
     }
 
     fn scan_chunks(&self, chunk_size: usize) -> Result<Box<dyn ChunkScan + '_>> {
@@ -218,8 +219,8 @@ impl<S: RecordSource> RecordSource for HostileChunkSource<S> {
         self.inner.len()
     }
 
-    fn stats(&self) -> &IoStats {
-        self.inner.stats()
+    fn metrics(&self) -> &Registry {
+        self.inner.metrics()
     }
 
     fn scan_chunks(&self, chunk_size: usize) -> Result<Box<dyn ChunkScan + '_>> {
@@ -309,8 +310,8 @@ impl RecordSource for BadChunkSource {
         self.0.len()
     }
 
-    fn stats(&self) -> &IoStats {
-        self.0.stats()
+    fn metrics(&self) -> &Registry {
+        self.0.metrics()
     }
 
     fn scan_chunks(&self, chunk_size: usize) -> Result<Box<dyn ChunkScan + '_>> {
@@ -373,8 +374,8 @@ impl RecordSource for RenumberedChunkSource {
         self.0.len()
     }
 
-    fn stats(&self) -> &IoStats {
-        self.0.stats()
+    fn metrics(&self) -> &Registry {
+        self.0.metrics()
     }
 
     fn scan_chunks(&self, chunk_size: usize) -> Result<Box<dyn ChunkScan + '_>> {

@@ -14,7 +14,6 @@
 //! back.
 
 use crate::dataset::{FileDataset, FileDatasetWriter, MemoryDataset};
-use crate::iostats::IoStats;
 use crate::record::{Field, Record};
 use crate::schema::{AttrType, Schema};
 use crate::{DataError, Result};
@@ -245,11 +244,10 @@ pub fn import_csv(
     out_path: impl AsRef<Path>,
     schema: Arc<Schema>,
     options: CsvOptions,
-    stats: IoStats,
 ) -> Result<(FileDataset, CsvDictionaries)> {
     let file = std::fs::File::open(csv_path)?;
     let mut parser = RowParser::new(schema.clone(), options);
-    let mut writer = FileDatasetWriter::create(out_path, schema, stats)?;
+    let mut writer = FileDatasetWriter::create(out_path, schema)?;
     for (i, line) in std::io::BufReader::new(file).lines().enumerate() {
         let line = line?;
         if i == 0 && parser.options.has_header {
@@ -401,8 +399,7 @@ mod tests {
         let out = std::env::temp_dir()
             .join("boat-csv-tests")
             .join("streamed.boat");
-        let (ds, dicts) =
-            import_csv(&csv, &out, schema(), CsvOptions::default(), IoStats::new()).unwrap();
+        let (ds, dicts) = import_csv(&csv, &out, schema(), CsvOptions::default()).unwrap();
         assert_eq!(ds.len(), 2);
         let records = ds.collect_records().unwrap();
         assert_eq!(records[1].cat(1), 1);

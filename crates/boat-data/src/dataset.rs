@@ -5,12 +5,21 @@
 //! Two concrete sources live here — [`MemoryDataset`] (samples, tests) and
 //! [`FileDataset`] (the on-disk training database) — and other crates add
 //! more (the synthetic generator).
+//!
+//! Each source counts its I/O into its own [`boat_obs::Registry`], returned
+//! by [`RecordSource::metrics`]: scans started and records and bytes read
+//! (through [`ScanCounters`]), and for a file made by a
+//! [`FileDatasetWriter`], the records and bytes written. Two sources never
+//! share counters unless a writer is handed one registry on purpose
+//! ([`FileDatasetWriter::create_with_metrics`]); clones of one source do.
+//! A phase's I/O is the delta of two snapshots of that registry, read as
+//! plain numbers by [`IoSnapshot::input`].
 
 use crate::codec;
-use crate::iostats::IoStats;
 use crate::record::Record;
 use crate::schema::{AttrType, Attribute, Schema};
 use crate::{DataError, Result};
+use boat_obs::{Counter, Registry, Snapshot};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -38,8 +47,9 @@ pub trait RecordSource {
         self.len() == 0
     }
 
-    /// The I/O counter handle this source reports into.
-    fn stats(&self) -> &IoStats;
+    /// The registry this source counts its I/O into, under `data.input.*`
+    /// (see [`ScanCounters`]).
+    fn metrics(&self) -> &Registry;
 
     /// Collect every record into memory. Intended for small sources (node
     /// families below the in-memory threshold, samples, tests).
@@ -67,6 +77,81 @@ pub trait RecordSource {
             self.schema().clone(),
             chunk_size,
         )))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// I/O counters
+// ---------------------------------------------------------------------------
+
+/// Handles on a source's read counters, looked up once per scan.
+#[derive(Debug, Clone)]
+pub struct ScanCounters {
+    records: Counter,
+    bytes: Counter,
+}
+
+impl ScanCounters {
+    /// Count one scan starting in `metrics` (`data.input.scans`) and return
+    /// the handles its reads count through (`data.input.records_read`,
+    /// `data.input.bytes_read`).
+    pub fn start(metrics: &Registry) -> Self {
+        metrics.counter("data.input.scans").inc();
+        ScanCounters {
+            records: metrics.counter("data.input.records_read"),
+            bytes: metrics.counter("data.input.bytes_read"),
+        }
+    }
+
+    /// Count `n` records, `bytes` bytes in all, read.
+    pub fn read(&self, n: u64, bytes: u64) {
+        self.records.add(n);
+        self.bytes.add(bytes);
+    }
+}
+
+/// The I/O counters under one prefix of a metrics snapshot, as plain
+/// numbers: a source's `data.input.*` or the spill buffers' `data.spill.*`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IoSnapshot {
+    /// Sequential scans started.
+    pub scans: u64,
+    /// Records read.
+    pub records_read: u64,
+    /// Bytes read.
+    pub bytes_read: u64,
+    /// Records written.
+    pub records_written: u64,
+    /// Bytes written.
+    pub bytes_written: u64,
+    /// Buffers that overflowed their memory budget to a temporary file.
+    pub spill_events: u64,
+}
+
+impl IoSnapshot {
+    /// The source counters of `snapshot`: `data.input.scans`,
+    /// `data.input.records_read`, … (a counter it lacks reads 0). Pass a
+    /// [`Snapshot::since`] delta to measure one phase.
+    pub fn input(snapshot: &Snapshot) -> Self {
+        Self::read(snapshot, "data.input")
+    }
+
+    /// The spill-buffer counters of `snapshot`: `data.spill.records_written`,
+    /// … (see [`crate::spill`]).
+    pub fn spill(snapshot: &Snapshot) -> Self {
+        Self::read(snapshot, "data.spill")
+    }
+
+    fn read(snapshot: &Snapshot, prefix: &str) -> Self {
+        let counter = |name: &str| snapshot.counter(&format!("{prefix}.{name}"));
+        IoSnapshot {
+            scans: counter("scans"),
+            records_read: counter("records_read"),
+            bytes_read: counter("bytes_read"),
+            records_written: counter("records_written"),
+            bytes_written: counter("bytes_written"),
+            spill_events: counter("spill_events"),
+        }
     }
 }
 
@@ -205,7 +290,7 @@ impl Iterator for Chunks<'_> {
 pub struct MemoryDataset {
     schema: Arc<Schema>,
     records: Vec<Record>,
-    stats: IoStats,
+    metrics: Registry,
 }
 
 impl MemoryDataset {
@@ -214,17 +299,7 @@ impl MemoryDataset {
         MemoryDataset {
             schema,
             records,
-            stats: IoStats::new(),
-        }
-    }
-
-    /// Like [`MemoryDataset::new`] but reporting into an existing counter
-    /// handle.
-    pub fn with_stats(schema: Arc<Schema>, records: Vec<Record>, stats: IoStats) -> Self {
-        MemoryDataset {
-            schema,
-            records,
-            stats,
+            metrics: Registry::new(),
         }
     }
 
@@ -253,11 +328,10 @@ impl RecordSource for MemoryDataset {
     }
 
     fn scan(&self) -> Result<Box<dyn RecordScan + '_>> {
-        self.stats.record_scan();
+        let counters = ScanCounters::start(&self.metrics);
         let width = self.schema.record_width() as u64;
-        let stats = self.stats.clone();
         Ok(Box::new(self.records.iter().map(move |r| {
-            stats.record_read(1, width);
+            counters.read(1, width);
             Ok(r.clone())
         })))
     }
@@ -266,8 +340,8 @@ impl RecordSource for MemoryDataset {
         self.records.len() as u64
     }
 
-    fn stats(&self) -> &IoStats {
-        &self.stats
+    fn metrics(&self) -> &Registry {
+        &self.metrics
     }
 }
 
@@ -366,12 +440,17 @@ pub struct FileDataset {
     schema: Arc<Schema>,
     n_records: u64,
     data_offset: u64,
-    stats: IoStats,
+    metrics: Registry,
 }
 
 impl FileDataset {
-    /// Open an existing dataset file.
-    pub fn open(path: impl AsRef<Path>, stats: IoStats) -> Result<Self> {
+    /// Open an existing dataset file, counting into a registry of its own.
+    pub fn open(path: impl AsRef<Path>) -> Result<Self> {
+        Self::open_with_metrics(path, Registry::new())
+    }
+
+    /// Open an existing dataset file that counts into `metrics`.
+    fn open_with_metrics(path: impl AsRef<Path>, metrics: Registry) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
         let mut reader = BufReader::new(File::open(&path)?);
         let magic = read_exact_buf::<8>(&mut reader)?;
@@ -405,17 +484,13 @@ impl FileDataset {
             schema,
             n_records,
             data_offset,
-            stats,
+            metrics,
         })
     }
 
     /// Materialize any source into a new dataset file at `path`.
-    pub fn create_from(
-        path: impl AsRef<Path>,
-        source: &dyn RecordSource,
-        stats: IoStats,
-    ) -> Result<Self> {
-        let mut writer = FileDatasetWriter::create(path, source.schema().clone(), stats)?;
+    pub fn create_from(path: impl AsRef<Path>, source: &dyn RecordSource) -> Result<Self> {
+        let mut writer = FileDatasetWriter::create(path, source.schema().clone())?;
         for r in source.scan()? {
             writer.append(&r?)?;
         }
@@ -434,7 +509,7 @@ impl RecordSource for FileDataset {
     }
 
     fn scan(&self) -> Result<Box<dyn RecordScan + '_>> {
-        self.stats.record_scan();
+        let counters = ScanCounters::start(&self.metrics);
         let mut reader = BufReader::with_capacity(1 << 18, File::open(&self.path)?);
         reader.seek(SeekFrom::Start(self.data_offset))?;
         Ok(Box::new(FileScan {
@@ -442,7 +517,7 @@ impl RecordSource for FileDataset {
             layout: codec::RowLayout::new(&self.schema),
             remaining: self.n_records,
             buf: vec![0u8; self.schema.record_width()],
-            stats: self.stats.clone(),
+            counters,
         }))
     }
 
@@ -450,21 +525,20 @@ impl RecordSource for FileDataset {
         self.n_records
     }
 
-    fn stats(&self) -> &IoStats {
-        &self.stats
+    fn metrics(&self) -> &Registry {
+        &self.metrics
     }
 
     /// One `read_exact` per chunk straight into its row buffer, with no
     /// per-row decode; the I/O counters move once per chunk.
     fn scan_chunks(&self, chunk_size: usize) -> Result<Box<dyn ChunkScan + '_>> {
-        self.stats.record_scan();
+        let counters = ScanCounters::start(&self.metrics);
         let mut file = File::open(&self.path)?;
         file.seek(SeekFrom::Start(self.data_offset))?;
         let width = self.schema.record_width();
         let chunk_size = chunk_size.max(1) as u64;
         let mut remaining = self.n_records;
         let mut index = 0usize;
-        let stats = self.stats.clone();
         Ok(Box::new(std::iter::from_fn(move || {
             if remaining == 0 {
                 return None;
@@ -476,7 +550,7 @@ impl RecordSource for FileDataset {
                 return Some(Err(e.into()));
             }
             remaining -= n;
-            stats.record_read(n, bytes.len() as u64);
+            counters.read(n, bytes.len() as u64);
             let chunk = RecordChunk::new(index, width, bytes);
             index += 1;
             Some(Ok(chunk))
@@ -489,7 +563,7 @@ struct FileScan {
     layout: codec::RowLayout,
     remaining: u64,
     buf: Vec<u8>,
-    stats: IoStats,
+    counters: ScanCounters,
 }
 
 impl Iterator for FileScan {
@@ -504,7 +578,7 @@ impl Iterator for FileScan {
             self.remaining = 0;
             return Some(Err(e.into()));
         }
-        self.stats.record_read(1, self.buf.len() as u64);
+        self.counters.read(1, self.buf.len() as u64);
         Some(self.layout.decode(&self.buf))
     }
 
@@ -521,12 +595,30 @@ pub struct FileDatasetWriter {
     n_records: u64,
     count_offset: u64,
     buf: Vec<u8>,
-    stats: IoStats,
+    metrics: Registry,
+    records_written: Counter,
+    bytes_written: Counter,
 }
 
 impl FileDatasetWriter {
-    /// Create (truncating) a dataset file at `path`.
-    pub fn create(path: impl AsRef<Path>, schema: Arc<Schema>, stats: IoStats) -> Result<Self> {
+    /// Create (truncating) a dataset file at `path`. The writer counts the
+    /// records and bytes it writes (`data.input.records_written`,
+    /// `data.input.bytes_written`) into a registry of its own, which the
+    /// dataset [`FileDatasetWriter::finish`] returns keeps counting into.
+    pub fn create(path: impl AsRef<Path>, schema: Arc<Schema>) -> Result<Self> {
+        Self::create_with_metrics(path, schema, Registry::new())
+    }
+
+    /// Like [`FileDatasetWriter::create`], but counting into `metrics`, so
+    /// files written with one registry share their counters (a run's
+    /// temporary partition files). `metrics` must not be the registry of a
+    /// `Boat` that fits the dataset: a fit folds its input's counters into
+    /// its own registry, and would count them twice.
+    pub fn create_with_metrics(
+        path: impl AsRef<Path>,
+        schema: Arc<Schema>,
+        metrics: Registry,
+    ) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
         let mut writer = BufWriter::with_capacity(1 << 18, File::create(&path)?);
         writer.write_all(MAGIC)?;
@@ -540,7 +632,9 @@ impl FileDatasetWriter {
             n_records: 0,
             count_offset,
             buf: Vec::new(),
-            stats,
+            records_written: metrics.counter("data.input.records_written"),
+            bytes_written: metrics.counter("data.input.bytes_written"),
+            metrics,
         })
     }
 
@@ -555,7 +649,8 @@ impl FileDatasetWriter {
         codec::encode_into(&self.schema, record, &mut self.buf)?;
         self.writer.write_all(&self.buf)?;
         self.n_records += 1;
-        self.stats.record_write(1, self.buf.len() as u64);
+        self.records_written.inc();
+        self.bytes_written.add(self.buf.len() as u64);
         Ok(())
     }
 
@@ -580,7 +675,7 @@ impl FileDatasetWriter {
         file.write_all(&self.n_records.to_le_bytes())?;
         file.sync_data()?;
         drop(file);
-        FileDataset::open(&self.path, self.stats)
+        FileDataset::open_with_metrics(&self.path, self.metrics)
     }
 }
 
@@ -595,6 +690,11 @@ mod tests {
             2,
         )
         .unwrap()
+    }
+
+    /// The `data.input.*` counters of `ds` now.
+    fn io(ds: &dyn RecordSource) -> IoSnapshot {
+        IoSnapshot::input(&ds.metrics().snapshot())
     }
 
     fn records(n: usize) -> Vec<Record> {
@@ -614,9 +714,41 @@ mod tests {
         assert_eq!(ds.len(), 10);
         let collected = ds.collect_records().unwrap();
         assert_eq!(collected, records(10));
-        let snap = ds.stats().snapshot();
+        let snap = io(&ds);
         assert_eq!(snap.scans, 1);
         assert_eq!(snap.records_read, 10);
+    }
+
+    #[test]
+    fn two_sources_do_not_share_counters() {
+        let a = MemoryDataset::new(schema(), records(4));
+        let b = MemoryDataset::new(schema(), records(4));
+        a.collect_records().unwrap();
+        assert_eq!(io(&a).scans, 1);
+        assert_eq!(io(&b), IoSnapshot::default());
+    }
+
+    #[test]
+    fn clones_of_a_source_share_counters() {
+        let a = MemoryDataset::new(schema(), records(4));
+        let b = a.clone();
+        b.collect_records().unwrap();
+        b.collect_records().unwrap();
+        assert_eq!(io(&a).scans, 2);
+        assert_eq!(io(&a).records_read, 8);
+    }
+
+    #[test]
+    fn a_snapshot_delta_measures_one_phase() {
+        let ds = MemoryDataset::new(schema(), records(5));
+        ds.collect_records().unwrap();
+        let before = ds.metrics().snapshot();
+        ds.collect_records().unwrap();
+        let delta = IoSnapshot::input(&ds.metrics().snapshot().since(&before));
+        assert_eq!(delta.scans, 1);
+        assert_eq!(delta.records_read, 5);
+        assert_eq!(delta.bytes_read, 5 * ds.schema().record_width() as u64);
+        assert_eq!(io(&ds).scans, 2);
     }
 
     #[test]
@@ -630,21 +762,49 @@ mod tests {
         let dir = std::env::temp_dir().join("boat-data-test-roundtrip");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ds.boat");
-        let stats = IoStats::new();
-        let mut w = FileDatasetWriter::create(&path, schema(), stats.clone()).unwrap();
+        let mut w = FileDatasetWriter::create(&path, schema()).unwrap();
         for r in records(100) {
             w.append(&r).unwrap();
         }
         let ds = w.finish().unwrap();
         assert_eq!(ds.len(), 100);
         assert_eq!(ds.collect_records().unwrap(), records(100));
-        // one scan; 100 records of width 14 read
-        let snap = stats.snapshot();
+        // one scan; 100 records of width 14 read; the writer's counts
+        // reach the finished dataset
+        let snap = io(&ds);
         assert_eq!(snap.scans, 1);
         assert_eq!(snap.records_read, 100);
         assert_eq!(snap.bytes_read, 100 * ds.schema().record_width() as u64);
         assert_eq!(snap.records_written, 100);
+        assert_eq!(snap.bytes_written, snap.bytes_read);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn writers_given_one_registry_share_it() {
+        let dir = std::env::temp_dir().join("boat-data-test-shared-writers");
+        std::fs::create_dir_all(&dir).unwrap();
+        let metrics = Registry::new();
+        let mut files = Vec::new();
+        for (name, n) in [("a.boat", 3), ("b.boat", 4)] {
+            let path = dir.join(name);
+            let mut w =
+                FileDatasetWriter::create_with_metrics(&path, schema(), metrics.clone()).unwrap();
+            for r in records(n) {
+                w.append(&r).unwrap();
+            }
+            files.push(w.finish().unwrap());
+        }
+        for f in &files {
+            f.collect_records().unwrap();
+        }
+        let snap = IoSnapshot::input(&metrics.snapshot());
+        assert_eq!(snap.records_written, 7);
+        assert_eq!(snap.scans, 2);
+        assert_eq!(snap.records_read, 7);
+        for f in &files {
+            std::fs::remove_file(f.path()).unwrap();
+        }
     }
 
     #[test]
@@ -652,7 +812,7 @@ mod tests {
         let dir = std::env::temp_dir().join("boat-data-test-rescan");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ds.boat");
-        let mut w = FileDatasetWriter::create(&path, schema(), IoStats::new()).unwrap();
+        let mut w = FileDatasetWriter::create(&path, schema()).unwrap();
         for r in records(5) {
             w.append(&r).unwrap();
         }
@@ -660,7 +820,7 @@ mod tests {
         for _ in 0..3 {
             assert_eq!(ds.collect_records().unwrap().len(), 5);
         }
-        assert_eq!(ds.stats().snapshot().scans, 3);
+        assert_eq!(io(&ds).scans, 3);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -670,7 +830,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bad.boat");
         std::fs::write(&path, b"NOTBOAT!rest").unwrap();
-        assert!(FileDataset::open(&path, IoStats::new()).is_err());
+        assert!(FileDataset::open(&path).is_err());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -679,7 +839,7 @@ mod tests {
         let dir = std::env::temp_dir().join("boat-data-test-trunc");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.boat");
-        let mut w = FileDatasetWriter::create(&path, schema(), IoStats::new()).unwrap();
+        let mut w = FileDatasetWriter::create(&path, schema()).unwrap();
         for r in records(8) {
             w.append(&r).unwrap();
         }
@@ -688,7 +848,7 @@ mod tests {
         let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
         f.set_len(full - 3).unwrap();
         drop(f);
-        assert!(FileDataset::open(&path, IoStats::new()).is_err());
+        assert!(FileDataset::open(&path).is_err());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -699,7 +859,7 @@ mod tests {
         let path = dir.join(format!("c{}.boat", std::process::id()));
         let schema = Schema::shared(vec![Attribute::numeric("x")], 2).unwrap();
         assert_eq!(schema.record_width(), 10);
-        let mut w = FileDatasetWriter::create(&path, schema, IoStats::new()).unwrap();
+        let mut w = FileDatasetWriter::create(&path, schema).unwrap();
         w.append(&Record::new(vec![Field::Num(1.0)], 1)).unwrap();
         let len = std::fs::metadata(w.finish().unwrap().path()).unwrap().len();
         // The count sits just before the one 10-byte row. 2^63 + 1 rows of
@@ -710,10 +870,7 @@ mod tests {
             bytes[at..at + 8].copy_from_slice(&count.to_le_bytes());
             std::fs::write(&path, &bytes).unwrap();
             assert!(
-                matches!(
-                    FileDataset::open(&path, IoStats::new()),
-                    Err(DataError::Corrupt(_))
-                ),
+                matches!(FileDataset::open(&path), Err(DataError::Corrupt(_))),
                 "count {count}"
             );
         }
@@ -726,7 +883,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("copy.boat");
         let mem = MemoryDataset::new(schema(), records(17));
-        let ds = FileDataset::create_from(&path, &mem, IoStats::new()).unwrap();
+        let ds = FileDataset::create_from(&path, &mem).unwrap();
         assert_eq!(ds.len(), 17);
         assert_eq!(ds.collect_records().unwrap(), records(17));
         std::fs::remove_file(&path).unwrap();
@@ -737,7 +894,7 @@ mod tests {
         let dir = std::env::temp_dir().join("boat-data-test-empty");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("empty.boat");
-        let w = FileDatasetWriter::create(&path, schema(), IoStats::new()).unwrap();
+        let w = FileDatasetWriter::create(&path, schema()).unwrap();
         assert!(w.is_empty());
         let ds = w.finish().unwrap();
         assert!(ds.is_empty());
@@ -773,7 +930,7 @@ mod tests {
         );
         assert_eq!(decode_chunks(ds.schema(), &chunks), records(10));
         // One scan counted, same as a plain scan.
-        assert_eq!(ds.stats().snapshot().scans, 1);
+        assert_eq!(io(&ds).scans, 1);
     }
 
     #[test]
@@ -782,17 +939,20 @@ mod tests {
         let dir = std::env::temp_dir().join("boat-data-test-chunk-io");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("io.boat");
-        let file = FileDataset::create_from(&path, &mem, IoStats::new()).unwrap();
+        let file = FileDataset::create_from(&path, &mem).unwrap();
         for ds in [&mem as &dyn RecordSource, &file] {
-            let before = ds.stats().snapshot();
+            let delta =
+                |before: &Snapshot| IoSnapshot::input(&ds.metrics().snapshot().since(before));
+            let before = ds.metrics().snapshot();
             ds.collect_records().unwrap();
-            let plain = ds.stats().snapshot() - before;
+            let plain = delta(&before);
+            let before = ds.metrics().snapshot();
             let chunks: Vec<_> = ds
                 .scan_chunks(4)
                 .unwrap()
                 .collect::<Result<Vec<_>>>()
                 .unwrap();
-            let chunked = ds.stats().snapshot() - before - plain;
+            let chunked = delta(&before);
             assert_eq!(chunks.len(), 2);
             assert_eq!(chunked.scans, 1);
             assert_eq!(chunked.records_read, plain.records_read);
@@ -807,7 +967,7 @@ mod tests {
         let dir = std::env::temp_dir().join("boat-data-test-chunks");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("c.boat");
-        let mut w = FileDatasetWriter::create(&path, schema(), IoStats::new()).unwrap();
+        let mut w = FileDatasetWriter::create(&path, schema()).unwrap();
         for r in records(25) {
             w.append(&r).unwrap();
         }
@@ -864,7 +1024,7 @@ mod tests {
         let dir = std::env::temp_dir().join("boat-data-test-longname");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ln.boat");
-        match FileDatasetWriter::create(&path, schema, IoStats::new()) {
+        match FileDatasetWriter::create(&path, schema) {
             Err(DataError::Invalid(msg)) => assert!(msg.contains("name")),
             Err(other) => panic!("expected DataError::Invalid, got {other:?}"),
             Ok(_) => panic!("expected DataError::Invalid, got Ok"),
@@ -880,7 +1040,7 @@ mod tests {
         let dir = std::env::temp_dir().join("boat-data-test-maxname");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("mx.boat");
-        let w = FileDatasetWriter::create(&path, schema.clone(), IoStats::new()).unwrap();
+        let w = FileDatasetWriter::create(&path, schema.clone()).unwrap();
         let ds = w.finish().unwrap();
         assert_eq!(**ds.schema(), *schema);
         std::fs::remove_file(&path).unwrap();
@@ -914,7 +1074,7 @@ mod tests {
         let dir = std::env::temp_dir().join("boat-data-test-names");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("n.boat");
-        let w = FileDatasetWriter::create(&path, schema.clone(), IoStats::new()).unwrap();
+        let w = FileDatasetWriter::create(&path, schema.clone()).unwrap();
         let ds = w.finish().unwrap();
         assert_eq!(**ds.schema(), *schema);
         std::fs::remove_file(&path).unwrap();

@@ -11,10 +11,10 @@
 //!   [`Fields`] accessor that decoded records and encoded rows share.
 //! * [`codec`] — a fixed-width binary record codec derived from the schema.
 //! * [`dataset`] — the [`dataset::RecordSource`] streaming-scan
-//!   abstraction with in-memory and on-disk implementations.
-//! * [`iostats`] — shared scan/byte/spill counters, backed by `boat-obs`
-//!   counters so the same numbers feed registry snapshots; every experiment
-//!   in the bench harness reports these alongside wall time.
+//!   abstraction with in-memory and on-disk implementations. Every source
+//!   counts its scans and bytes into its own `boat-obs` registry, and
+//!   every experiment in the bench harness reports these alongside wall
+//!   time.
 //! * [`sample`] — skip-based reservoir sampling over a chunked scan into
 //!   encoded rows, and bootstrap resampling.
 //! * [`spill`] — memory-budgeted record buffers that transparently spill to
@@ -36,7 +36,6 @@ pub mod codec;
 pub mod csv;
 pub mod dataset;
 pub mod error;
-pub mod iostats;
 pub mod record;
 pub mod sample;
 pub mod schema;
@@ -45,11 +44,10 @@ pub mod wal;
 
 pub use audit::{read_audit_log, AuditLog, AuditReplay};
 pub use dataset::{
-    ChunkScan, Chunks, FileDataset, FileDatasetWriter, MemoryDataset, RecordChunk, RecordScan,
-    RecordSource,
+    ChunkScan, Chunks, FileDataset, FileDatasetWriter, IoSnapshot, MemoryDataset, RecordChunk,
+    RecordScan, RecordSource, ScanCounters,
 };
 pub use error::{DataError, Result};
-pub use iostats::{IoSnapshot, IoStats};
 pub use record::{Field, Fields, Record};
 pub use schema::{AttrType, Attribute, Schema};
 pub use spill::{sweep_stale_spill_files, SpillBuffer};

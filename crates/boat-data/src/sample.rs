@@ -245,7 +245,7 @@ mod tests {
         let ds = dataset(50);
         let mut rng = StdRng::seed_from_u64(4);
         reservoir_sample(&ds, 10, &mut rng).unwrap();
-        assert_eq!(ds.stats().snapshot().scans, 1);
+        assert_eq!(ds.metrics().snapshot().counter("data.input.scans"), 1);
     }
 
     #[test]
@@ -315,7 +315,11 @@ mod tests {
             let ds = dataset(n);
             let mut rng = StdRng::seed_from_u64(20 + n as u64);
             let sample = reservoir_rows(&ds, k, 4, &mut rng).unwrap();
-            assert_eq!(ds.stats().snapshot().scans, 1, "n = {n}");
+            assert_eq!(
+                ds.metrics().snapshot().counter("data.input.scans"),
+                1,
+                "n = {n}"
+            );
             let mut idx = taken(&sample);
             assert_eq!(sample.len(), n.min(k), "n = {n}");
             assert_eq!(sample.is_empty(), n == 0);
@@ -331,7 +335,11 @@ mod tests {
         let ds = dataset(10);
         let mut rng = StdRng::seed_from_u64(30);
         assert!(reservoir_rows(&ds, 0, 4, &mut rng).unwrap().is_empty());
-        assert_eq!(ds.stats().snapshot().scans, 0, "k = 0 reads nothing");
+        assert_eq!(
+            ds.metrics().snapshot().counter("data.input.scans"),
+            0,
+            "k = 0 reads nothing"
+        );
     }
 
     #[test]
@@ -378,8 +386,8 @@ mod tests {
         fn len(&self) -> u64 {
             self.0.len()
         }
-        fn stats(&self) -> &crate::IoStats {
-            self.0.stats()
+        fn metrics(&self) -> &boat_obs::Registry {
+            self.0.metrics()
         }
     }
 

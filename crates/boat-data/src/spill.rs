@@ -21,12 +21,16 @@
 //! knob). The first spill into a directory also runs a best-effort
 //! [`sweep_stale_spill_files`] pass so files orphaned by a crashed process
 //! do not pile up forever.
+//!
+//! Every buffer counts its temporary-file traffic into the registry it was
+//! made with, under `data.spill.*`: records and bytes written and read
+//! back, and `spill_events` (files opened on a first overflow).
 
 use crate::codec::{self, RowLayout};
-use crate::iostats::IoStats;
 use crate::record::Record;
 use crate::schema::Schema;
 use crate::{DataError, Result};
+use boat_obs::{Counter, Registry};
 use std::collections::BTreeSet;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
@@ -142,7 +146,7 @@ impl SpillFile {
     }
 
     /// Flush the writer and open the file for reading from the start.
-    fn rows(&mut self, width: usize, stats: &IoStats) -> Result<SpilledRows> {
+    fn rows(&mut self, width: usize, counters: &SpillCounters) -> Result<SpilledRows> {
         if let Some(w) = self.writer.as_mut() {
             w.flush()?;
         }
@@ -150,7 +154,8 @@ impl SpillFile {
             reader: BufReader::with_capacity(1 << 16, File::open(&self.path)?),
             remaining: self.n_records,
             row: vec![0; width],
-            stats: stats.clone(),
+            records_read: counters.records_read.clone(),
+            bytes_read: counters.bytes_read.clone(),
         })
     }
 }
@@ -168,7 +173,8 @@ struct SpilledRows {
     reader: BufReader<File>,
     remaining: u64,
     row: Vec<u8>,
-    stats: IoStats,
+    records_read: Counter,
+    bytes_read: Counter,
 }
 
 impl SpilledRows {
@@ -186,8 +192,36 @@ impl SpilledRows {
             }
         })?;
         self.remaining -= 1;
-        self.stats.record_read(1, self.row.len() as u64);
+        self.records_read.inc();
+        self.bytes_read.add(self.row.len() as u64);
         Ok(Some(&self.row))
+    }
+}
+
+/// A buffer's handles on the `data.spill.*` counters, looked up once when
+/// the buffer is made.
+struct SpillCounters {
+    records_written: Counter,
+    bytes_written: Counter,
+    records_read: Counter,
+    bytes_read: Counter,
+    spill_events: Counter,
+}
+
+impl SpillCounters {
+    fn new(metrics: &Registry) -> Self {
+        SpillCounters {
+            records_written: metrics.counter("data.spill.records_written"),
+            bytes_written: metrics.counter("data.spill.bytes_written"),
+            records_read: metrics.counter("data.spill.records_read"),
+            bytes_read: metrics.counter("data.spill.bytes_read"),
+            spill_events: metrics.counter("data.spill.spill_events"),
+        }
+    }
+
+    fn written(&self, n: u64, bytes: u64) {
+        self.records_written.add(n);
+        self.bytes_written.add(bytes);
     }
 }
 
@@ -201,15 +235,15 @@ pub struct SpillBuffer {
     in_mem: Vec<u8>,
     spill: Option<SpillFile>,
     dir: Option<PathBuf>,
-    stats: IoStats,
+    counters: SpillCounters,
 }
 
 impl SpillBuffer {
     /// Create a buffer holding at most `mem_budget` records in memory,
-    /// spilling to [`std::env::temp_dir`]. A budget of 0 spills every
-    /// record.
-    pub fn new(schema: Arc<Schema>, mem_budget: usize, stats: IoStats) -> Self {
-        Self::new_in(schema, mem_budget, stats, None)
+    /// spilling to [`std::env::temp_dir`] and counting into `metrics`. A
+    /// budget of 0 spills every record.
+    pub fn new(schema: Arc<Schema>, mem_budget: usize, metrics: &Registry) -> Self {
+        Self::new_in(schema, mem_budget, metrics, None)
     }
 
     /// Like [`SpillBuffer::new`] but spilling into `dir` when given
@@ -217,7 +251,7 @@ impl SpillBuffer {
     pub fn new_in(
         schema: Arc<Schema>,
         mem_budget: usize,
-        stats: IoStats,
+        metrics: &Registry,
         dir: Option<PathBuf>,
     ) -> Self {
         SpillBuffer {
@@ -227,7 +261,7 @@ impl SpillBuffer {
             in_mem: Vec::new(),
             spill: None,
             dir,
-            stats,
+            counters: SpillCounters::new(metrics),
         }
     }
 
@@ -301,12 +335,12 @@ impl SpillBuffer {
     fn write_spilled(&mut self, at: usize) -> Result<()> {
         if self.spill.is_none() {
             self.spill = Some(SpillFile::create(&self.spill_dir())?);
-            self.stats.record_spill_event();
+            self.counters.spill_events.inc();
         }
         let spill = self.spill.as_mut().expect("created above");
         spill.write(&self.in_mem[at..])?;
         spill.n_records += 1;
-        self.stats.record_write(1, self.layout.width() as u64);
+        self.counters.written(1, self.layout.width() as u64);
         Ok(())
     }
 
@@ -317,7 +351,7 @@ impl SpillBuffer {
     pub fn iter(&mut self) -> Result<impl Iterator<Item = Result<Record>> + '_> {
         let width = self.layout.width();
         let mut spilled = match self.spill.as_mut() {
-            Some(s) => Some(s.rows(width, &self.stats)?),
+            Some(s) => Some(s.rows(width, &self.counters)?),
             None => None,
         };
         let layout = &self.layout;
@@ -353,7 +387,7 @@ impl SpillBuffer {
         let Some(s) = self.spill.as_mut() else {
             return Ok(());
         };
-        let mut rows = s.rows(self.layout.width(), &self.stats)?;
+        let mut rows = s.rows(self.layout.width(), &self.counters)?;
         while let Some(row) = rows.next_row()? {
             self.layout.check(row)?;
             visit(&self.layout, row);
@@ -370,7 +404,7 @@ impl SpillBuffer {
         let mut fresh = SpillFile::create(&self.spill_dir())?;
         fresh.write(rows)?;
         fresh.n_records = (rows.len() / self.layout.width()) as u64;
-        self.stats.record_write(fresh.n_records, rows.len() as u64);
+        self.counters.written(fresh.n_records, rows.len() as u64);
         self.spill = Some(fresh);
         Ok(())
     }
@@ -482,6 +516,12 @@ mod tests {
     use super::*;
     use crate::record::Field;
     use crate::schema::Attribute;
+    use crate::IoSnapshot;
+
+    /// The `data.spill.*` counters of `metrics` now.
+    fn spill_io(metrics: &Registry) -> IoSnapshot {
+        IoSnapshot::spill(&metrics.snapshot())
+    }
 
     fn schema() -> Arc<Schema> {
         Schema::shared(vec![Attribute::numeric("x")], 2).unwrap()
@@ -493,7 +533,7 @@ mod tests {
 
     #[test]
     fn stays_in_memory_under_budget() {
-        let mut b = SpillBuffer::new(schema(), 10, IoStats::new());
+        let mut b = SpillBuffer::new(schema(), 10, &Registry::new());
         for i in 0..10 {
             b.push(&rec(i as f64)).unwrap();
         }
@@ -506,7 +546,7 @@ mod tests {
 
     #[test]
     fn spills_beyond_budget_and_preserves_order() {
-        let mut b = SpillBuffer::new(schema(), 4, IoStats::new());
+        let mut b = SpillBuffer::new(schema(), 4, &Registry::new());
         for i in 0..20 {
             b.push(&rec(i as f64)).unwrap();
         }
@@ -520,7 +560,7 @@ mod tests {
     #[test]
     fn order_survives_a_long_spill() {
         let n = 3 * 256 + 17;
-        let mut b = SpillBuffer::new(schema(), 2, IoStats::new());
+        let mut b = SpillBuffer::new(schema(), 2, &Registry::new());
         for i in 0..n {
             b.push(&rec(i as f64)).unwrap();
         }
@@ -530,7 +570,7 @@ mod tests {
 
     #[test]
     fn budget_zero_spills_everything() {
-        let mut b = SpillBuffer::new(schema(), 0, IoStats::new());
+        let mut b = SpillBuffer::new(schema(), 0, &Registry::new());
         for i in 0..5 {
             b.push(&rec(i as f64)).unwrap();
         }
@@ -540,7 +580,7 @@ mod tests {
 
     #[test]
     fn iterate_push_iterate_again() {
-        let mut b = SpillBuffer::new(schema(), 2, IoStats::new());
+        let mut b = SpillBuffer::new(schema(), 2, &Registry::new());
         for i in 0..4 {
             b.push(&rec(i as f64)).unwrap();
         }
@@ -553,7 +593,7 @@ mod tests {
 
     #[test]
     fn remove_one_target_from_memory_and_disk() {
-        let mut b = SpillBuffer::new(schema(), 2, IoStats::new());
+        let mut b = SpillBuffer::new(schema(), 2, &Registry::new());
         for i in 0..6 {
             b.push(&rec(i as f64)).unwrap();
         }
@@ -573,7 +613,7 @@ mod tests {
 
     #[test]
     fn one_target_removes_only_one_duplicate() {
-        let mut b = SpillBuffer::new(schema(), 1, IoStats::new());
+        let mut b = SpillBuffer::new(schema(), 1, &Registry::new());
         b.push(&rec(7.0)).unwrap();
         b.push(&rec(7.0)).unwrap();
         b.push(&rec(7.0)).unwrap();
@@ -584,8 +624,8 @@ mod tests {
     #[test]
     fn remove_many_matches_sequential_one_target_calls() {
         let targets: Vec<Record> = [9.0, 2.0, 9.0, 77.0, 0.0, 5.0].map(rec).to_vec();
-        let mut batched = SpillBuffer::new(schema(), 3, IoStats::new());
-        let mut serial = SpillBuffer::new(schema(), 3, IoStats::new());
+        let mut batched = SpillBuffer::new(schema(), 3, &Registry::new());
+        let mut serial = SpillBuffer::new(schema(), 3, &Registry::new());
         for i in 0..12 {
             batched.push(&rec(i as f64)).unwrap();
             serial.push(&rec(i as f64)).unwrap();
@@ -608,7 +648,7 @@ mod tests {
 
     #[test]
     fn removal_swap_removes_within_each_tier() {
-        let mut b = SpillBuffer::new(schema(), 3, IoStats::new());
+        let mut b = SpillBuffer::new(schema(), 3, &Registry::new());
         for i in 0..8 {
             b.push(&rec(i as f64)).unwrap();
         }
@@ -626,15 +666,15 @@ mod tests {
 
     #[test]
     fn remove_many_rewrites_once() {
-        let stats = IoStats::new();
-        let mut b = SpillBuffer::new(schema(), 0, stats.clone());
+        let metrics = Registry::new();
+        let mut b = SpillBuffer::new(schema(), 0, &metrics);
         for i in 0..40 {
             b.push(&rec(i as f64)).unwrap();
         }
-        let before = stats.snapshot();
+        let before = metrics.snapshot();
         let targets: Vec<Record> = (0..8).map(|i| rec(i as f64 * 4.0)).collect();
         assert_eq!(b.remove_many(&targets).unwrap(), 8);
-        let delta = stats.snapshot() - before;
+        let delta = IoSnapshot::spill(&metrics.snapshot().since(&before));
         // One read (40 rows) + one rewrite of the 32 survivors; eight
         // one-target calls would have rewritten 39+38+…+32 records.
         assert_eq!(delta.records_read, 40);
@@ -644,20 +684,20 @@ mod tests {
 
     #[test]
     fn remove_many_in_memory_only_does_no_io() {
-        let stats = IoStats::new();
-        let mut b = SpillBuffer::new(schema(), 10, stats.clone());
+        let metrics = Registry::new();
+        let mut b = SpillBuffer::new(schema(), 10, &metrics);
         for i in 0..5 {
             b.push(&rec(i as f64)).unwrap();
         }
         assert_eq!(b.remove_many(&[rec(1.0), rec(3.0)]).unwrap(), 2);
-        let snap = stats.snapshot();
+        let snap = spill_io(&metrics);
         assert_eq!(snap.records_read + snap.records_written, 0);
         assert_eq!(b.len(), 3);
     }
 
     #[test]
     fn count_matching_counts_across_tiers() {
-        let mut b = SpillBuffer::new(schema(), 1, IoStats::new());
+        let mut b = SpillBuffer::new(schema(), 1, &Registry::new());
         b.push(&rec(7.0)).unwrap(); // in_mem
         b.push(&rec(7.0)).unwrap(); // spilled
         b.push(&rec(3.0)).unwrap();
@@ -670,17 +710,17 @@ mod tests {
 
     #[test]
     fn count_matching_reads_the_spilled_tier_once() {
-        let stats = IoStats::new();
-        let mut b = SpillBuffer::new(schema(), 2, stats.clone());
+        let metrics = Registry::new();
+        let mut b = SpillBuffer::new(schema(), 2, &metrics);
         for i in 0..10 {
             b.push(&rec(i as f64)).unwrap();
         }
-        let before = stats.snapshot().records_read;
+        let before = spill_io(&metrics).records_read;
         let targets: Vec<Record> = (0..10).map(|i| rec(i as f64)).collect();
         let refs: Vec<&Record> = targets.iter().collect();
         assert_eq!(b.count_matching(&refs).unwrap(), vec![1; 10]);
         assert_eq!(
-            stats.snapshot().records_read - before,
+            spill_io(&metrics).records_read - before,
             8,
             "one pass over 8 spilled rows"
         );
@@ -688,7 +728,7 @@ mod tests {
 
     #[test]
     fn clear_removes_everything() {
-        let mut b = SpillBuffer::new(schema(), 1, IoStats::new());
+        let mut b = SpillBuffer::new(schema(), 1, &Registry::new());
         for i in 0..5 {
             b.push(&rec(i as f64)).unwrap();
         }
@@ -703,7 +743,7 @@ mod tests {
     fn drop_deletes_temp_file() {
         let path;
         {
-            let mut b = SpillBuffer::new(schema(), 0, IoStats::new());
+            let mut b = SpillBuffer::new(schema(), 0, &Registry::new());
             b.push(&rec(1.0)).unwrap();
             path = b.spill.as_ref().unwrap().path.clone();
             assert!(path.exists());
@@ -713,13 +753,13 @@ mod tests {
 
     #[test]
     fn spill_io_is_counted() {
-        let stats = IoStats::new();
-        let mut b = SpillBuffer::new(schema(), 0, stats.clone());
+        let metrics = Registry::new();
+        let mut b = SpillBuffer::new(schema(), 0, &metrics);
         for i in 0..3 {
             b.push(&rec(i as f64)).unwrap();
         }
         b.to_vec().unwrap();
-        let snap = stats.snapshot();
+        let snap = spill_io(&metrics);
         assert_eq!(snap.records_written, 3);
         assert_eq!(snap.records_read, 3);
         // Plain 10-byte rows: no header, the file is rows only.
@@ -732,17 +772,17 @@ mod tests {
 
     #[test]
     fn in_memory_buffer_records_no_spill_event() {
-        let stats = IoStats::new();
-        let mut b = SpillBuffer::new(schema(), 16, stats.clone());
+        let metrics = Registry::new();
+        let mut b = SpillBuffer::new(schema(), 16, &metrics);
         for i in 0..8 {
             b.push(&rec(i as f64)).unwrap();
         }
-        assert_eq!(stats.snapshot().spill_events, 0);
+        assert_eq!(spill_io(&metrics).spill_events, 0);
     }
 
     #[test]
     fn count_matching_is_non_destructive() {
-        let mut b = SpillBuffer::new(schema(), 2, IoStats::new());
+        let mut b = SpillBuffer::new(schema(), 2, &Registry::new());
         for i in 0..6 {
             b.push(&rec(i as f64)).unwrap();
         }
@@ -765,7 +805,7 @@ mod tests {
             3,
         )
         .unwrap();
-        let mut b = SpillBuffer::new(schema, 0, IoStats::new());
+        let mut b = SpillBuffer::new(schema, 0, &Registry::new());
         for i in 0..n {
             let r = Record::new(
                 vec![Field::Num(f64::from(i)), Field::Cat(i % 4)],
@@ -852,7 +892,7 @@ mod tests {
     #[test]
     fn deleting_zero_removes_a_stored_negative_zero() {
         for budget in [0, 8] {
-            let mut b = SpillBuffer::new(schema(), budget, IoStats::new());
+            let mut b = SpillBuffer::new(schema(), budget, &Registry::new());
             b.push(&rec(-0.0)).unwrap();
             b.push(&rec(1.0)).unwrap();
             assert_eq!(b.count_matching(&[&rec(0.0)]).unwrap(), vec![1]);
@@ -865,7 +905,7 @@ mod tests {
     fn spill_dir_is_honored() {
         let dir = std::env::temp_dir().join("boat-spill-dir-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let mut b = SpillBuffer::new_in(schema(), 0, IoStats::new(), Some(dir.clone()));
+        let mut b = SpillBuffer::new_in(schema(), 0, &Registry::new(), Some(dir.clone()));
         b.push(&rec(1.0)).unwrap();
         let path = b.spill.as_ref().unwrap().path.clone();
         assert_eq!(path.parent().unwrap(), dir.as_path());
@@ -916,7 +956,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let stale = dir.join(format!("boat-spill-{}-9.tmp", u32::MAX));
         std::fs::write(&stale, b"orphan").unwrap();
-        let mut b = SpillBuffer::new_in(schema(), 0, IoStats::new(), Some(dir.clone()));
+        let mut b = SpillBuffer::new_in(schema(), 0, &Registry::new(), Some(dir.clone()));
         b.push(&rec(1.0)).unwrap();
         if cfg!(target_os = "linux") {
             assert!(!stale.exists(), "creating a spill file must sweep orphans");

@@ -4,7 +4,8 @@
 
 use boat_data::codec::{self, RowLayout};
 use boat_data::spill::SpillBuffer;
-use boat_data::{Attribute, Field, IoStats, MemoryDataset, Record, Schema};
+use boat_data::{Attribute, Field, MemoryDataset, Record, Schema};
+use boat_obs::Registry;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -80,8 +81,8 @@ proptest! {
     ) {
         // One buffer fed encoded rows, as the cleanup scan routes them, and
         // one fed the records those rows decode to.
-        let mut rows = SpillBuffer::new(schema.clone(), budget, IoStats::new());
-        let mut decoded = SpillBuffer::new(schema.clone(), budget, IoStats::new());
+        let mut rows = SpillBuffer::new(schema.clone(), budget, &Registry::new());
+        let mut decoded = SpillBuffer::new(schema.clone(), budget, &Registry::new());
         let layout = RowLayout::new(&schema);
         for r in &records {
             let row = codec::encode(&schema, r).unwrap();
@@ -108,7 +109,7 @@ proptest! {
     ) {
         prop_assume!(!records.is_empty());
         let victim = &records[victim % records.len()];
-        let mut buf = SpillBuffer::new(schema, budget, IoStats::new());
+        let mut buf = SpillBuffer::new(schema, budget, &Registry::new());
         for r in &records {
             buf.push(r).unwrap();
         }

@@ -38,8 +38,9 @@ pub mod instability;
 
 use boat_data::dataset::{RecordScan, RecordSource};
 use boat_data::{
-    Attribute, Field, FileDataset, FileDatasetWriter, IoStats, Record, Result, Schema,
+    Attribute, Field, FileDataset, FileDatasetWriter, Record, Result, ScanCounters, Schema,
 };
+use boat_obs::Registry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::Path;
@@ -293,7 +294,7 @@ impl GeneratorConfig {
             config: self.clone(),
             schema: self.schema(),
             n,
-            stats: IoStats::new(),
+            metrics: Registry::new(),
         }
     }
 
@@ -305,17 +306,7 @@ impl GeneratorConfig {
 
     /// Materialize `n` records into a dataset file at `path`.
     pub fn materialize(&self, path: impl AsRef<Path>, n: u64) -> Result<FileDataset> {
-        self.materialize_with_stats(path, n, IoStats::new())
-    }
-
-    /// Like [`GeneratorConfig::materialize`], reporting I/O into `stats`.
-    pub fn materialize_with_stats(
-        &self,
-        path: impl AsRef<Path>,
-        n: u64,
-        stats: IoStats,
-    ) -> Result<FileDataset> {
-        let mut writer = FileDatasetWriter::create(path, self.schema(), stats)?;
+        let mut writer = FileDatasetWriter::create(path, self.schema())?;
         let mut rng = StdRng::seed_from_u64(self.seed);
         for _ in 0..n {
             writer.append(&self.generate_one(&mut rng))?;
@@ -361,7 +352,7 @@ pub struct SyntheticSource {
     config: GeneratorConfig,
     schema: Arc<Schema>,
     n: u64,
-    stats: IoStats,
+    metrics: Registry,
 }
 
 impl RecordSource for SyntheticSource {
@@ -370,13 +361,12 @@ impl RecordSource for SyntheticSource {
     }
 
     fn scan(&self) -> Result<Box<dyn RecordScan + '_>> {
-        self.stats.record_scan();
+        let counters = ScanCounters::start(&self.metrics);
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let config = self.config.clone();
-        let stats = self.stats.clone();
         let width = self.schema.record_width() as u64;
         Ok(Box::new((0..self.n).map(move |_| {
-            stats.record_read(1, width);
+            counters.read(1, width);
             Ok(config.generate_one(&mut rng))
         })))
     }
@@ -385,8 +375,8 @@ impl RecordSource for SyntheticSource {
         self.n
     }
 
-    fn stats(&self) -> &IoStats {
-        &self.stats
+    fn metrics(&self) -> &Registry {
+        &self.metrics
     }
 }
 
@@ -569,7 +559,7 @@ mod tests {
         let a = src.collect_records().unwrap();
         let b = src.collect_records().unwrap();
         assert_eq!(a, b, "rescanning a synthetic source must replay the stream");
-        assert_eq!(src.stats().snapshot().scans, 2);
+        assert_eq!(src.metrics().snapshot().counter("data.input.scans"), 2);
         assert_eq!(src.len(), 100);
     }
 

@@ -78,6 +78,16 @@ impl Registry {
         Span::new(self.histogram(name))
     }
 
+    /// Add every counter of `delta` to the counter of the same name here:
+    /// how one component's per-run delta (say, an input source's reads)
+    /// joins the registry of the run that caused it.
+    pub fn add_counters(&self, delta: &Snapshot) {
+        let mut map = self.inner.counters.lock().unwrap();
+        for (name, &v) in &delta.counters {
+            map.entry(name.clone()).or_default().add(v);
+        }
+    }
+
     /// Take a point-in-time copy of every metric in this registry.
     pub fn snapshot(&self) -> Snapshot {
         let counters = self
@@ -178,6 +188,22 @@ mod tests {
             Registry::global().counter("global.test.events").get(),
             before + 1
         );
+    }
+
+    #[test]
+    fn add_counters_folds_a_delta_by_name() {
+        let source = Registry::new();
+        source.counter("data.input.scans").add(3);
+        let before = source.snapshot();
+        source.counter("data.input.scans").add(2);
+        source.counter("data.input.records_read").add(7);
+        let run = Registry::new();
+        run.counter("data.input.scans").inc();
+        run.add_counters(&source.snapshot().since(&before));
+        let snap = run.snapshot();
+        assert_eq!(snap.counter("data.input.scans"), 3);
+        assert_eq!(snap.counter("data.input.records_read"), 7);
+        assert!(snap.gauges.is_empty() && snap.histograms.is_empty());
     }
 
     #[test]

@@ -28,6 +28,7 @@
 
 use boat_data::dataset::RecordSource;
 use boat_data::{AttrType, IoSnapshot, Record, Result};
+use boat_obs::Registry;
 use boat_tree::grow::SplitSelector;
 use boat_tree::{
     AvcGroup, CatAvc, Gini, GrowthLimits, Impurity, ImpuritySelector, NodeId, NumAvc, SplitEval,
@@ -80,8 +81,9 @@ impl Default for RfConfig {
 /// Statistics of one RainForest run.
 #[derive(Debug, Clone, Default)]
 pub struct RfRunStats {
-    /// Sequential scans over the training database. The headline contrast
-    /// with BOAT: at least one per tree level.
+    /// Sequential scans over the training database, read from the input's
+    /// `data.input.scans` delta (`io.scans`). The headline contrast with
+    /// BOAT: at least one per tree level.
     pub scans_over_input: u64,
     /// Tree levels grown by the level-synchronous phase.
     pub levels: u64,
@@ -93,7 +95,8 @@ pub struct RfRunStats {
     pub time: Duration,
     /// I/O over the input training database during this fit.
     pub io: IoSnapshot,
-    /// I/O over temporary partition files (RF-Write only).
+    /// I/O over temporary partition files (RF-Write only), which count
+    /// into one registry per fit.
     pub temp_io: IoSnapshot,
 }
 
@@ -162,12 +165,14 @@ impl<I: Impurity + Clone> RainForest<I> {
 
     /// Build the exact decision tree for `source`.
     pub fn fit(&self, source: &dyn RecordSource) -> Result<RfFit> {
-        let io_before = source.stats().snapshot();
+        let input_before = source.metrics().snapshot();
         let mut fit = match self.variant {
             RfVariant::Write => self.fit_write(source),
             _ => self.fit_level_synchronous(source),
         }?;
-        fit.stats.io = source.stats().snapshot() - io_before;
+        let input = source.metrics().snapshot().since(&input_before);
+        fit.stats.io = IoSnapshot::input(&input);
+        fit.stats.scans_over_input = fit.stats.io.scans;
         Ok(fit)
     }
 
@@ -187,7 +192,6 @@ impl<I: Impurity + Clone> RainForest<I> {
         for r in source.scan()? {
             root_counts[r?.label() as usize] += 1;
         }
-        stats.scans_over_input += 1;
         let mut tree = Tree::leaf(root_counts);
 
         enum Partition<'a> {
@@ -203,12 +207,12 @@ impl<I: Impurity + Clone> RainForest<I> {
             }
         }
 
-        let temp_stats = boat_data::IoStats::new();
+        let temp_metrics = Registry::new();
         let fresh_part = |schema: &std::sync::Arc<boat_data::Schema>| -> Result<FileDatasetWriter> {
             let id = PART_COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             let path =
                 std::env::temp_dir().join(format!("rf-write-{}-{id}.boat", std::process::id()));
-            FileDatasetWriter::create(path, schema.clone(), temp_stats.clone())
+            FileDatasetWriter::create_with_metrics(path, schema.clone(), temp_metrics.clone())
         };
 
         let root = tree.root();
@@ -227,9 +231,6 @@ impl<I: Impurity + Clone> RainForest<I> {
                 let mut records = Vec::with_capacity(n as usize);
                 for r in partition.scan()? {
                     records.push(r?);
-                }
-                if matches!(partition, Partition::Input(_)) {
-                    stats.scans_over_input += 1;
                 }
                 let sub_limits = GrowthLimits {
                     max_depth: self
@@ -254,9 +255,6 @@ impl<I: Impurity + Clone> RainForest<I> {
             for r in partition.scan()? {
                 group.add_record(&r?);
             }
-            if matches!(partition, Partition::Input(_)) {
-                stats.scans_over_input += 1;
-            }
             let Some(eval) = selector.select(&schema, &group) else {
                 if let Partition::Temp(f) = &partition {
                     let _ = std::fs::remove_file(f.path());
@@ -274,9 +272,6 @@ impl<I: Impurity + Clone> RainForest<I> {
                     right_writer.append(&r)?;
                 }
             }
-            if matches!(partition, Partition::Input(_)) {
-                stats.scans_over_input += 1;
-            }
             let (l, rgt) = tree.split_node(
                 node_id,
                 eval.split,
@@ -292,7 +287,7 @@ impl<I: Impurity + Clone> RainForest<I> {
 
         tree.compact();
         stats.time = t0.elapsed();
-        stats.temp_io = temp_stats.snapshot();
+        stats.temp_io = IoSnapshot::input(&temp_metrics.snapshot());
         Ok(RfFit { tree, stats })
     }
 
@@ -312,7 +307,6 @@ impl<I: Impurity + Clone> RainForest<I> {
         for r in source.scan()? {
             root_counts[r?.label() as usize] += 1;
         }
-        stats.scans_over_input += 1;
         let n_root: u64 = root_counts.iter().sum();
         let mut tree = Tree::leaf(root_counts);
 
@@ -358,7 +352,6 @@ impl<I: Impurity + Clone> RainForest<I> {
                         v.push(r);
                     }
                 }
-                stats.scans_over_input += 1;
                 for f in &frontier {
                     let records = families.remove(&f.id).expect("family collected");
                     let sub_limits = GrowthLimits {
@@ -465,7 +458,6 @@ impl<I: Impurity + Clone> RainForest<I> {
                     g.add_record(&r);
                 }
             }
-            stats.scans_over_input += 1;
 
             for (_, (bi, group)) in groups {
                 let actual: Vec<usize> = (0..group.n_attrs())
@@ -542,7 +534,6 @@ impl<I: Impurity + Clone> RainForest<I> {
                     }
                 }
             }
-            stats.scans_over_input += 1;
             stats.batches += 1;
             for (pos, node_sets) in sets.into_iter().enumerate() {
                 for (si, avc) in node_sets.into_iter().enumerate() {
@@ -584,7 +575,6 @@ impl<I: Impurity + Clone> RainForest<I> {
                         totals[r.label() as usize] += 1;
                     }
                 }
-                stats.scans_over_input += 1;
                 for (_, (pos, avc, totals)) in sets {
                     actual_entries[pos][a] = avc.n_entries();
                     fold(

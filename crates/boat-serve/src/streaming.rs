@@ -141,7 +141,7 @@ pub fn spawn_streaming_committed<I: Impurity + Clone + Send + 'static>(
 mod tests {
     use super::*;
     use boat_core::{Boat, BoatConfig};
-    use boat_data::{Attribute, Field, IoStats, MemoryDataset, Record, Schema};
+    use boat_data::{Attribute, Field, MemoryDataset, Record, Schema};
 
     fn dataset(n: usize) -> MemoryDataset {
         let schema = Schema::shared(vec![Attribute::numeric("x")], 2).unwrap();
@@ -151,7 +151,7 @@ mod tests {
                 Record::new(vec![Field::Num(x)], u16::from(x >= n as f64 / 2.0))
             })
             .collect();
-        MemoryDataset::with_stats(schema, records, IoStats::new())
+        MemoryDataset::new(schema, records)
     }
 
     #[test]

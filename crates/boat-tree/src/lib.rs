@@ -43,5 +43,5 @@ pub use quest::QuestSelector;
 pub use split::{best_split, cmp_splits, sweep_numeric, SplitEval};
 pub use subsample::{
     corner_lower_bound, ColumnarCtx, QuantileSketch, SubsampleParams, SubsampleRuntime,
-    SubsampleSnapshot, SubsampleStats,
+    SubsampleStats,
 };

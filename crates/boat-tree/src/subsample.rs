@@ -47,8 +47,8 @@
 use crate::impurity::{split_impurity, Impurity};
 use crate::model::{Predicate, Split};
 use crate::split::{cmp_splits, sweep_numeric, SplitEval};
+use boat_obs::Counter;
 use std::cmp::Ordering;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 /// Never gate with fewer boundary picks than this — too few boxes make the
 /// bounds vacuous and the counting pass pure overhead.
@@ -146,51 +146,21 @@ impl SubsampleParams {
 }
 
 /// Counters of the gated search, shared across the parallel bootstrap
-/// builds (relaxed atomics — the counts are diagnostics, never inputs to
-/// the search itself). Mirrored into the `boat.sample.subsample.*`
-/// boat-obs counters by `boat-core`.
+/// builds (the counts are diagnostics, never inputs to the search itself).
+/// `Default` makes private counters; `boat-core` takes them from its
+/// registry, as the `boat.sample.subsample.*` counters.
 #[derive(Debug, Default)]
 pub struct SubsampleStats {
     /// Sub-sample boundary candidates scored exactly.
-    pub swept: AtomicU64,
+    pub swept: Counter,
     /// Inter-boundary gaps pruned by the corner bound.
-    pub pruned: AtomicU64,
+    pub pruned: Counter,
     /// Gate entries that fell back to the full exact sweep (too few
     /// distinct boundaries, heavy ties, too many classes).
-    pub fallbacks: AtomicU64,
+    pub fallbacks: Counter,
     /// Distinct points evaluated by the exact sweeps over surviving
     /// windows.
-    pub exact_points: AtomicU64,
-}
-
-/// A plain-integer snapshot of [`SubsampleStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SubsampleSnapshot {
-    /// See [`SubsampleStats::swept`].
-    pub swept: u64,
-    /// See [`SubsampleStats::pruned`].
-    pub pruned: u64,
-    /// See [`SubsampleStats::fallbacks`].
-    pub fallbacks: u64,
-    /// See [`SubsampleStats::exact_points`].
-    pub exact_points: u64,
-}
-
-impl SubsampleStats {
-    /// Read every counter (relaxed; exact once the builds have joined).
-    pub fn snapshot(&self) -> SubsampleSnapshot {
-        SubsampleSnapshot {
-            swept: self.swept.load(AtomicOrdering::Relaxed),
-            pruned: self.pruned.load(AtomicOrdering::Relaxed),
-            fallbacks: self.fallbacks.load(AtomicOrdering::Relaxed),
-            exact_points: self.exact_points.load(AtomicOrdering::Relaxed),
-        }
-    }
-
-    #[inline]
-    fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, AtomicOrdering::Relaxed);
-    }
+    pub exact_points: Counter,
 }
 
 /// Everything one tree build needs to run the gate: the knobs, a seed
@@ -292,7 +262,7 @@ pub fn gated_numeric_split(
     let m = list.len();
     let k = totals.len();
     let fallback = || {
-        SubsampleStats::add(&rt.stats.fallbacks, 1);
+        rt.stats.fallbacks.inc();
         GateOutcome::Fallback
     };
     if k > MAX_GATE_CLASSES {
@@ -374,7 +344,7 @@ pub fn gated_numeric_split(
     }
 
     // --- 3. Score every boundary candidate exactly; track the leader.
-    SubsampleStats::add(&rt.stats.swept, nb as u64);
+    rt.stats.swept.add(nb as u64);
     let mut right = vec![0u64; k];
     let mut leader: Option<(f64, usize)> = None; // (impurity, boundary idx)
     for j in 0..nb {
@@ -445,7 +415,7 @@ pub fn gated_numeric_split(
             *alive = true;
         }
     }
-    SubsampleStats::add(&rt.stats.pruned, pruned_gaps);
+    rt.stats.pruned.add(pruned_gaps);
 
     // --- 5. Exact sweep over each maximal run of surviving gaps, seeded
     // with the prefix counts at the window's left edge (the same
@@ -513,7 +483,7 @@ pub fn gated_numeric_split(
             consider(cand, &mut best);
         }
     }
-    SubsampleStats::add(&rt.stats.exact_points, exact_points);
+    rt.stats.exact_points.add(exact_points);
 
     // --- 6. Merge in the boundary leader (its gap neighbors may both be
     // pruned, in which case no window swept it). Identical integer counts

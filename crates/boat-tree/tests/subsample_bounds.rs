@@ -154,8 +154,8 @@ fn all_equal_column_degrades_to_exact_sweep() {
         0, &values, &list, &labels, &weights, &totals, &Gini, &rt, 0, 0, None,
     );
     assert!(matches!(out, GateOutcome::Fallback));
-    assert_eq!(stats.snapshot().fallbacks, 1);
-    assert_eq!(stats.snapshot().swept, 0);
+    assert_eq!(stats.fallbacks.get(), 1);
+    assert_eq!(stats.swept.get(), 0);
 }
 
 #[test]
@@ -173,7 +173,7 @@ fn heavy_ties_blow_the_snap_budget_and_fall_back() {
         0, &values, &list, &labels, &weights, &totals, &Gini, &rt, 0, 0, None,
     );
     assert!(matches!(out, GateOutcome::Fallback));
-    assert_eq!(stats.snapshot().fallbacks, 1);
+    assert_eq!(stats.fallbacks.get(), 1);
 }
 
 #[test]
@@ -191,7 +191,15 @@ fn single_class_node_never_reaches_the_gate() {
     let weights = vec![1u32; records.len()];
     let tree = grow_weighted_gated(&cs, &weights, &sel, GrowthLimits::default(), Some(&rt));
     assert_eq!(tree.n_nodes(), 1);
-    assert_eq!(stats.snapshot(), Default::default());
+    assert_eq!(
+        (
+            stats.swept.get(),
+            stats.pruned.get(),
+            stats.fallbacks.get(),
+            stats.exact_points.get()
+        ),
+        (0, 0, 0, 0)
+    );
 }
 
 #[test]
@@ -208,9 +216,13 @@ fn tiny_nodes_skip_the_gate_via_min_node() {
     let gated = grow_weighted_gated(&cs, &weights, &sel, GrowthLimits::default(), Some(&rt));
     let exact = grow_weighted(&cs, &weights, &sel, GrowthLimits::default());
     assert_eq!(gated, exact);
-    let snap = stats.snapshot();
     assert_eq!(
-        (snap.swept, snap.pruned, snap.fallbacks, snap.exact_points),
+        (
+            stats.swept.get(),
+            stats.pruned.get(),
+            stats.fallbacks.get(),
+            stats.exact_points.get()
+        ),
         (0, 0, 0, 0),
         "nodes under min_node must not touch the gate"
     );
@@ -232,9 +244,8 @@ fn subsample_equal_to_full_sample_is_exact() {
     let gated = grow_weighted_gated(&cs, &weights, &sel, GrowthLimits::default(), Some(&rt));
     let exact = grow_weighted(&cs, &weights, &sel, GrowthLimits::default());
     assert_eq!(gated, exact);
-    let snap = stats.snapshot();
-    assert!(snap.fallbacks > 0);
-    assert_eq!(snap.swept, 0);
+    assert!(stats.fallbacks.get() > 0);
+    assert_eq!(stats.swept.get(), 0);
 }
 
 #[test]
@@ -265,13 +276,12 @@ fn large_node_actually_prunes() {
     assert_eq!(eval.split, exact.split);
     assert_eq!(eval.impurity.to_bits(), exact.impurity.to_bits());
     assert_eq!(eval.left_counts, exact.left_counts);
-    let snap = stats.snapshot();
     assert!(
-        snap.pruned > 400,
-        "clear separator must prune most gaps: {snap:?}"
+        stats.pruned.get() > 400,
+        "clear separator must prune most gaps: {stats:?}"
     );
     assert!(
-        snap.swept + snap.exact_points < n as u64 / 4,
-        "should evaluate far fewer than the {n} distinct values: {snap:?}"
+        stats.swept.get() + stats.exact_points.get() < n as u64 / 4,
+        "should evaluate far fewer than the {n} distinct values: {stats:?}"
     );
 }

@@ -14,7 +14,7 @@
 use boat_repro::boat::{Boat, BoatConfig};
 use boat_repro::data::csv::{import_csv, CsvOptions};
 use boat_repro::data::dataset::RecordSource;
-use boat_repro::data::{Attribute, IoStats, Schema};
+use boat_repro::data::{Attribute, Schema};
 use boat_repro::datagen::{GeneratorConfig, LabelFunction};
 use boat_repro::tree::{prune_mdl, MdlConfig, Tree};
 use std::fmt::Write as _;
@@ -60,13 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         2,
     )?;
     let data_path = dir.join("applications.boat");
-    let (data, dicts) = import_csv(
-        &csv_path,
-        &data_path,
-        schema.clone(),
-        CsvOptions::default(),
-        IoStats::new(),
-    )?;
+    let (data, dicts) = import_csv(&csv_path, &data_path, schema.clone(), CsvOptions::default())?;
     println!(
         "imported {} records; zipcode dictionary: {:?} …; labels: {:?}",
         data.len(),

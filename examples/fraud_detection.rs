@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         build_stats.scans_over_input,
         build_stats.parked_tuples
     );
-    let base_scans_after_build = base.stats().snapshot().scans;
+    let base_scans_after_build = base.metrics().snapshot().counter("data.input.scans");
 
     // Nights 1-3: same distribution, different seeds.
     for night in 1..=3 {
@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         verify(&mut model, &schema, &history);
     }
     assert_eq!(
-        base.stats().snapshot().scans,
+        base.metrics().snapshot().counter("data.input.scans"),
         base_scans_after_build,
         "same-distribution updates never rescan the original transactions"
     );

@@ -8,7 +8,6 @@
 
 use boat_repro::boat::{reference_tree, Boat, BoatConfig};
 use boat_repro::data::dataset::RecordSource;
-use boat_repro::data::IoStats;
 use boat_repro::datagen::{GeneratorConfig, LabelFunction};
 use boat_repro::tree::Gini;
 
@@ -27,9 +26,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let gen = GeneratorConfig::new(LabelFunction::F6)
         .with_seed(42)
         .with_noise(0.05);
-    let stats = IoStats::new();
     println!("materializing {n} tuples of F6 to {} ...", path.display());
-    let data = gen.materialize_with_stats(&path, n, stats.clone())?;
+    let data = gen.materialize(&path, n)?;
 
     // 2. Build the tree with BOAT. `scaled_for` mirrors the paper's §5.1
     //    setup at this dataset's scale (sample, bootstrap, in-memory

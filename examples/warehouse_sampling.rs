@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let t = Instant::now();
     let boat_fit = Boat::new(config).fit(&view)?;
     let boat_time = t.elapsed();
-    let boat_scans = view.stats().snapshot().scans;
+    let boat_scans = view.metrics().snapshot().counter("data.input.scans");
 
     // RainForest over the same view (fresh source for clean accounting).
     let view_rf = GeneratorConfig::new(LabelFunction::F7)
@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let t = Instant::now();
     let rf_fit = RainForest::new(RfVariant::Hybrid, rf_config).fit(&view_rf)?;
     let rf_time = t.elapsed();
-    let rf_scans = view_rf.stats().snapshot().scans;
+    let rf_scans = view_rf.metrics().snapshot().counter("data.input.scans");
 
     assert_eq!(
         boat_fit.tree, rf_fit.tree,

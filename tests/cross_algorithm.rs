@@ -5,7 +5,7 @@
 
 use boat_repro::boat::{reference_tree, Boat, BoatConfig};
 use boat_repro::data::dataset::RecordSource;
-use boat_repro::data::{FileDataset, IoStats, MemoryDataset};
+use boat_repro::data::{FileDataset, MemoryDataset};
 use boat_repro::datagen::{GeneratorConfig, LabelFunction};
 use boat_repro::rainforest::{RainForest, RfConfig, RfVariant};
 use boat_repro::tree::{Gini, GrowthLimits};
@@ -63,10 +63,13 @@ fn boat_reads_less_than_level_synchronous_rainforest() {
     // total I/O, not just scans of D).
     let path = tmpfile("scans.boat");
     let gen = GeneratorConfig::new(LabelFunction::F7).with_seed(60);
-    let stats = IoStats::new();
-    let data = gen
-        .materialize_with_stats(&path, 12_000, stats.clone())
-        .unwrap();
+    let data = gen.materialize(&path, 12_000).unwrap();
+    let records_read = |source: &dyn RecordSource| {
+        source
+            .metrics()
+            .snapshot()
+            .counter("data.input.records_read")
+    };
 
     let limits = GrowthLimits {
         stop_family_size: Some(1_000),
@@ -77,13 +80,11 @@ fn boat_reads_less_than_level_synchronous_rainforest() {
     bc.bootstrap_sample_size = 1_500;
     bc.limits = limits;
     bc.in_memory_threshold = 1_000;
-    let before = stats.snapshot();
+    let before = records_read(&data);
     let fit = Boat::new(bc).fit(&data).unwrap();
-    let boat_read =
-        stats.snapshot().records_read - before.records_read + fit.stats.spill_io.records_read;
+    let boat_read = records_read(&data) - before + fit.stats.spill_io.records_read;
 
-    let rf_stats = IoStats::new();
-    let data_rf = FileDataset::open(&path, rf_stats.clone()).unwrap();
+    let data_rf = FileDataset::open(&path).unwrap();
     let rfc = RfConfig {
         avc_budget_entries: 10_000_000,
         in_memory_threshold: 1_000,
@@ -92,7 +93,7 @@ fn boat_reads_less_than_level_synchronous_rainforest() {
     let rf = RainForest::new(RfVariant::Hybrid, rfc)
         .fit(&data_rf)
         .unwrap();
-    let rf_read = rf_stats.snapshot().records_read;
+    let rf_read = records_read(&data_rf);
 
     assert_eq!(fit.tree, rf.tree);
     assert!(
@@ -116,7 +117,7 @@ fn dataset_log_drives_incremental_rebuild_equivalence() {
     let base_path = tmpfile("log-base.boat");
     let base = {
         let src = MemoryDataset::new(schema.clone(), all[..5_000].to_vec());
-        FileDataset::create_from(&base_path, &src, IoStats::new()).unwrap()
+        FileDataset::create_from(&base_path, &src).unwrap()
     };
 
     let algo = Boat::new(BoatConfig::scaled_for(5_000).with_seed(71));
@@ -171,6 +172,6 @@ fn facade_reexports_are_usable() {
     let _ = boat_repro::boat::BoatConfig::default();
     let _ = boat_repro::rainforest::RfConfig::default();
     let _ = boat_repro::tree::GrowthLimits::default();
-    let _ = boat_repro::data::IoStats::new();
+    let _ = boat_repro::data::IoSnapshot::default();
     let _ = boat_repro::datagen::GeneratorConfig::new(boat_repro::datagen::LabelFunction::F1);
 }
