@@ -5,22 +5,30 @@
 //! of the training database: one to draw the sample, one to clean up. A
 //! third scan happens only when a completion job's records were not
 //! retained: a frontier whose sample was pure but whose full family is
-//! not, or a failed subtree over a frontier that kept no family. Every
-//! completion job's family is gathered in memory, so it finishes with the
-//! columnar in-memory builder. The paper (§3.5) recurses into BOAT for
-//! families too large for memory; that needs streamed families and is not
+//! not, or a failed subtree over a frontier that kept no family.
+//!
+//! From the cleanup scan to the grown subtree a tuple stays a fixed-width
+//! encoded row: parked sets, retained families, carried sets and the
+//! collection scan's buffers hold rows, and the columnar builder transposes
+//! them without decoding a record. Completion grows one job at a time: its
+//! family is gathered, transposed, grown and dropped before the next, so
+//! its peak memory is the largest family, not the sum of them. The paper
+//! (§3.5) recurses into BOAT for families too large for memory; that is not
 //! done here (DESIGN §3.5, R6).
 
 use crate::coarse::{build_coarse_tree_columnar, columnar_sample};
 use crate::config::BoatConfig;
 use crate::stats::BoatRunStats;
 use crate::work::{limits_for_subtree, Job, Resolution, WorkTree};
+use boat_data::codec::{EncodedRow, RowLayout};
 use boat_data::dataset::RecordSource;
 use boat_data::sample::{reservoir_rows, SAMPLE_CHUNK_ROWS};
 use boat_data::spill::SpillBuffer;
-use boat_data::{DataError, IoSnapshot, Record, Result};
+use boat_data::{DataError, IoSnapshot, Result, Schema};
 use boat_obs::{Registry, Snapshot};
-use boat_tree::{Gini, GrowthLimits, Impurity, ImpuritySelector, TdTreeBuilder, Tree};
+use boat_tree::{
+    ColumnarSample, Gini, GrowthLimits, Impurity, ImpuritySelector, TdTreeBuilder, Tree,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -92,22 +100,22 @@ impl<I: Impurity + Clone> Boat<I> {
         &self.metrics
     }
 
-    /// Grow an in-memory family (§3.5's in-memory switch) with the columnar
-    /// engine — bit-identical to the reference builder on `records`, per
-    /// the engine's determinism contract (`boat_tree::columnar`).
-    fn inmem_tree(
-        &self,
-        schema: &boat_data::Schema,
-        records: &[Record],
-        limits: GrowthLimits,
-    ) -> Tree {
+    /// Grow an in-memory family (§3.5's in-memory switch), given as the
+    /// encoded rows of `schema` back to back, with the columnar engine —
+    /// bit-identical to the reference builder on the decoded records, per
+    /// the engine's determinism contract (`boat_tree::columnar`). A row
+    /// that fails [`RowLayout::check`] is [`DataError::Corrupt`].
+    fn inmem_tree(&self, schema: &Schema, rows: &[u8], limits: GrowthLimits) -> Result<Tree> {
         let selector = ImpuritySelector::new(self.impurity.clone());
         self.metrics.counter("boat.sample.inmem_columnar").inc();
-        let cs = boat_tree::ColumnarSample::from_records(schema, records);
-        let weights = vec![1u32; records.len()];
+        let layout = RowLayout::new(schema);
+        let mut cs = ColumnarSample::transpose(schema, layout.rows(rows)?);
+        cs.presort();
+        let weights = vec![1u32; cs.n_rows()];
         let stats = crate::coarse::subsample_stats(&self.metrics);
         let rt = crate::coarse::subsample_runtime(&self.config, &stats);
-        boat_tree::grow_weighted_gated(&cs, &weights, &selector, limits, rt.as_ref())
+        let tree = boat_tree::grow_weighted_gated(&cs, &weights, &selector, limits, rt.as_ref());
+        Ok(tree)
     }
 
     /// Build the exact decision tree for `source`.
@@ -121,12 +129,18 @@ impl<I: Impurity + Clone> Boat<I> {
         if source.len() <= self.config.in_memory_threshold {
             let t0 = Instant::now();
             let span = self.metrics.span("boat.phase.inmem_build");
-            let records = source.collect_records()?;
-            let tree = self.inmem_tree(source.schema(), &records, self.config.limits);
+            let width = source.schema().record_width();
+            let mut rows = Vec::new();
+            for chunk in source.scan_chunks(self.config.cleanup_chunk_size)? {
+                let chunk = chunk?;
+                chunk.check_width(width)?;
+                rows.extend_from_slice(&chunk.bytes);
+            }
+            let tree = self.inmem_tree(source.schema(), &rows, self.config.limits)?;
             span.finish();
             self.metrics.counter("boat.fit.inmem_builds").inc();
             let mut stats = BoatRunStats {
-                sample_records: records.len() as u64,
+                sample_records: (rows.len() / width) as u64,
                 inmem_builds: 1,
                 postprocess_time: t0.elapsed(),
                 ..Default::default()
@@ -255,9 +269,11 @@ impl<I: Impurity + Clone> Boat<I> {
         Ok((work, stats))
     }
 
-    /// Execute completion jobs: gather each job's records (from retained
-    /// buffers, or one collection scan over `source`), then grow each
-    /// subtree in memory.
+    /// Execute completion jobs. Jobs whose grown subtree is provably
+    /// unchanged are skipped. The families the cleanup scan did not retain
+    /// are gathered by one collection scan over `source`; then each job in
+    /// turn has its family collected as encoded rows, grown in memory and
+    /// dropped before the next job starts.
     pub(crate) fn execute_jobs(
         &self,
         work: &mut WorkTree,
@@ -265,73 +281,56 @@ impl<I: Impurity + Clone> Boat<I> {
         source: Option<&dyn RecordSource>,
         stats: &mut BoatRunStats,
     ) -> Result<()> {
-        // Reuse grown subtrees that are provably unchanged.
-        let mut pending: Vec<(Job, Option<Vec<Record>>)> = Vec::new();
-        for job in jobs {
-            let reusable = work.nodes[job.idx].grown.is_some()
-                && work.nodes[job.idx].grown_carried_fp == Some(job.carried_fp)
-                && !subtree_dirty(work, job.idx);
-            if reusable {
-                self.metrics.counter("boat.jobs.reused").inc();
-                continue;
-            }
-            let collected = work.collect_subtree(job.idx)?;
-            pending.push((job, collected));
-        }
-
-        // Collection scan for jobs whose records were not retained.
-        if pending.iter().any(|(_, c)| c.is_none()) {
+        let jobs: Vec<Job> = jobs
+            .into_iter()
+            .filter(|job| {
+                let reusable = work.nodes[job.idx].grown.is_some()
+                    && work.nodes[job.idx].grown_carried_fp == Some(job.carried_fp)
+                    && !subtree_dirty(work, job.idx);
+                if reusable {
+                    self.metrics.counter("boat.jobs.reused").inc();
+                }
+                !reusable
+            })
+            .collect();
+        let unretained: Vec<usize> = jobs
+            .iter()
+            .map(|job| job.idx)
+            .filter(|&idx| !work.retains_family(idx))
+            .collect();
+        let mut scanned = if unretained.is_empty() {
+            Vec::new()
+        } else {
             let source = source.ok_or_else(|| {
                 DataError::Invalid("completion requires a scan but no source is available".into())
             })?;
-            let mut buffers: Vec<(usize, SpillBuffer)> = pending
-                .iter()
-                .filter(|(_, c)| c.is_none())
-                .map(|(j, _)| {
-                    (
-                        j.idx,
-                        SpillBuffer::new_in(
-                            work.schema.clone(),
-                            self.config.spill_budget,
-                            &self.metrics,
-                            self.config.spill_dir.clone(),
-                        ),
-                    )
-                })
-                .collect();
-            self.metrics.counter("boat.jobs.collection_scans").inc();
-            for r in source.scan()? {
-                let r = r?;
-                if let Some(target) = work.route_to_job(&r) {
-                    if let Some((_, buf)) = buffers.iter_mut().find(|(i, _)| *i == target) {
-                        buf.push(&r)?;
-                    }
-                }
-            }
-            for (job, slot) in pending.iter_mut() {
-                if slot.is_none() {
-                    let (_, buf) = buffers
-                        .iter_mut()
-                        .find(|(i, _)| *i == job.idx)
-                        .expect("buffer created for unretained job");
-                    *slot = Some(buf.to_vec()?);
-                    // The collection scan routes by *final* splits, so the
-                    // buffer already contains the ancestor-parked tuples
-                    // that `carried` would re-add: drop them.
-                    job.carried.clear();
-                }
-            }
-        }
+            self.collection_scan(work, &unretained, source)?
+        };
 
-        for (job, records) in pending {
+        for job in jobs {
+            // The verdict counted the whole family, so its rows fit exactly.
+            let family = work.nodes[job.idx]
+                .resolution
+                .counts()
+                .map_or(0, |c| c.iter().sum::<u64>());
+            let mut rows = Vec::with_capacity(family as usize * work.layout.width());
+            match scanned.get_mut(job.idx).and_then(Option::take) {
+                // The collection scan routes by *final* splits, so the
+                // buffer already holds the ancestor-parked tuples that
+                // `carried` would add.
+                Some(mut buf) => buf.append_rows(&mut rows)?,
+                None => {
+                    work.collect_subtree(job.idx, &mut rows)?;
+                    rows.extend_from_slice(&job.carried);
+                }
+            }
             stats.jobs_executed += 1;
             self.metrics.counter("boat.jobs.executed").inc();
-            let mut records = records.expect("records gathered above");
             let limits = limits_for_subtree(self.config.limits, work.nodes[job.idx].depth);
-            records.extend(job.carried.iter().cloned());
             stats.inmem_builds += 1;
             self.metrics.counter("boat.fit.inmem_builds").inc();
-            let tree = self.inmem_tree(&work.schema, &records, limits);
+            let tree = self.inmem_tree(&work.schema, &rows, limits)?;
+            drop(rows);
             debug_assert_eq!(
                 work.nodes[job.idx]
                     .resolution
@@ -346,6 +345,40 @@ impl<I: Impurity + Clone> Boat<I> {
             clear_subtree_dirty(work, job.idx);
         }
         Ok(())
+    }
+
+    /// One collection scan over `source` for the jobs at nodes `unretained`,
+    /// whose families the cleanup scan did not keep. Every row is checked,
+    /// routed by the final splits, and copied into the buffer of the job it
+    /// lands in. Returns the buffers indexed by node.
+    fn collection_scan(
+        &self,
+        work: &WorkTree,
+        unretained: &[usize],
+        source: &dyn RecordSource,
+    ) -> Result<Vec<Option<SpillBuffer>>> {
+        let mut buffers: Vec<Option<SpillBuffer>> = (0..work.nodes.len()).map(|_| None).collect();
+        for &idx in unretained {
+            buffers[idx] = Some(SpillBuffer::new_in(
+                work.schema.clone(),
+                self.config.spill_budget,
+                &self.metrics,
+                self.config.spill_dir.clone(),
+            ));
+        }
+        self.metrics.counter("boat.jobs.collection_scans").inc();
+        let layout = &work.layout;
+        for chunk in source.scan_chunks(self.config.cleanup_chunk_size)? {
+            let chunk = chunk?;
+            chunk.check_width(layout.width())?;
+            for bytes in chunk.rows() {
+                let row = EncodedRow::new(layout, bytes)?;
+                if let Some(buf) = work.route_to_job(&row).and_then(|i| buffers[i].as_mut()) {
+                    buf.push_row(bytes)?;
+                }
+            }
+        }
+        Ok(buffers)
     }
 }
 

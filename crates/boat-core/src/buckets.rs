@@ -14,7 +14,7 @@
 
 use crate::config::DiscretizeStrategy;
 use crate::verify::corner_lower_bound;
-use boat_tree::Impurity;
+use boat_tree::{fold_zero, Impurity};
 
 /// Class counts over a fixed discretization of one numeric attribute.
 ///
@@ -249,7 +249,7 @@ impl BucketSet {
 
 /// One numeric attribute's values over a node's family, as runs: the
 /// distinct values in ascending [`f64::total_cmp`] order, one run per bit
-/// pattern (so `-0.0` and `0.0` are separate runs), each with its per-class
+/// pattern after [`fold_zero`] (so `-0.0` and `0.0` are one run), each with its per-class
 /// counts. This is the AVC-set of the attribute in two flat buffers, filled
 /// by one pass over an already sorted list or by sorting `(value, label)`
 /// pairs; one instance is reused across attributes and nodes.
@@ -277,6 +277,7 @@ impl ValueRuns {
         self.counts.clear();
         let k = self.n_classes;
         for (v, label) in sorted {
+            let v = fold_zero(v);
             let new_run = self
                 .values
                 .last()
@@ -476,7 +477,7 @@ mod tests {
     }
 
     #[test]
-    fn runs_group_by_bit_pattern_in_total_cmp_order() {
+    fn runs_group_by_value_in_total_cmp_order_with_one_zero() {
         let mut pairs = vec![(0.0, 0u16), (-0.0, 1), (1.0, 0), (-0.0, 0), (-2.5, 1)];
         let mut runs = ValueRuns::new(2);
         runs.fill_from_pairs(&mut pairs);
@@ -484,11 +485,10 @@ mod tests {
             .iter()
             .map(|(v, c)| (v.to_bits(), c.to_vec()))
             .collect();
-        let want: Vec<(u64, Vec<u64>)> =
-            [(-2.5, [0, 1]), (-0.0, [1, 1]), (0.0, [1, 0]), (1.0, [1, 0])]
-                .iter()
-                .map(|(v, c): &(f64, [u64; 2])| (v.to_bits(), c.to_vec()))
-                .collect();
+        let want: Vec<(u64, Vec<u64>)> = [(-2.5, [0, 1]), (0.0, [2, 1]), (1.0, [1, 0])]
+            .iter()
+            .map(|(v, c): &(f64, [u64; 2])| (v.to_bits(), c.to_vec()))
+            .collect();
         assert_eq!(got, want);
         runs.fill_sorted(std::iter::empty());
         assert!(runs.is_empty());

@@ -90,11 +90,6 @@ pub struct BoatConfig {
     /// Per-node in-memory budget (records) for parked-tuple buffers before
     /// they spill to temporary files.
     pub spill_budget: usize,
-    /// Minimum interval padding, in *distinct sample values* per side, on
-    /// top of the impurity-aware shelf extension (see `work::widen_interval`).
-    /// One value covers the sample-gap the full database's optimum usually
-    /// sits in.
-    pub interval_pad_values: usize,
     /// Discretization strategy for the lower-bound checks.
     pub discretize: DiscretizeStrategy,
     /// Bootstrap agreement rule.
@@ -139,7 +134,6 @@ impl Default for BoatConfig {
             confidence_trim: 0.0,
             in_memory_threshold: 10_000,
             spill_budget: 4_096,
-            interval_pad_values: 1,
             discretize: DiscretizeStrategy::default(),
             agreement: AgreementRule::default(),
             limits: GrowthLimits::default(),

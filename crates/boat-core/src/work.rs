@@ -315,8 +315,9 @@ impl FailReason {
 pub(crate) struct Job {
     /// Work-tree node index.
     pub idx: usize,
-    /// Ancestor-parked tuples routed into this node by final splits.
-    pub carried: Vec<Record>,
+    /// Ancestor-parked tuples routed into this node by final splits, as
+    /// encoded rows back to back.
+    pub carried: Vec<u8>,
     /// Fingerprint of `carried` (for grown-subtree reuse).
     pub carried_fp: u64,
 }
@@ -338,6 +339,9 @@ pub(crate) struct WorkNode {
 /// The working tree: coarse structure + cleanup state + resolutions.
 pub(crate) struct WorkTree {
     pub schema: Arc<Schema>,
+    /// The layout of the schema's encoded rows, which every buffer, carried
+    /// set and completion family holds.
+    pub layout: RowLayout,
     pub nodes: Vec<WorkNode>,
     /// Observability registry (shared with the owning `Boat`): cleanup-shard
     /// timers, merge spans, verification-verdict counters and the spill
@@ -614,6 +618,7 @@ impl WorkTree {
             .map(|node| node.expect("every coarse node is reachable from the root"))
             .collect();
         WorkTree {
+            layout: RowLayout::new(&schema),
             schema,
             nodes,
             metrics,
@@ -972,10 +977,12 @@ impl WorkTree {
         Ok(jobs)
     }
 
+    /// Resolve node `idx`, whose ancestors parked the encoded rows
+    /// `carried` on their way down to it.
     fn finalize_node(
         &mut self,
         idx: usize,
-        carried: Vec<Record>,
+        carried: Vec<u8>,
         imp: &dyn Impurity,
         limits: GrowthLimits,
         jobs: &mut Vec<Job>,
@@ -989,9 +996,9 @@ impl WorkTree {
         let crit = self.nodes[idx].crit.clone();
         let mut full = self.nodes[idx].state.counts.clone();
         let mut interval_pairs: Vec<(f64, u16)> = Vec::new();
-        for r in &carried {
-            let step = Step::of(crit.as_ref(), r);
-            full.add(r, step);
+        for r in self.layout.rows(&carried)? {
+            let step = Step::of(crit.as_ref(), &r);
+            full.add(&r, step);
             if let (Step::Park, Some(CoarseCriterion::Num { attr, .. })) = (step, &crit) {
                 interval_pairs.push((r.num(*attr), r.label()));
             }
@@ -1005,7 +1012,7 @@ impl WorkTree {
         }
 
         let Some(crit) = crit else {
-            let fp = fingerprint(&self.schema, &carried);
+            let fp = fingerprint(&carried, self.layout.width());
             self.metrics.counter("boat.verify.frontier").inc();
             self.nodes[idx].resolution = Resolution::Frontier { counts: combined };
             jobs.push(Job {
@@ -1018,8 +1025,8 @@ impl WorkTree {
 
         // ---- derive the exact split for the coarse criterion ----
         // A numeric node's parked set is read once: its values feed the
-        // interval sweep, and on success the same records route down.
-        let mut parked: Vec<Record> = Vec::new();
+        // interval sweep, and on success the same rows route down.
+        let mut parked: Vec<u8> = Vec::new();
         let chosen: Option<SplitEval> = match &crit {
             CoarseCriterion::Cat { attr, subset } => {
                 let avc = full.cat[*attr].as_ref().expect("cat attr has AVC");
@@ -1035,14 +1042,18 @@ impl WorkTree {
                 }
             }
             CoarseCriterion::Num { attr, .. } => {
-                parked = self.nodes[idx]
+                let mut pairs = interval_pairs;
+                let buf = self.nodes[idx]
                     .state
                     .parked
                     .as_mut()
-                    .expect("numeric node parks")
-                    .to_vec()?;
-                let mut pairs = interval_pairs;
-                pairs.extend(parked.iter().map(|r| (r.num(*attr), r.label())));
+                    .expect("numeric node parks");
+                pairs.reserve(buf.len() as usize);
+                parked.reserve(buf.len() as usize * self.layout.width());
+                buf.for_each_row(|r| {
+                    pairs.push((r.num(*attr), r.label()));
+                    parked.extend_from_slice(r.bytes());
+                })?;
                 let mut runs = ValueRuns::new(k);
                 runs.fill_from_pairs(&mut pairs);
                 sweep_numeric(
@@ -1175,12 +1186,17 @@ impl WorkTree {
 
         // ---- verified: route parked + carried tuples to the children ----
         let (mut left_c, mut right_c) = (Vec::new(), Vec::new());
-        for r in parked.into_iter().chain(carried) {
-            if chosen.split.goes_left(&r) {
-                left_c.push(r);
+        for r in self
+            .layout
+            .rows(&parked)?
+            .chain(self.layout.rows(&carried)?)
+        {
+            let side = if chosen.split.goes_left(&r) {
+                &mut left_c
             } else {
-                right_c.push(r);
-            }
+                &mut right_c
+            };
+            side.extend_from_slice(r.bytes());
         }
         let (l, rgt) = (
             self.nodes[idx].left.expect("internal"),
@@ -1196,12 +1212,12 @@ impl WorkTree {
     fn fail_node(
         &mut self,
         idx: usize,
-        carried: Vec<Record>,
+        carried: Vec<u8>,
         combined: Vec<u64>,
         reason: FailReason,
         jobs: &mut Vec<Job>,
     ) -> Result<()> {
-        let fp = fingerprint(&self.schema, &carried);
+        let fp = fingerprint(&carried, self.layout.width());
         // A failed verdict is exactly a rebuild trigger: the job pushed
         // below regrows this subtree.
         self.metrics.counter("boat.verify.fail").inc();
@@ -1215,53 +1231,49 @@ impl WorkTree {
         Ok(())
     }
 
-    /// Try to assemble the full family of `idx` from retained buffers in
-    /// its subtree: parked sets at numeric nodes plus family buffers at
-    /// frontier nodes. Returns `None` if some frontier descendant retained
-    /// no records (a collection scan is then required).
-    pub fn collect_subtree(&mut self, idx: usize) -> Result<Option<Vec<Record>>> {
-        // First check retainment without copying.
+    /// Whether the cleanup scan retained the whole family of `idx`: every
+    /// frontier node in its subtree that holds tuples kept its family
+    /// buffer. Otherwise completing `idx` needs a collection scan.
+    pub fn retains_family(&self, idx: usize) -> bool {
         let mut stack = vec![idx];
-        let mut order = Vec::new();
         while let Some(i) = stack.pop() {
-            order.push(i);
-            if self.nodes[i].crit.is_some() {
-                stack.push(self.nodes[i].left.expect("internal"));
-                stack.push(self.nodes[i].right.expect("internal"));
-            } else if self.nodes[i].state.family.is_none()
-                && self.nodes[i]
-                    .state
-                    .counts
-                    .class_totals
-                    .iter()
-                    .any(|&c| c > 0)
+            let node = &self.nodes[i];
+            if node.crit.is_some() {
+                stack.push(node.left.expect("internal"));
+                stack.push(node.right.expect("internal"));
+            } else if node.state.family.is_none()
+                && node.state.counts.class_totals.iter().any(|&c| c > 0)
             {
-                return Ok(None);
+                return false;
             }
         }
-        let mut out = Vec::new();
-        for i in order {
-            let node = &mut self.nodes[i];
-            if let Some(parked) = node.state.parked.as_mut() {
-                for r in parked.iter()? {
-                    out.push(r?);
-                }
-            }
-            if node.crit.is_none() {
-                if let Some(family) = node.state.family.as_mut() {
-                    for r in family.iter()? {
-                        out.push(r?);
-                    }
-                }
-            }
-        }
-        Ok(Some(out))
+        true
     }
 
-    /// Route one record by the *resolved* splits, returning the index of
-    /// the Frontier/Failed node it lands in (if any). Used by the
-    /// collection scan for jobs whose records were not retained.
-    pub fn route_to_job(&self, r: &Record) -> Option<usize> {
+    /// Append the family of `idx` as the cleanup scan retained it to `out`,
+    /// as encoded rows back to back: the parked sets of the numeric nodes in
+    /// its subtree and the family buffers of its frontier nodes. The caller
+    /// has checked [`WorkTree::retains_family`]; the tuples its ancestors
+    /// parked are in its job's carried set, not here.
+    pub fn collect_subtree(&mut self, idx: usize, out: &mut Vec<u8>) -> Result<()> {
+        let mut stack = vec![idx];
+        while let Some(i) = stack.pop() {
+            let node = &mut self.nodes[i];
+            if let Some(buf) = node.state.buffer() {
+                buf.append_rows(out)?;
+            }
+            if node.crit.is_some() {
+                stack.push(node.left.expect("internal"));
+                stack.push(node.right.expect("internal"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Route one row by the *resolved* splits, returning the index of the
+    /// Frontier/Failed node it lands in (if any). Used by the collection
+    /// scan for jobs whose records were not retained.
+    pub fn route_to_job(&self, r: &impl Fields) -> Option<usize> {
         let mut idx = 0usize;
         loop {
             match &self.nodes[idx].resolution {
@@ -1352,12 +1364,11 @@ impl WorkTree {
     /// Panics on a violation. Tests run it after every mutation.
     pub(crate) fn check_invariants(&mut self) {
         fn label_counts(buf: &mut SpillBuffer, k: usize, what: &str, i: usize) -> Vec<u64> {
-            let records = buf.to_vec().expect("read buffer");
-            assert_eq!(records.len() as u64, buf.len(), "{what} length at node {i}");
             let mut counts = vec![0u64; k];
-            for r in &records {
-                counts[r.label() as usize] += 1;
-            }
+            buf.for_each_row(|r| counts[r.label() as usize] += 1)
+                .expect("read buffer");
+            let n: u64 = counts.iter().sum();
+            assert_eq!(n, buf.len(), "{what} length at node {i}");
             counts
         }
         for i in 0..self.nodes.len() {
@@ -1420,16 +1431,15 @@ impl Impurity for ErasedImpurity<'_> {
     }
 }
 
-/// Order-insensitive fingerprint of a carried set (used to reuse grown
-/// subtrees across verification passes when nothing changed).
-fn fingerprint(schema: &Schema, records: &[Record]) -> u64 {
-    let mut acc: u64 = 0x9E3779B97F4A7C15 ^ (records.len() as u64);
-    for r in records {
+/// Order-insensitive fingerprint of a carried set of `width`-byte rows
+/// (used to reuse grown subtrees across verification passes when nothing
+/// changed).
+fn fingerprint(rows: &[u8], width: usize) -> u64 {
+    let mut acc: u64 = 0x9E3779B97F4A7C15 ^ (rows.len() / width) as u64;
+    for row in rows.chunks_exact(width) {
         let mut h = DefaultHasher::new();
-        if let Ok(bytes) = boat_data::codec::encode(schema, r) {
-            bytes.hash(&mut h);
-        }
-        // XOR-fold per record: order-insensitive.
+        row.hash(&mut h);
+        // XOR-fold per row: order-insensitive.
         acc ^= h.finish();
     }
     acc
@@ -1472,14 +1482,7 @@ fn internal_counts(
                 let edges;
                 let must_include: &[f64] = match &mut crit {
                     CoarseCriterion::Num { attr, lo, hi } if *attr == a => {
-                        (*lo, *hi) = widen_interval(
-                            &runs,
-                            totals,
-                            imp,
-                            *lo,
-                            *hi,
-                            config.interval_pad_values.max(1),
-                        );
+                        (*lo, *hi) = widen_interval(&runs, totals, imp, *lo, *hi);
                         edges = [*lo, *hi];
                         &edges
                     }
@@ -1494,6 +1497,11 @@ fn internal_counts(
     (crit, NodeCounts::new(k, cat, buckets))
 }
 
+/// Minimum interval padding, in distinct sample values per side, on top of
+/// the impurity-aware shelf extension of [`widen_interval`]. One value
+/// covers the sample-gap the full database's optimum usually sits in.
+const INTERVAL_PAD_VALUES: usize = 1;
+
 /// Widen a bootstrap confidence interval using the node's *sample family*.
 ///
 /// Three effects, all optimism heuristics (verification still guarantees
@@ -1507,9 +1515,9 @@ fn internal_counts(
 ///    sample best, where σ ≈ 1/√m is the impurity estimation noise at a
 ///    sample family of size m — the full database's optimum wanders inside
 ///    that shelf, and bucket bounds can never resolve it;
-/// 3. it is padded by `pad_min` extra distinct sample values on each side
-///    (the full database's optimum usually sits in the sample-gap just
-///    past the sample's best candidate).
+/// 3. it is padded by [`INTERVAL_PAD_VALUES`] extra distinct sample values
+///    on each side (the full database's optimum usually sits in the
+///    sample-gap just past the sample's best candidate).
 ///
 /// Extension stops once the added sample mass on a side exceeds 2% of the
 /// family (keeps parked sets small on low-cardinality attributes where a
@@ -1520,7 +1528,6 @@ fn widen_interval(
     imp: &dyn Impurity,
     lo: f64,
     hi: f64,
-    pad_min: usize,
 ) -> (f64, f64) {
     let m: u64 = totals.iter().sum();
     if m == 0 || runs.is_empty() {
@@ -1585,8 +1592,8 @@ fn widen_interval(
         added += evals[hi_idx].2;
     }
     // Minimum gap padding.
-    lo_idx = lo_idx.saturating_sub(pad_min);
-    hi_idx = (hi_idx + pad_min).min(evals.len() - 1);
+    lo_idx = lo_idx.saturating_sub(INTERVAL_PAD_VALUES);
+    hi_idx = (hi_idx + INTERVAL_PAD_VALUES).min(evals.len() - 1);
     (evals[lo_idx].0.min(lo), evals[hi_idx].0.max(hi))
 }
 
@@ -1713,6 +1720,13 @@ mod tests {
         assert_eq!(work.nodes[0].state.counts.class_totals, counts_before);
     }
 
+    /// Every row of `buf`, back to back.
+    fn rows(buf: &mut SpillBuffer) -> Vec<u8> {
+        let mut out = Vec::new();
+        buf.append_rows(&mut out).unwrap();
+        out
+    }
+
     /// Assert complete per-node state equality between two work trees.
     fn assert_same_state(a: &mut WorkTree, b: &mut WorkTree) {
         assert_eq!(a.nodes.len(), b.nodes.len());
@@ -1724,22 +1738,14 @@ mod tests {
             match (sa.parked.as_mut(), sb.parked.as_mut()) {
                 (None, None) => {}
                 (Some(pa), Some(pb)) => {
-                    assert_eq!(
-                        pa.to_vec().unwrap(),
-                        pb.to_vec().unwrap(),
-                        "parked records at node {i}"
-                    );
+                    assert_eq!(rows(pa), rows(pb), "parked rows at node {i}");
                 }
                 _ => panic!("parked presence differs at node {i}"),
             }
             match (sa.family.as_mut(), sb.family.as_mut()) {
                 (None, None) => {}
                 (Some(fa), Some(fb)) => {
-                    assert_eq!(
-                        fa.to_vec().unwrap(),
-                        fb.to_vec().unwrap(),
-                        "family records at node {i}"
-                    );
+                    assert_eq!(rows(fa), rows(fb), "family rows at node {i}");
                 }
                 _ => panic!("family presence differs at node {i}"),
             }
@@ -1853,7 +1859,7 @@ mod tests {
         }
         let mut runs = ValueRuns::new(2);
         runs.fill_from_pairs(&mut pairs);
-        let (lo, hi) = widen_interval(&runs, &totals, &Gini, 10.0, 10.0, 1);
+        let (lo, hi) = widen_interval(&runs, &totals, &Gini, 10.0, 10.0);
         // One padding value each side at minimum.
         assert!(lo <= 9.0, "lo={lo}");
         assert!(hi >= 11.0, "hi={hi}");
@@ -1878,7 +1884,7 @@ mod tests {
         }
         let mut runs = ValueRuns::new(2);
         runs.fill_from_pairs(&mut pairs);
-        let (lo, hi) = widen_interval(&runs, &totals, &Gini, 50.0, 50.0, 1);
+        let (lo, hi) = widen_interval(&runs, &totals, &Gini, 50.0, 50.0);
         let covered = runs.iter().filter(|&(v, _)| v >= lo && v <= hi).count();
         assert!(
             covered < 80,
@@ -1960,9 +1966,8 @@ mod tests {
                 let totals = group.class_totals();
                 let crit = match crit.clone() {
                     CoarseCriterion::Num { attr, lo, hi } => {
-                        let pad = cfg.interval_pad_values.max(1);
                         let (lo, hi) =
-                            widen_interval(&runs_of(family, attr), totals, &Gini, lo, hi, pad);
+                            widen_interval(&runs_of(family, attr), totals, &Gini, lo, hi);
                         CoarseCriterion::Num { attr, lo, hi }
                     }
                     cat => cat,
@@ -2070,9 +2075,9 @@ mod tests {
     /// from a handful of values or a fine grid, zero to two categoricals up
     /// to 40 wide, two or three classes, and a threshold concept that
     /// leaves pure regions, with or without noise. The first attribute's
-    /// handful holds both signed zeros; they sit inside the noise-free
-    /// region `x0 <= 1`, so a split between them never wins (a `NumLe(-0.0)`
-    /// winner is not realizable by the `<=` predicate).
+    /// handful holds both signed zeros, with different labels: one mixed
+    /// value to the `<=` predicate, which every builder must count as one
+    /// (`boat_tree::fold_zero`).
     fn random_dataset(seed: u64) -> MemoryDataset {
         use rand::Rng;
         let mut rng = StdRng::seed_from_u64(seed);
@@ -2106,7 +2111,9 @@ mod tests {
                     })
                     .collect();
                 let cats: Vec<u32> = cards.iter().map(|&c| rng.random_range(0..c)).collect();
-                let label = if nums[0] <= 1.0 {
+                let label = if nums[0] == 0.0 {
+                    u16::from(nums[0].is_sign_negative())
+                } else if nums[0] <= 1.0 {
                     0
                 } else if rng.random_bool(noise) {
                     rng.random_range(0..k)

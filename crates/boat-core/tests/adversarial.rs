@@ -3,7 +3,7 @@
 //! error) must hold in every corner.
 
 use boat_core::{reference_tree, Boat, BoatConfig};
-use boat_data::dataset::{RecordScan, RecordSource};
+use boat_data::dataset::{ChunkScan, RecordScan, RecordSource};
 use boat_data::{Attribute, DataError, Field, MemoryDataset, Record, Result, ScanCounters, Schema};
 use boat_datagen::{GeneratorConfig, LabelFunction};
 use boat_obs::Registry;
@@ -363,4 +363,125 @@ fn model_update_io_error_is_propagated() {
     let err = model.insert(&chunk).unwrap_err();
     assert!(err.to_string().contains("chunk truncated"), "{err}");
     model.check_invariants();
+}
+
+// ---------------------------------------------------------------------------
+// Collection-scan faults
+// ---------------------------------------------------------------------------
+
+/// 5,000 rows of class 0 but two: a 300-row sample that misses both
+/// bets that the root is a pure leaf, and completing it takes a third,
+/// collection scan.
+fn lost_pure_leaf_bet() -> MemoryDataset {
+    let schema = Schema::shared(vec![Attribute::numeric("x")], 2).unwrap();
+    let records = (0..5_000u32)
+        .map(|i| {
+            Record::new(
+                vec![Field::Num(f64::from(i))],
+                u16::from(i == 1_234 || i == 3_777),
+            )
+        })
+        .collect();
+    MemoryDataset::new(schema, records)
+}
+
+fn collection_scan_config() -> BoatConfig {
+    BoatConfig {
+        cleanup_chunk_size: 1_000,
+        ..tiny_config(13)
+    }
+}
+
+#[derive(Clone, Copy)]
+enum ChunkFault {
+    Io,
+    BadLabel,
+}
+
+/// `inner`, with chunk 1 of its third scan (the collection scan of a fit)
+/// replaced by an I/O error or given a row with an out-of-range label.
+struct ThirdScanFault {
+    inner: MemoryDataset,
+    scans: std::sync::atomic::AtomicUsize,
+    fault: ChunkFault,
+}
+
+impl RecordSource for ThirdScanFault {
+    fn schema(&self) -> &Arc<Schema> {
+        self.inner.schema()
+    }
+    fn scan(&self) -> Result<Box<dyn RecordScan + '_>> {
+        self.inner.scan()
+    }
+    fn len(&self) -> u64 {
+        self.inner.len()
+    }
+    fn metrics(&self) -> &Registry {
+        self.inner.metrics()
+    }
+    fn scan_chunks(&self, chunk_size: usize) -> Result<Box<dyn ChunkScan + '_>> {
+        let chunks = self.inner.scan_chunks(chunk_size)?;
+        if self
+            .scans
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+            != 2
+        {
+            return Ok(chunks);
+        }
+        let fault = self.fault;
+        Ok(Box::new(chunks.map(move |chunk| {
+            let mut chunk = chunk?;
+            if chunk.index == 1 {
+                match fault {
+                    ChunkFault::Io => {
+                        return Err(DataError::Io(std::io::Error::other("disk died")))
+                    }
+                    // Row 0 of the chunk: 8 bytes of `x`, then the label.
+                    ChunkFault::BadLabel => chunk.bytes[8..10].copy_from_slice(&7u16.to_le_bytes()),
+                }
+            }
+            Ok(chunk)
+        })))
+    }
+}
+
+#[test]
+fn the_fixture_needs_a_collection_scan() {
+    let source = lost_pure_leaf_bet();
+    let cfg = collection_scan_config();
+    let fit = Boat::new(cfg.clone()).fit(&source).unwrap();
+    assert_eq!(fit.stats.metrics.counter("boat.jobs.collection_scans"), 1);
+    assert_eq!(fit.stats.scans_over_input, 3);
+    assert_eq!(fit.tree, reference_tree(&source, Gini, cfg.limits).unwrap());
+}
+
+#[test]
+fn io_error_in_the_collection_scan_is_a_typed_error() {
+    let source = ThirdScanFault {
+        inner: lost_pure_leaf_bet(),
+        scans: Default::default(),
+        fault: ChunkFault::Io,
+    };
+    let err = Boat::new(collection_scan_config())
+        .fit(&source)
+        .unwrap_err();
+    assert!(
+        matches!(&err, DataError::Io(e) if e.to_string() == "disk died"),
+        "{err}"
+    );
+    assert_eq!(source.scans.into_inner(), 3);
+}
+
+#[test]
+fn corrupt_row_met_only_by_the_collection_scan_is_corrupt() {
+    let source = ThirdScanFault {
+        inner: lost_pure_leaf_bet(),
+        scans: Default::default(),
+        fault: ChunkFault::BadLabel,
+    };
+    let err = Boat::new(collection_scan_config())
+        .fit(&source)
+        .unwrap_err();
+    assert!(matches!(err, DataError::Corrupt(_)), "{err}");
+    assert_eq!(source.scans.into_inner(), 3);
 }

@@ -371,3 +371,73 @@ fn exact_with_confidence_trimming() {
         cfg,
     );
 }
+
+/// `-0.0` and `0.0` are one value to the `X <= x` predicate, so no builder
+/// may split between them. Attribute `x` tells the classes apart only by
+/// the sign of zero; `y` separates them outright. Every builder must split
+/// on `y`, classify all 400 training rows, and hold at each node the class
+/// counts of the rows that reach it.
+#[test]
+fn signed_zeros_are_one_value() {
+    use boat_data::{Attribute, Field, Record, Schema};
+    let schema = Schema::shared(vec![Attribute::numeric("x"), Attribute::numeric("y")], 2).unwrap();
+    let records: Vec<Record> = (0..400u32)
+        .map(|i| {
+            let label = (i % 2) as u16;
+            let x = if label == 0 { -0.0 } else { 0.0 };
+            let y = f64::from(label) * 1_000.0 + f64::from(i);
+            Record::new(vec![Field::Num(x), Field::Num(y)], label)
+        })
+        .collect();
+    let source = MemoryDataset::new(schema, records.clone());
+    let limits = GrowthLimits::default();
+    let reference = reference_tree(&source, Gini, limits).unwrap();
+    let misclassified = records
+        .iter()
+        .filter(|r| reference.predict(r) != r.label())
+        .count();
+    assert_eq!(
+        misclassified,
+        0,
+        "reference:\n{}",
+        reference.render(source.schema())
+    );
+    for id in reference.preorder_ids() {
+        let mut counts = vec![0u64; 2];
+        for r in records.iter().filter(|r| reaches(&reference, id, r)) {
+            counts[r.label() as usize] += 1;
+        }
+        assert_eq!(reference.node(id).class_counts, counts, "node {id:?}");
+    }
+    // Through the sample, cleanup and verification, and through the
+    // top-level in-memory switch.
+    for in_memory_threshold in [50, 1_000] {
+        let cfg = BoatConfig {
+            sample_size: 200,
+            bootstrap_reps: 6,
+            bootstrap_sample_size: 100,
+            in_memory_threshold,
+            seed: 7,
+            ..BoatConfig::default()
+        };
+        let fit = Boat::new(cfg).fit(&source).unwrap();
+        assert_eq!(
+            fit.tree, reference,
+            "in_memory_threshold {in_memory_threshold}"
+        );
+    }
+}
+
+/// Whether `r` routes through node `id` of `tree`.
+fn reaches(tree: &boat_tree::Tree, id: boat_tree::NodeId, r: &boat_data::Record) -> bool {
+    let mut at = tree.root();
+    loop {
+        if at == id {
+            return true;
+        }
+        if tree.node(at).is_leaf() {
+            return false;
+        }
+        at = tree.route(at, r);
+    }
+}

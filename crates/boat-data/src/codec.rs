@@ -204,6 +204,27 @@ impl RowLayout {
                 })
     }
 
+    /// The rows packed back to back in `bytes`, read in place. Every row is
+    /// checked first ([`RowLayout::check`]), and `bytes` must hold whole
+    /// rows; otherwise the call is [`DataError::Corrupt`].
+    pub fn rows<'a>(
+        &'a self,
+        bytes: &'a [u8],
+    ) -> Result<impl ExactSizeIterator<Item = EncodedRow<'a>> + 'a> {
+        if !bytes.len().is_multiple_of(self.width) {
+            return Err(DataError::Corrupt(format!(
+                "{} bytes do not hold whole {}-byte rows",
+                bytes.len(),
+                self.width
+            )));
+        }
+        let rows = bytes.chunks_exact(self.width);
+        for row in rows.clone() {
+            self.check(row)?;
+        }
+        Ok(rows.map(|row| EncodedRow::checked(self, row)))
+    }
+
     /// Decode one row, making the checks of [`RowLayout::check`].
     pub fn decode(&self, row: &[u8]) -> Result<Record> {
         let mut fields = Vec::with_capacity(self.fields.len());
@@ -244,6 +265,13 @@ impl<'a> EncodedRow<'a> {
     #[inline]
     pub fn bytes(&self) -> &'a [u8] {
         self.bytes
+    }
+
+    /// Whether the row holds a record equal to `record`
+    /// ([`RowLayout::matches`]).
+    #[inline]
+    pub fn matches(&self, record: &Record) -> bool {
+        self.layout.matches(self.bytes, record)
     }
 }
 
@@ -354,6 +382,30 @@ mod tests {
             !layout.matches(&encode(&s, &nan).unwrap(), &nan),
             "NaN != NaN"
         );
+    }
+
+    #[test]
+    fn rows_checks_every_packed_row() {
+        let s = schema();
+        let layout = RowLayout::new(&s);
+        let a = Record::new(vec![Field::Num(1.5), Field::Cat(2), Field::Num(-3.0)], 1);
+        let b = Record::new(vec![Field::Num(-0.0), Field::Cat(9), Field::Num(7.0)], 2);
+        let mut bytes = encode(&s, &a).unwrap();
+        bytes.extend(encode(&s, &b).unwrap());
+        let read: Vec<Record> = layout
+            .rows(&bytes)
+            .unwrap()
+            .map(|row| layout.decode(row.bytes()).unwrap())
+            .collect();
+        assert_eq!(read, vec![a, b]);
+        assert_eq!(layout.rows(&[]).unwrap().len(), 0);
+        assert!(matches!(
+            layout.rows(&bytes[..bytes.len() - 1]),
+            Err(DataError::Corrupt(_))
+        ));
+        let w = s.record_width();
+        bytes[2 * w - 2..].copy_from_slice(&3u16.to_le_bytes());
+        assert!(matches!(layout.rows(&bytes), Err(DataError::Corrupt(_))));
     }
 
     #[test]

@@ -5,16 +5,18 @@
 //! are usually small, but the paper notes its implementation "writes
 //! temporary files to disk to be truly scalable" (§3.3). [`SpillBuffer`]
 //! reproduces that: records are kept in memory up to a budget and written to
-//! a private temporary file beyond it; iteration is transparent either way.
+//! a private temporary file beyond it; reading the rows back is transparent
+//! either way.
 //!
 //! Both tiers hold rows in the fixed-width [`crate::codec`] layout, the
 //! format of the dataset files: in memory the rows sit back to back in one
 //! byte vector, and past the budget they go through a buffered writer into
 //! the temporary file as plain rows, with no header. [`SpillBuffer::push_row`]
 //! takes a row as the cleanup scan routed it, so a parked tuple is copied,
-//! never decoded, on its way in. Every row that leaves the buffer is decoded
-//! by [`RowLayout::decode`] and so passes the checks of an input row: a
-//! truncated or corrupt spill file is [`DataError::Corrupt`].
+//! never decoded, on its way in. Rows leave the buffer the same way:
+//! [`SpillBuffer::for_each_row`] hands each one out as an [`EncodedRow`]
+//! read in place, after the checks of an input row ([`RowLayout::check`]),
+//! so a truncated or corrupt spill file is [`DataError::Corrupt`].
 //!
 //! Temporary files live in [`std::env::temp_dir`] by default; callers can
 //! redirect them with [`SpillBuffer::new_in`] (the `BoatConfig::spill_dir`
@@ -26,7 +28,7 @@
 //! made with, under `data.spill.*`: records and bytes written and read
 //! back, and `spill_events` (files opened on a first overflow).
 
-use crate::codec::{self, RowLayout};
+use crate::codec::{self, EncodedRow, RowLayout};
 use crate::record::Record;
 use crate::schema::Schema;
 use crate::{DataError, Result};
@@ -344,53 +346,33 @@ impl SpillBuffer {
         Ok(())
     }
 
-    /// Iterate over all records: the in-memory prefix first, then the
-    /// spilled suffix read back from the temporary file. Every row is
-    /// decoded by [`RowLayout::decode`], so a corrupt spill file yields
-    /// [`DataError::Corrupt`].
-    pub fn iter(&mut self) -> Result<impl Iterator<Item = Result<Record>> + '_> {
-        let width = self.layout.width();
-        let mut spilled = match self.spill.as_mut() {
-            Some(s) => Some(s.rows(width, &self.counters)?),
-            None => None,
-        };
-        let layout = &self.layout;
-        let mem_iter = self
-            .in_mem
-            .chunks_exact(width)
-            .map(|row| layout.decode(row));
-        let disk_iter = std::iter::from_fn(move || {
-            let next = spilled
-                .as_mut()?
-                .next_row()
-                .and_then(|row| row.map(|row| layout.decode(row)).transpose());
-            if !matches!(next, Ok(Some(_))) {
-                spilled = None; // end of file or first error: stop
-            }
-            next.transpose()
-        });
-        Ok(mem_iter.chain(disk_iter))
+    /// Hand every row to `visit`, checked by [`RowLayout::check`]: the
+    /// in-memory prefix first, then the spilled suffix read back in file
+    /// order. A truncated or corrupt spill file is [`DataError::Corrupt`].
+    pub fn for_each_row(&mut self, mut visit: impl FnMut(EncodedRow<'_>)) -> Result<()> {
+        for row in self.in_mem.chunks_exact(self.layout.width()) {
+            // In-memory rows were checked on the way in.
+            visit(EncodedRow::checked(&self.layout, row));
+        }
+        self.for_each_spilled(visit)
     }
 
-    /// Materialize every record into a vector.
-    pub fn to_vec(&mut self) -> Result<Vec<Record>> {
-        let mut out = Vec::with_capacity(self.len() as usize);
-        for r in self.iter()? {
-            out.push(r?);
-        }
-        Ok(out)
+    /// Append every row's bytes to `out`, in the order and with the checks
+    /// of [`SpillBuffer::for_each_row`].
+    pub fn append_rows(&mut self, out: &mut Vec<u8>) -> Result<()> {
+        out.reserve(self.len() as usize * self.layout.width());
+        self.for_each_row(|row| out.extend_from_slice(row.bytes()))
     }
 
     /// Hand every spilled row, checked by [`RowLayout::check`], to `visit`
     /// in file order.
-    fn for_each_spilled(&mut self, mut visit: impl FnMut(&RowLayout, &[u8])) -> Result<()> {
+    fn for_each_spilled(&mut self, mut visit: impl FnMut(EncodedRow<'_>)) -> Result<()> {
         let Some(s) = self.spill.as_mut() else {
             return Ok(());
         };
         let mut rows = s.rows(self.layout.width(), &self.counters)?;
         while let Some(row) = rows.next_row()? {
-            self.layout.check(row)?;
-            visit(&self.layout, row);
+            visit(EncodedRow::new(&self.layout, row)?);
         }
         Ok(())
     }
@@ -441,7 +423,7 @@ impl SpillBuffer {
             }
             if spilled.is_none() {
                 let mut rows = Vec::with_capacity(self.spilled_len() as usize * width);
-                self.for_each_spilled(|_, row| rows.extend_from_slice(row))?;
+                self.for_each_spilled(|row| rows.extend_from_slice(row.bytes()))?;
                 spilled = Some(rows);
             }
             let tier = spilled.as_mut().expect("read above");
@@ -473,15 +455,11 @@ impl SpillBuffer {
     /// tree.
     pub fn count_matching(&mut self, targets: &[&Record]) -> Result<Vec<u64>> {
         let mut counts = vec![0u64; targets.len()];
-        let mut tally = |layout: &RowLayout, row: &[u8]| {
+        self.for_each_row(|row| {
             for (n, target) in counts.iter_mut().zip(targets) {
-                *n += u64::from(layout.matches(row, target));
+                *n += u64::from(row.matches(target));
             }
-        };
-        for row in self.in_mem.chunks_exact(self.layout.width()) {
-            tally(&self.layout, row);
-        }
-        self.for_each_spilled(tally)?;
+        })?;
         Ok(counts)
     }
 
@@ -518,6 +496,14 @@ mod tests {
     use crate::schema::Attribute;
     use crate::IoSnapshot;
 
+    /// Every record of `b`, decoded, in buffer order.
+    fn records(b: &mut SpillBuffer) -> Result<Vec<Record>> {
+        let layout = b.layout.clone();
+        let mut out = Vec::new();
+        b.for_each_row(|row| out.push(layout.decode(row.bytes())))?;
+        out.into_iter().collect()
+    }
+
     /// The `data.spill.*` counters of `metrics` now.
     fn spill_io(metrics: &Registry) -> IoSnapshot {
         IoSnapshot::spill(&metrics.snapshot())
@@ -539,7 +525,7 @@ mod tests {
         }
         assert_eq!(b.len(), 10);
         assert_eq!(b.spilled_len(), 0);
-        let v = b.to_vec().unwrap();
+        let v = records(&mut b).unwrap();
         assert_eq!(v.len(), 10);
         assert_eq!(v[3], rec(3.0));
     }
@@ -552,7 +538,7 @@ mod tests {
         }
         assert_eq!(b.len(), 20);
         assert_eq!(b.spilled_len(), 16);
-        let v = b.to_vec().unwrap();
+        let v = records(&mut b).unwrap();
         let xs: Vec<f64> = v.iter().map(|r| r.num(0)).collect();
         assert_eq!(xs, (0..20).map(|i| i as f64).collect::<Vec<_>>());
     }
@@ -564,7 +550,7 @@ mod tests {
         for i in 0..n {
             b.push(&rec(i as f64)).unwrap();
         }
-        let xs: Vec<f64> = b.to_vec().unwrap().iter().map(|r| r.num(0)).collect();
+        let xs: Vec<f64> = records(&mut b).unwrap().iter().map(|r| r.num(0)).collect();
         assert_eq!(xs, (0..n).map(|i| i as f64).collect::<Vec<_>>());
     }
 
@@ -575,7 +561,7 @@ mod tests {
             b.push(&rec(i as f64)).unwrap();
         }
         assert_eq!(b.spilled_len(), 5);
-        assert_eq!(b.to_vec().unwrap().len(), 5);
+        assert_eq!(records(&mut b).unwrap().len(), 5);
     }
 
     #[test]
@@ -584,9 +570,9 @@ mod tests {
         for i in 0..4 {
             b.push(&rec(i as f64)).unwrap();
         }
-        assert_eq!(b.to_vec().unwrap().len(), 4);
+        assert_eq!(records(&mut b).unwrap().len(), 4);
         b.push(&rec(99.0)).unwrap();
-        let v = b.to_vec().unwrap();
+        let v = records(&mut b).unwrap();
         assert_eq!(v.len(), 5);
         assert_eq!(v.last().unwrap().num(0), 99.0);
     }
@@ -601,8 +587,7 @@ mod tests {
         assert_eq!(b.remove_many(&[rec(1.0)]).unwrap(), 1);
         assert_eq!(b.remove_many(&[rec(4.0)]).unwrap(), 1);
         assert_eq!(b.remove_many(&[rec(42.0)]).unwrap(), 0);
-        let mut xs: Vec<i64> = b
-            .to_vec()
+        let mut xs: Vec<i64> = records(&mut b)
             .unwrap()
             .iter()
             .map(|r| r.num(0) as i64)
@@ -640,8 +625,8 @@ mod tests {
         assert_eq!(n, m);
         assert_eq!(n, 5, "77.0 is absent, everything else present");
         assert_eq!(
-            batched.to_vec().unwrap(),
-            serial.to_vec().unwrap(),
+            records(&mut batched).unwrap(),
+            records(&mut serial).unwrap(),
             "batched removal must leave the identical buffer (order included)"
         );
     }
@@ -655,12 +640,12 @@ mod tests {
         // in_mem = [0,1,2], spilled = [3,4,5,6,7]: each removed row's place
         // is taken by the last row of its tier.
         assert_eq!(b.remove_many(&[rec(1.0), rec(4.0)]).unwrap(), 2);
-        let xs: Vec<f64> = b.to_vec().unwrap().iter().map(|r| r.num(0)).collect();
+        let xs: Vec<f64> = records(&mut b).unwrap().iter().map(|r| r.num(0)).collect();
         assert_eq!(xs, [0.0, 2.0, 3.0, 7.0, 5.0, 6.0]);
         // The in-memory tier refills before the file grows.
         b.push(&rec(8.0)).unwrap();
         assert_eq!(b.spilled_len(), 4);
-        let xs: Vec<f64> = b.to_vec().unwrap().iter().map(|r| r.num(0)).collect();
+        let xs: Vec<f64> = records(&mut b).unwrap().iter().map(|r| r.num(0)).collect();
         assert_eq!(xs, [0.0, 2.0, 8.0, 3.0, 7.0, 5.0, 6.0]);
     }
 
@@ -758,7 +743,7 @@ mod tests {
         for i in 0..3 {
             b.push(&rec(i as f64)).unwrap();
         }
-        b.to_vec().unwrap();
+        records(&mut b).unwrap();
         let snap = spill_io(&metrics);
         assert_eq!(snap.records_written, 3);
         assert_eq!(snap.records_read, 3);
@@ -794,7 +779,7 @@ mod tests {
         assert_eq!(b.len(), 6, "count_matching must not remove anything");
         // Buffer still fully usable after probing the spilled region.
         b.push(&rec(6.0)).unwrap();
-        assert_eq!(b.to_vec().unwrap().len(), 7);
+        assert_eq!(records(&mut b).unwrap().len(), 7);
     }
 
     /// A schema with a categorical field, and a buffer of `n` rows of it,
@@ -836,8 +821,8 @@ mod tests {
 
     fn assert_corrupt(b: &mut SpillBuffer, what: &str) {
         assert!(
-            matches!(b.to_vec(), Err(DataError::Corrupt(_))),
-            "{what}: to_vec"
+            matches!(records(b), Err(DataError::Corrupt(_))),
+            "{what}: for_each_row"
         );
         let probe = Record::new(vec![Field::Num(0.0), Field::Cat(0)], 0);
         assert!(
@@ -897,7 +882,7 @@ mod tests {
             b.push(&rec(1.0)).unwrap();
             assert_eq!(b.count_matching(&[&rec(0.0)]).unwrap(), vec![1]);
             assert_eq!(b.remove_many(&[rec(0.0)]).unwrap(), 1, "budget {budget}");
-            assert_eq!(b.to_vec().unwrap(), vec![rec(1.0)]);
+            assert_eq!(records(&mut b).unwrap(), vec![rec(1.0)]);
         }
     }
 

@@ -47,6 +47,14 @@ fn arb_records(schema: Arc<Schema>, max: usize) -> impl Strategy<Value = Vec<Rec
     )
 }
 
+/// Every row of `buf`, as its bytes, in buffer order.
+fn rows_of(buf: &mut SpillBuffer) -> Vec<Vec<u8>> {
+    let mut out = Vec::new();
+    buf.for_each_row(|row| out.push(row.bytes().to_vec()))
+        .unwrap();
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -91,13 +99,13 @@ proptest! {
         }
         prop_assert_eq!(rows.len(), records.len() as u64);
         prop_assert_eq!(rows.spilled_len(), decoded.spilled_len());
-        let out = rows.to_vec().unwrap();
-        prop_assert_eq!(&out, &records);
-        // Bit for bit: the two buffers hold the same rows.
-        let bits = |rs: &[Record]| -> Vec<Vec<u8>> {
-            rs.iter().map(|r| codec::encode(&schema, r).unwrap()).collect()
-        };
-        prop_assert_eq!(bits(&decoded.to_vec().unwrap()), bits(&out));
+        // Bit for bit: both buffers hold the records' rows, in order.
+        let want: Vec<Vec<u8>> = records
+            .iter()
+            .map(|r| codec::encode(&schema, r).unwrap())
+            .collect();
+        prop_assert_eq!(&rows_of(&mut rows), &want);
+        prop_assert_eq!(&rows_of(&mut decoded), &want);
     }
 
     #[test]
@@ -109,7 +117,7 @@ proptest! {
     ) {
         prop_assume!(!records.is_empty());
         let victim = &records[victim % records.len()];
-        let mut buf = SpillBuffer::new(schema, budget, &Registry::new());
+        let mut buf = SpillBuffer::new(schema.clone(), budget, &Registry::new());
         for r in &records {
             buf.push(r).unwrap();
         }
@@ -119,12 +127,15 @@ proptest! {
         let mut expect = records.clone();
         let pos = expect.iter().position(|r| r == victim).unwrap();
         expect.remove(pos);
-        let mut got = buf.to_vec().unwrap();
         // Order is not part of the contract after removal; compare as
-        // multisets via codec bytes.
+        // multisets of decoded records.
+        let layout = RowLayout::new(&schema);
         let key = |r: &Record| format!("{r}");
         let mut a: Vec<String> = expect.iter().map(key).collect();
-        let mut b: Vec<String> = got.drain(..).map(|r| key(&r)).collect();
+        let mut b: Vec<String> = rows_of(&mut buf)
+            .iter()
+            .map(|row| key(&layout.decode(row).unwrap()))
+            .collect();
         a.sort();
         b.sort();
         prop_assert_eq!(a, b);

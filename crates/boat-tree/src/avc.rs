@@ -13,6 +13,24 @@ use crate::catset::CatSet;
 use boat_data::{AttrType, Record, Schema};
 use std::collections::BTreeMap;
 
+/// The value a numeric field is counted under: `-0.0` folds into `0.0`.
+///
+/// The split predicate `X <= x` compares with IEEE `<=`, which cannot tell
+/// the two zeros apart, so a sweep that counted them as two values could
+/// pick a split point between them that routes both zeros left. Every
+/// value grouping of every builder (AVC-sets, the sort-based sweep, the
+/// columnar sample and BOAT's value runs) folds through this function, so
+/// the zeros are one value with one stored bit pattern, and a split point
+/// at zero is always `0.0`.
+#[inline]
+pub fn fold_zero(v: f64) -> f64 {
+    if v == 0.0 {
+        0.0
+    } else {
+        v
+    }
+}
+
 /// A totally-ordered wrapper for finite `f64` attribute values
 /// (via `f64::total_cmp`).
 ///
@@ -152,16 +170,18 @@ impl NumAvc {
         }
     }
 
-    /// Count one tuple with value `v` and class `label`.
+    /// Count one tuple with value `v` and class `label`. The two zeros
+    /// count as one value ([`fold_zero`]).
     pub fn add(&mut self, v: f64, label: u16) {
         self.map
-            .entry(OrdF64(v))
+            .entry(OrdF64(fold_zero(v)))
             .or_insert_with(|| vec![0; self.n_classes])[label as usize] += 1;
     }
 
     /// Remove one previously-counted tuple; drops the entry when its counts
     /// reach zero (so `n_entries` reflects live distinct values).
     pub fn sub(&mut self, v: f64, label: u16) {
+        let v = fold_zero(v);
         let entry = self
             .map
             .get_mut(&OrdF64(v))

@@ -35,6 +35,7 @@
 //!
 //! [`sweep_numeric`]: crate::split::sweep_numeric
 
+use crate::avc::fold_zero;
 use crate::grow::{GrowthLimits, SplitSelector};
 use crate::model::{NodeId, Predicate, Split, Tree};
 use boat_data::{AttrType, Field, Fields, Record, Schema};
@@ -68,7 +69,8 @@ pub struct ColumnarSample {
 impl ColumnarSample {
     /// Transpose `rows` into dense columns, in one pass over the rows. The
     /// rows are read through [`Fields`], so decoded records and encoded
-    /// rows take the same path. Does **not** build the presorted indices —
+    /// rows take the same path. Numeric values are stored through
+    /// [`fold_zero`], so the two zeros are one value to every sweep. Does **not** build the presorted indices —
     /// call [`ColumnarSample::presort`] (the split lets callers time the two
     /// steps separately).
     pub fn transpose<F: Fields>(schema: &Schema, rows: impl ExactSizeIterator<Item = F>) -> Self {
@@ -85,7 +87,7 @@ impl ColumnarSample {
         for row in rows {
             for (a, col) in columns.iter_mut().enumerate() {
                 match col {
-                    Column::Num(v) => v.push(row.num(a)),
+                    Column::Num(v) => v.push(fold_zero(row.num(a))),
                     Column::Cat(v) => v.push(row.cat(a)),
                 }
             }
@@ -680,11 +682,8 @@ mod tests {
 
     #[test]
     fn signed_zero_values_match_reference() {
-        // -0.0 and 0.0 are distinct runs under total_cmp/to_bits in both
-        // engines; the sweep walks through the pair identically. (The
-        // winning split sits elsewhere: a `NumLe(-0.0)` *winner* would be
-        // unrealizable by the `<=` predicate — pre-existing semantics
-        // shared, bit for bit, by both engines.)
+        // -0.0 and 0.0 are one value to both engines (`fold_zero`), so the
+        // sweep walks through them identically.
         let schema = Schema::new(vec![Attribute::numeric("x")], 2).unwrap();
         let records: Vec<Record> = [(-1.0, 0u16), (-0.0, 1), (0.0, 1), (1.0, 1)]
             .iter()
@@ -699,6 +698,33 @@ mod tests {
             tree.node(tree.root()).split().unwrap().predicate,
             Predicate::NumLe(-1.0)
         );
+    }
+
+    #[test]
+    fn signed_zeros_with_different_labels_are_one_value() {
+        // `x` tells the classes apart only by the sign of zero, which no
+        // `X <= x` predicate can; `y` separates them. Both builders must
+        // split on `y`, and every node's counts must be the rows that
+        // reach it.
+        let schema =
+            Schema::new(vec![Attribute::numeric("x"), Attribute::numeric("y")], 2).unwrap();
+        let records: Vec<Record> = (0..400)
+            .map(|i| {
+                let label = (i % 2) as u16;
+                let x = if label == 0 { -0.0 } else { 0.0 };
+                let y = f64::from(label) * 1000.0 + f64::from(i);
+                Record::new(vec![Field::Num(x), Field::Num(y)], label)
+            })
+            .collect();
+        let sel = selector();
+        let cs = ColumnarSample::from_records(&schema, &records);
+        let tree = grow_weighted(&cs, &[1; 400], &sel, GrowthLimits::default());
+        let reference = TdTreeBuilder::new(&sel, GrowthLimits::default()).fit(&schema, &records);
+        assert_eq!(tree, reference);
+        assert_eq!(tree.node(tree.root()).split().unwrap().attr, 1);
+        for r in &records {
+            assert_eq!(tree.predict(r), r.label(), "{r}");
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! * [`catset`] — category subsets for categorical splitting predicates.
 //! * [`subsample`] — the confidence-gated subsampled split search layered
 //!   on the columnar engine (exact output, fewer points evaluated), plus
-//!   the Lemma 3.1 corner bound and a mergeable quantile sketch.
+//!   the Lemma 3.1 corner bound.
 
 #![warn(missing_docs)]
 
@@ -32,7 +32,7 @@ pub mod split;
 pub mod stats;
 pub mod subsample;
 
-pub use avc::{AttrAvc, AvcGroup, CatAvc, NumAvc, OrdF64};
+pub use avc::{fold_zero, AttrAvc, AvcGroup, CatAvc, NumAvc, OrdF64};
 pub use catset::CatSet;
 pub use columnar::{grow_weighted, grow_weighted_gated, ColumnarSample, NodeRows};
 pub use grow::{GrowthLimits, ImpuritySelector, SplitSelector, TdTreeBuilder};
@@ -42,6 +42,5 @@ pub use pruning::{prune_mdl, prune_reduced_error, MdlConfig};
 pub use quest::QuestSelector;
 pub use split::{best_split, cmp_splits, sweep_numeric, SplitEval};
 pub use subsample::{
-    corner_lower_bound, ColumnarCtx, QuantileSketch, SubsampleParams, SubsampleRuntime,
-    SubsampleStats,
+    corner_lower_bound, ColumnarCtx, SubsampleParams, SubsampleRuntime, SubsampleStats,
 };

@@ -7,7 +7,7 @@
 //! they are part of the identical-tree guarantee and drive leaf labelling.
 
 use crate::catset::CatSet;
-use boat_data::{Record, Schema};
+use boat_data::{Fields, Record, Schema};
 use std::fmt::Write as _;
 
 /// Index of a node in a [`Tree`]'s arena.
@@ -58,7 +58,7 @@ impl Predicate {
     ///   Codes must be `< 64` (the schema bound); larger codes are outside
     ///   the model's domain.
     #[inline]
-    pub fn matches(&self, record: &Record, attr: usize) -> bool {
+    pub fn matches(&self, record: &impl Fields, attr: usize) -> bool {
         match self {
             Predicate::NumLe(x) => record.num(attr) <= *x,
             Predicate::CatIn(set) => set.contains(record.cat(attr)),
@@ -93,9 +93,9 @@ pub struct Split {
 }
 
 impl Split {
-    /// Evaluate on a record: `true` routes left.
+    /// Evaluate on a record, decoded or encoded: `true` routes left.
     #[inline]
-    pub fn goes_left(&self, record: &Record) -> bool {
+    pub fn goes_left(&self, record: &impl Fields) -> bool {
         self.predicate.matches(record, self.attr)
     }
 }

@@ -15,7 +15,7 @@
 //!   class-proportion ordering sweep \[BFOS84\]; for more classes, exhaustive
 //!   search up to 12 observed categories and the ordering heuristic beyond.
 
-use crate::avc::{AttrAvc, AvcGroup, CatAvc, NumAvc};
+use crate::avc::{fold_zero, AttrAvc, AvcGroup, CatAvc, NumAvc};
 use crate::catset::CatSet;
 use crate::impurity::{split_impurity, Impurity};
 use crate::model::{Predicate, Split};
@@ -135,7 +135,8 @@ pub fn sweep_numeric<'a>(
 }
 
 /// Best numeric split from raw `(value, label)` pairs: sorts in place,
-/// aggregates equal values, and sweeps. Equivalent to building a [`NumAvc`]
+/// aggregates equal values (the two zeros are one, see [`fold_zero`]), and
+/// sweeps. Equivalent to building a [`NumAvc`]
 /// and calling [`best_numeric_split`] (identical candidates, counts and
 /// floats) but several times faster — this is the in-memory builder's hot
 /// path, exercised heavily by BOAT's bootstrap phase.
@@ -151,6 +152,7 @@ pub fn best_numeric_split_from_pairs(
     let mut values: Vec<f64> = Vec::new();
     let mut counts: Vec<u64> = Vec::new(); // flat, k per value
     for &(v, label) in pairs.iter() {
+        let v = fold_zero(v);
         let new_run = values
             .last()
             .is_none_or(|&last| last.to_bits() != v.to_bits());
@@ -350,11 +352,10 @@ mod tests {
     }
 
     #[test]
-    fn sweep_accepts_adjacent_signed_zero_runs() {
-        // -0.0 and 0.0 are distinct under total_cmp (and distinct NumAvc /
-        // run-grouping entries) but equal under `<`; the sweep's ascending-
-        // order check must use total_cmp or this spuriously panics in debug
-        // builds. Both the AVC path and the pairs fast path must agree.
+    fn sweep_counts_the_signed_zeros_as_one_value() {
+        // -0.0 and 0.0 are distinct under total_cmp but one value to the
+        // `<=` predicate, so both the AVC path and the pairs fast path fold
+        // them into one entry, and they agree.
         let pairs = [(-1.0, 0u16), (-0.0, 1), (0.0, 1), (1.0, 1)];
         let (avc, totals) = build_num_avc(&pairs);
         let slow = best_numeric_split(0, &avc, &totals, &Gini).unwrap();

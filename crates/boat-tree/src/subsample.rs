@@ -507,138 +507,6 @@ pub fn gated_numeric_split(
     GateOutcome::Gated(best)
 }
 
-/// A mergeable approximate-quantile sketch over a sorted numeric stream.
-///
-/// Stores `(value, rank)` pairs where `rank` is the exact 1-based prefix
-/// count of the entry in its own stream; entries are stride-spaced, so a
-/// sketch of capacity `c` answers any rank query within `⌈total / c⌉` and
-/// any quantile query within that many ranks. [`QuantileSketch::merge`]
-/// combines sketches of disjoint sorted streams with rank errors adding —
-/// the standard mergeability bound — which is what lets wide-column
-/// candidate generation run per stream and combine afterwards.
-///
-/// The gated split search uses the same stride-picking scheme directly on
-/// node row positions (it needs positions, not just values); this type is
-/// the value-space form of that sub-sample.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantileSketch {
-    total: u64,
-    /// `(value, rank)` in ascending value order; `rank` counts stream
-    /// elements `<=` the entry (under `total_cmp`).
-    entries: Vec<(f64, u64)>,
-}
-
-impl QuantileSketch {
-    /// Build from an ascending (`total_cmp`) stream of `total` values,
-    /// keeping at most `capacity` stride-spaced entries (always including
-    /// the last element, so the maximum is exact). `offset` rotates which
-    /// stratum representatives are kept — any value is correct.
-    pub fn from_sorted(
-        values: impl IntoIterator<Item = f64>,
-        total: u64,
-        capacity: usize,
-        offset: u64,
-    ) -> Self {
-        assert!(capacity >= 2, "a sketch needs at least 2 entries");
-        let stride = (total / capacity as u64).max(1);
-        let offset = offset % stride;
-        let mut entries = Vec::with_capacity(capacity + 1);
-        let mut rank = 0u64;
-        let mut last: Option<f64> = None;
-        for v in values {
-            rank += 1;
-            debug_assert!(
-                last.is_none_or(|p| p.total_cmp(&v) != Ordering::Greater),
-                "from_sorted requires ascending input"
-            );
-            last = Some(v);
-            if rank % stride == (offset + 1) % stride {
-                entries.push((v, rank));
-            }
-        }
-        debug_assert_eq!(rank, total, "total must match the stream length");
-        if let Some(v) = last {
-            if entries.last().is_none_or(|&(_, r)| r < total) {
-                entries.push((v, total));
-            }
-        }
-        QuantileSketch { total, entries }
-    }
-
-    /// Number of stream elements summarized.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// The retained `(value, rank)` entries, ascending.
-    pub fn entries(&self) -> &[(f64, u64)] {
-        &self.entries
-    }
-
-    /// Worst-case rank error of [`QuantileSketch::rank`] queries.
-    pub fn rank_error(&self) -> u64 {
-        // Largest gap between consecutive retained ranks.
-        let mut prev = 0u64;
-        let mut worst = 0u64;
-        for &(_, r) in &self.entries {
-            worst = worst.max(r - prev - 1);
-            prev = r;
-        }
-        worst.max(self.total.saturating_sub(prev))
-    }
-
-    /// Approximate rank of `v`: the number of stream elements `<= v`, off
-    /// by at most [`QuantileSketch::rank_error`].
-    pub fn rank(&self, v: f64) -> u64 {
-        match self
-            .entries
-            .partition_point(|&(x, _)| x.total_cmp(&v) != Ordering::Greater)
-        {
-            0 => 0,
-            i => self.entries[i - 1].1,
-        }
-    }
-
-    /// Approximate `q`-quantile (`q` in `[0, 1]`): the retained value
-    /// whose rank first reaches `q · total`.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.entries.is_empty() {
-            return None;
-        }
-        let target = ((self.total as f64) * q.clamp(0.0, 1.0)).ceil() as u64;
-        let i = self.entries.partition_point(|&(_, r)| r < target);
-        Some(self.entries[i.min(self.entries.len() - 1)].0)
-    }
-
-    /// Merge with a sketch of a *disjoint* stream (e.g. another shard's
-    /// column scan): merged ranks are each entry's own rank plus the other
-    /// sketch's approximate rank at that value, so rank errors add. The
-    /// result is re-compressed to `capacity` entries.
-    pub fn merge(&self, other: &QuantileSketch, capacity: usize) -> QuantileSketch {
-        assert!(capacity >= 2, "a sketch needs at least 2 entries");
-        let mut merged: Vec<(f64, u64)> =
-            Vec::with_capacity(self.entries.len() + other.entries.len());
-        for &(v, r) in &self.entries {
-            merged.push((v, r + other.rank(v)));
-        }
-        for &(v, r) in &other.entries {
-            merged.push((v, r + self.rank(v)));
-        }
-        merged.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        merged.dedup_by(|a, b| a.0.total_cmp(&b.0) == Ordering::Equal && a.1 <= b.1);
-        let total = self.total + other.total;
-        let keep_every = merged.len().div_ceil(capacity).max(1);
-        let n = merged.len();
-        let entries: Vec<(f64, u64)> = merged
-            .into_iter()
-            .enumerate()
-            .filter(|(i, _)| (i + 1) % keep_every == 0 || *i + 1 == n)
-            .map(|(_, e)| e)
-            .collect();
-        QuantileSketch { total, entries }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -688,74 +556,5 @@ mod tests {
             seen[(splitmix64(i) % 8) as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn sketch_rank_error_is_bounded_by_stride() {
-        let n = 1000u64;
-        let values: Vec<f64> = (0..n).map(|i| i as f64 * 0.5).collect();
-        let sketch = QuantileSketch::from_sorted(values.iter().copied(), n, 50, 7);
-        assert!(sketch.entries().len() <= 52);
-        assert!(sketch.rank_error() <= n / 50 + 1);
-        for (i, &v) in values.iter().enumerate() {
-            let true_rank = i as u64 + 1;
-            let got = sketch.rank(v);
-            assert!(
-                got.abs_diff(true_rank) <= sketch.rank_error(),
-                "rank({v}) = {got}, true {true_rank}"
-            );
-        }
-    }
-
-    #[test]
-    fn sketch_quantiles_track_the_distribution() {
-        let n = 2000u64;
-        let values: Vec<f64> = (0..n).map(|i| (i * i) as f64).collect();
-        let sketch = QuantileSketch::from_sorted(values.iter().copied(), n, 100, 0);
-        for q in [0.1, 0.25, 0.5, 0.9] {
-            let got = sketch.quantile(q).unwrap();
-            let true_idx = ((n as f64 * q).ceil() as usize).clamp(1, n as usize) - 1;
-            let true_v = values[true_idx];
-            // Within the rank-error band of the true quantile.
-            let err = sketch.rank_error() as usize + 1;
-            let lo = values[true_idx.saturating_sub(err)];
-            let hi = values[(true_idx + err).min(n as usize - 1)];
-            assert!(
-                (lo..=hi).contains(&got),
-                "q={q}: got {got}, true {true_v}, band [{lo}, {hi}]"
-            );
-        }
-        assert_eq!(sketch.quantile(1.0), Some(values[n as usize - 1]));
-    }
-
-    #[test]
-    fn sketch_merge_errors_add() {
-        // Two disjoint shards of one interleaved stream.
-        let a: Vec<f64> = (0..500).map(|i| (2 * i) as f64).collect();
-        let b: Vec<f64> = (0..500).map(|i| (2 * i + 1) as f64).collect();
-        let sa = QuantileSketch::from_sorted(a.iter().copied(), 500, 40, 1);
-        let sb = QuantileSketch::from_sorted(b.iter().copied(), 500, 40, 2);
-        let merged = sa.merge(&sb, 40);
-        assert_eq!(merged.total(), 1000);
-        assert!(merged.entries().len() <= 42);
-        // Each input has rank error <= ceil(500/40)+1; merged queries stay
-        // within the sum plus compression loss.
-        let budget = (sa.rank_error() + sb.rank_error() + merged.rank_error()) as i64;
-        for v in [0.0f64, 123.0, 499.0, 700.0, 999.0] {
-            let true_rank = (v.floor() as i64 + 1).clamp(0, 1000);
-            let got = merged.rank(v) as i64;
-            assert!(
-                (got - true_rank).abs() <= budget,
-                "rank({v}) = {got}, true {true_rank}, budget {budget}"
-            );
-        }
-    }
-
-    #[test]
-    fn sketch_of_constant_stream_collapses() {
-        let sketch = QuantileSketch::from_sorted(std::iter::repeat_n(3.5, 100), 100, 10, 0);
-        assert_eq!(sketch.quantile(0.5), Some(3.5));
-        assert_eq!(sketch.rank(3.5), 100);
-        assert_eq!(sketch.rank(3.4), 0);
     }
 }
