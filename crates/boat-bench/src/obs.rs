@@ -119,9 +119,10 @@ pub fn json_str(s: &str) -> String {
 }
 
 /// Print the headline cost-model metrics of a snapshot as a human table:
-/// input/spill I/O counters, verification verdicts, job counts, and every
-/// `boat.phase.*` span total. This is the at-a-glance view; the full
-/// snapshot goes into the JSON artifact.
+/// input/spill I/O counters, verification verdicts, job counts, and the
+/// totals of every `boat.phase.*`, `boat.sample.*` and `boat.cleanup.*`
+/// histogram (the cleanup routers' walk and count passes among them). This
+/// is the at-a-glance view; the full snapshot goes into the JSON artifact.
 pub fn print_metrics_summary(snap: &Snapshot) {
     println!("\n## metrics summary (boat-obs registry)\n");
     let mut table = Table::new(&["metric", "value"]);
@@ -144,7 +145,10 @@ pub fn print_metrics_summary(snap: &Snapshot) {
         table.row(vec![name, value.to_string()]);
     }
     for (name, hist) in &snap.histograms {
-        if !name.starts_with("boat.phase.") && !name.starts_with("boat.sample.") {
+        if !["boat.phase.", "boat.sample.", "boat.cleanup."]
+            .iter()
+            .any(|prefix| name.starts_with(prefix))
+        {
             continue;
         }
         table.row(vec![

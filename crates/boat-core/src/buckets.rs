@@ -15,6 +15,10 @@
 use crate::config::DiscretizeStrategy;
 use crate::verify::corner_lower_bound;
 use boat_tree::{fold_zero, Impurity};
+use std::hint::select_unpredictable;
+
+/// Values [`BucketSet::add_column`] searches for in lockstep.
+const LANES: usize = 8;
 
 /// Class counts over a fixed discretization of one numeric attribute.
 ///
@@ -30,6 +34,7 @@ pub struct BucketSet {
     // corner bound from vacuous to tight on integer-like attributes.
     at_boundary: Vec<u64>, // boundaries.len() × n_classes
     n_classes: usize,
+    guide: Guide,
 }
 
 impl BucketSet {
@@ -41,6 +46,7 @@ impl BucketSet {
         let n_buckets = boundaries.len() + 1;
         let n_bounds = boundaries.len();
         BucketSet {
+            guide: Guide::new(&boundaries),
             boundaries,
             counts: vec![0; n_buckets * n_classes],
             at_boundary: vec![0; n_bounds * n_classes],
@@ -71,6 +77,53 @@ impl BucketSet {
         self.counts[b * self.n_classes + label as usize] += 1;
         if b < self.boundaries.len() && self.boundaries[b] == v {
             self.at_boundary[b * self.n_classes + label as usize] += 1;
+        }
+    }
+
+    /// Count `values[i]` with `labels[i]` for every `i`, leaving exactly the
+    /// counts a loop of [`BucketSet::add`] leaves. This is the cleanup
+    /// scan's kernel, which counts one attribute's column of a node's rows
+    /// at a time.
+    ///
+    /// The bucket searches of `LANES` (8) values run in lockstep, each from
+    /// its value's cell of the boundaries' `Guide`, and every step of each
+    /// is a select, not a branch: the comparisons of values against
+    /// boundaries are unpredictable, and the lanes' loads overlap. A boundary
+    /// hit adds one to the exact count and a miss adds zero, so no branch
+    /// decides that either.
+    pub fn add_column(&mut self, values: &[f64], labels: &[u16]) {
+        assert_eq!(values.len(), labels.len(), "one label per value");
+        let (k, n) = (self.n_classes, self.boundaries.len());
+        if n == 0 {
+            for &label in labels {
+                self.counts[label as usize] += 1;
+            }
+            return;
+        }
+        let boundaries = &self.boundaries[..];
+        let counts = &mut self.counts[..];
+        let at_boundary = &mut self.at_boundary[..];
+        let mut count = |buckets: [usize; LANES], values: &[f64], labels: &[u16]| {
+            for ((b, &v), &label) in buckets.into_iter().zip(values).zip(labels) {
+                let label = label as usize;
+                counts[b * k + label] += 1;
+                // Past the last boundary `b == n`, and boundary `n - 1` lies
+                // below `v`, so the probe misses as it should.
+                let j = b.min(n - 1);
+                at_boundary[j * k + label] += u64::from(boundaries[j] == v);
+            }
+        };
+        let mut value_lanes = values.chunks_exact(LANES);
+        let mut label_lanes = labels.chunks_exact(LANES);
+        for (vs, ls) in (&mut value_lanes).zip(&mut label_lanes) {
+            let vs: &[f64; LANES] = vs.try_into().expect("LANES values");
+            count(lower_bounds(boundaries, &self.guide, vs), vs, ls);
+        }
+        let (vs, ls) = (value_lanes.remainder(), label_lanes.remainder());
+        if !vs.is_empty() {
+            let mut padded = [f64::NAN; LANES];
+            padded[..vs.len()].copy_from_slice(vs);
+            count(lower_bounds(boundaries, &self.guide, &padded), vs, ls);
         }
     }
 
@@ -117,6 +170,7 @@ impl BucketSet {
             counts: vec![0; self.counts.len()],
             at_boundary: vec![0; self.at_boundary.len()],
             n_classes: self.n_classes,
+            guide: self.guide.clone(),
         }
     }
 
@@ -245,6 +299,98 @@ impl BucketSet {
         }
         bound
     }
+}
+
+/// Where the searches of [`BucketSet::add_column`] start. The range from
+/// the first to the last boundary is cut into equal cells, two per
+/// boundary, and each cell records how many boundaries lie in the cells
+/// before it. [`Guide::cell`] is a monotone function of the value, and
+/// boundaries and values go through the same arithmetic, so a value in
+/// cell `c` lies above every boundary of an earlier cell and below every
+/// boundary of a later one: its bucket is `first[c]` plus at most the
+/// boundaries of cell `c`. A search then takes `log2(widest)` steps, not
+/// `log2(len)`. Clustered boundaries fill one cell and make the search no
+/// shorter, but never wrong.
+#[derive(Debug, Clone, PartialEq)]
+struct Guide {
+    origin: f64,
+    /// Cells per unit of value; zero when the boundaries hold one value or
+    /// their range overflows, which puts every value in cell 0.
+    scale: f64,
+    /// Per cell, the number of boundaries in the cells before it.
+    first: Vec<u32>,
+    /// The most boundaries in one cell, at least 1.
+    widest: usize,
+}
+
+impl Guide {
+    fn new(boundaries: &[f64]) -> Self {
+        let cells = 2 * boundaries.len().max(1);
+        let (origin, scale) = match (boundaries.first(), boundaries.last()) {
+            (Some(&lo), Some(&hi)) => (lo, cells as f64 / (hi - lo)),
+            _ => (0.0, 0.0),
+        };
+        let mut guide = Guide {
+            origin,
+            scale: if scale.is_finite() { scale } else { 0.0 },
+            first: vec![0; cells],
+            widest: 1,
+        };
+        let mut per_cell = vec![0usize; cells];
+        for &b in boundaries {
+            per_cell[guide.cell(b)] += 1;
+        }
+        let mut before = 0usize;
+        for (first, &here) in guide.first.iter_mut().zip(&per_cell) {
+            *first = u32::try_from(before).expect("fewer than 2^32 boundaries");
+            before += here;
+            guide.widest = guide.widest.max(here);
+        }
+        guide
+    }
+
+    /// The cell of `v`: below the origin, NaN and (with a zero scale) the
+    /// infinities all go to cell 0, and the cast saturates into the last.
+    #[inline]
+    fn cell(&self, v: f64) -> usize {
+        (((v - self.origin) * self.scale) as usize).min(self.first.len() - 1)
+    }
+}
+
+/// `boundaries.partition_point(|&b| b < v)` for each of `values`, with the
+/// searches in lockstep. `boundaries` is not empty and `guide` is built
+/// from it. Each search keeps its answer in `lo[j] ..= lo[j] + size`, with
+/// `lo[j] + size <= len`: it starts at its value's guide cell, moved down
+/// so that `widest` boundaries follow it. The halving steps depend only on
+/// `widest`, so all lanes take the same steps and each moves `lo[j]` by a
+/// select.
+#[inline]
+fn lower_bounds(boundaries: &[f64], guide: &Guide, values: &[f64; LANES]) -> [usize; LANES] {
+    let n = boundaries.len();
+    assert!(
+        (1..=n).contains(&guide.widest),
+        "the guide of a non-empty boundary list"
+    );
+    let mut lo = values.map(|v| (guide.first[guide.cell(v)] as usize).min(n - guide.widest));
+    let mut size = guide.widest;
+    while size > 1 {
+        let half = size / 2;
+        for (lo, &v) in lo.iter_mut().zip(values) {
+            let mid = *lo + half;
+            // SAFETY: `mid < lo + size <= boundaries.len()`: `size` starts
+            // at `widest` with `lo <= len - widest`, and each step either keeps
+            // `lo` or moves it up by `half` while `size` shrinks by `half`.
+            let b = unsafe { *boundaries.get_unchecked(mid) };
+            *lo = select_unpredictable(b < v, mid, *lo);
+        }
+        size -= half;
+    }
+    for (lo, &v) in lo.iter_mut().zip(values) {
+        // SAFETY: the loop ends with `size == 1`, so `lo < lo + 1 <= len`.
+        let b = unsafe { *boundaries.get_unchecked(*lo) };
+        *lo += usize::from(b < v);
+    }
+    lo
 }
 
 /// One numeric attribute's values over a node's family, as runs: the
@@ -465,6 +611,9 @@ fn hot_values(
 mod tests {
     use super::*;
     use boat_tree::Gini;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn runs_from(pairs: &[(f64, u16)]) -> (ValueRuns, Vec<u64>) {
         let mut runs = ValueRuns::new(2);
@@ -516,6 +665,160 @@ mod tests {
         b.sub(1.0, 1);
         assert_eq!(b.bucket_counts(1), &[0, 1]);
         assert_eq!(b.totals(), vec![1, 1]);
+    }
+
+    /// Count `pairs` into copies of `proto`: one `add` at a time, and with
+    /// one `add_column`.
+    fn by_add_and_by_column(proto: &BucketSet, pairs: &[(f64, u16)]) -> (BucketSet, BucketSet) {
+        let mut by_add = proto.clone();
+        for &(v, label) in pairs {
+            by_add.add(v, label);
+        }
+        let (values, labels): (Vec<f64>, Vec<u16>) = pairs.iter().copied().unzip();
+        let mut by_column = proto.clone();
+        by_column.add_column(&values, &labels);
+        (by_add, by_column)
+    }
+
+    #[test]
+    fn add_column_counts_as_add_does() {
+        // Both zeros are boundaries; the column fills two full lane groups
+        // and a ragged rest.
+        let proto = BucketSet::new(vec![-0.0, 0.0, 10.0, 20.0, 30.0], 3);
+        let values = [
+            5.0,
+            10.0,
+            10.5,
+            20.0,
+            30.0,
+            31.0,
+            -1.0,
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            30.0,
+            10.0,
+            9.999,
+            20.000001,
+            0.5,
+            10.0,
+            30.0,
+        ];
+        let pairs: Vec<(f64, u16)> = values
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (v, (i % 3) as u16))
+            .collect();
+        let (by_add, by_column) = by_add_and_by_column(&proto, &pairs);
+        assert_eq!(by_column, by_add);
+        // Both zeros, NaN and -inf fall in bucket 0, and the zeros equal
+        // its boundary, -0.0.
+        assert_eq!(by_column.bucket_counts(0), &[2, 1, 2]);
+        assert_eq!(by_column.boundary_counts(0), &[0, 1, 1]);
+        assert_eq!(by_column.bucket_counts(2), &[1, 3, 2]);
+        assert_eq!(by_column.boundary_counts(2), &[0, 2, 1]);
+        let (by_add, by_column) = by_add_and_by_column(&BucketSet::new(Vec::new(), 3), &pairs);
+        assert_eq!(by_column, by_add);
+    }
+
+    /// Values that sit on edges of the search: zeros of both signs, the
+    /// subnormals next to zero, the smallest normals, the finite extremes,
+    /// the infinities and NaN.
+    const EDGES: [f64; 11] = [
+        0.0,
+        -0.0,
+        5e-324,
+        -5e-324,
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        f64::MAX,
+        f64::MIN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ];
+
+    /// `len` boundary candidates of one of five shapes: wide uniform,
+    /// integers, subnormals around zero, a tight cluster with far outliers
+    /// (which fills one guide cell), and edge values mixed with uniform ones.
+    fn boundary_candidates(rng: &mut StdRng, len: usize, shape: u8) -> Vec<f64> {
+        (0..len)
+            .map(|_| match shape {
+                0 => rng.random_range(-1e6..1e6),
+                1 => rng.random_range(-300i64..300) as f64,
+                2 => {
+                    f64::from_bits(rng.random_range(0u64..40))
+                        * if rng.random() { 1.0 } else { -1.0 }
+                }
+                3 if rng.random_bool(0.9) => 1.0 + rng.random::<f64>() * 1e-9,
+                3 => rng.random_range(-1e300..1e300),
+                _ if rng.random_bool(0.2) => EDGES[rng.random_range(0..EDGES.len())],
+                _ => rng.random_range(-1e3..1e3),
+            })
+            .collect()
+    }
+
+    /// One column value: a boundary, a neighbour of one, an edge value or a
+    /// uniform draw over the boundaries' range.
+    fn column_value(rng: &mut StdRng, boundaries: &[f64]) -> f64 {
+        let near = |rng: &mut StdRng| boundaries[rng.random_range(0..boundaries.len())];
+        match rng.random_range(0..5u8) {
+            0 | 1 if !boundaries.is_empty() => near(rng),
+            2 if !boundaries.is_empty() => {
+                let b = near(rng);
+                if rng.random() {
+                    b.next_up()
+                } else {
+                    b.next_down()
+                }
+            }
+            3 => EDGES[rng.random_range(0..EDGES.len())],
+            _ => match (boundaries.first(), boundaries.last()) {
+                (Some(&lo), Some(&hi)) if lo < hi && (hi - lo).is_finite() => {
+                    rng.random_range(lo..hi)
+                }
+                _ => rng.random_range(-1e6..1e6),
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        /// The kernel oracle: `add_column` leaves the bucket counts and the
+        /// exact boundary counts that looping `add` leaves, over 0, 1, 2,
+        /// 256 and 16 Ki boundary candidates, columns from empty to two
+        /// full lane groups and one more value, and then a column of every
+        /// boundary value exactly, counted into the same sets.
+        #[test]
+        fn add_column_leaves_the_counts_of_add(
+            candidates in prop_oneof![Just(0usize), Just(1), Just(2), Just(256), Just(16_384)],
+            shape in 0u8..5,
+            column in 0usize..=2 * LANES + 1,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let proto = BucketSet::new(boundary_candidates(&mut rng, candidates, shape), 3);
+            let bounds = proto.boundaries();
+            let drawn: Vec<(f64, u16)> = (0..column)
+                .map(|_| (column_value(&mut rng, bounds), rng.random_range(0..3u16)))
+                .collect();
+            let every: Vec<(f64, u16)> = bounds
+                .iter()
+                .enumerate()
+                .map(|(i, &b)| (b, (i % 3) as u16))
+                .collect();
+            let (mut by_add, mut by_column) = by_add_and_by_column(&proto, &drawn);
+            prop_assert_eq!(&by_column, &by_add);
+            for &(v, label) in &every {
+                by_add.add(v, label);
+            }
+            let (values, labels): (Vec<f64>, Vec<u16>) = every.iter().copied().unzip();
+            by_column.add_column(&values, &labels);
+            prop_assert_eq!(&by_column, &by_add);
+        }
     }
 
     #[test]

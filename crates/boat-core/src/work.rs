@@ -17,7 +17,7 @@ use crate::buckets::{build_boundaries, BucketSet, ValueRuns};
 use crate::coarse::{CoarseCriterion, CoarseTree};
 use crate::config::BoatConfig;
 use crate::verify::bucket_passes;
-use boat_data::codec::{EncodedRow, RowLayout};
+use boat_data::codec::RowLayout;
 use boat_data::spill::SpillBuffer;
 use boat_data::{AttrType, DataError, Fields, Record, RecordChunk, RecordSource, Result, Schema};
 use boat_obs::Registry;
@@ -94,18 +94,26 @@ impl NodeCounts {
     }
 
     /// Count `r`, which takes `step` at this node.
-    #[inline]
     fn add(&mut self, r: &impl Fields, step: Step) {
+        self.add_unbucketed(r, step);
+        let label = r.label();
+        for (a, slot) in self.buckets.iter_mut().enumerate() {
+            if let Some(b) = slot {
+                b.add(r.num(a), label);
+            }
+        }
+    }
+
+    /// Count `r`, which takes `step` at this node, in every statistic but
+    /// the numeric buckets: the cleanup scan counts those a column at a
+    /// time ([`BucketSet::add_column`]).
+    #[inline]
+    fn add_unbucketed(&mut self, r: &impl Fields, step: Step) {
         let label = r.label();
         self.class_totals[label as usize] += 1;
         for (a, slot) in self.cat.iter_mut().enumerate() {
             if let Some(avc) = slot {
                 avc.add(r.cat(a), label);
-            }
-        }
-        for (a, slot) in self.buckets.iter_mut().enumerate() {
-            if let Some(b) = slot {
-                b.add(r.num(a), label);
             }
         }
         if step == Step::LeftEdge {
@@ -358,6 +366,8 @@ struct RouteNode {
     right: Option<usize>,
     /// The node parks `S_n` or retains its frontier family.
     keeps: bool,
+    /// The node keeps bucket counts of some numeric attribute.
+    buckets: bool,
 }
 
 impl RouteNode {
@@ -367,6 +377,7 @@ impl RouteNode {
             left: node.left,
             right: node.right,
             keeps: node.state.parked.is_some() || node.state.family.is_some(),
+            buckets: node.state.counts.buckets.iter().any(Option::is_some),
         }
     }
 }
@@ -391,48 +402,102 @@ impl RouteNode {
 ///   every record in scan order.
 pub(crate) struct CleanupShard {
     nodes: Vec<NodeCounts>,
+    /// Per node with buckets, the rows of the chunk in hand that visited
+    /// it, by index. Emptied by each chunk's count; the capacity stays.
+    visits: Vec<Vec<usize>>,
+    /// One bucketed column of a node's visitors, and their labels.
+    values: Vec<f64>,
+    labels: Vec<u16>,
+    /// Nanoseconds spent in each pass of [`CleanupShard::route_chunk`].
+    walk_ns: u64,
+    count_ns: u64,
 }
 
 impl CleanupShard {
-    /// Check and route every row of `chunk`, returning its deposits. The
-    /// first row that fails [`RowLayout::check`] ends the chunk with that
-    /// error before any of its counts move.
+    /// A shard with zeroed counts of the shape of `nodes`' counts.
+    fn new(nodes: &[WorkNode]) -> Self {
+        CleanupShard {
+            nodes: nodes.iter().map(|n| n.state.counts.zeroed_like()).collect(),
+            visits: vec![Vec::new(); nodes.len()],
+            values: Vec::new(),
+            labels: Vec::new(),
+            walk_ns: 0,
+            count_ns: 0,
+        }
+    }
+
+    /// Check every row of `chunk`, then route them all and return the
+    /// chunk's deposits. A chunk holding a row that fails
+    /// [`RowLayout::check`] fails whole with that error: none of its counts
+    /// move and it deposits nothing.
+    ///
+    /// Routing takes two passes over the chunk. The walk takes each row
+    /// down `tree` in scan order: it counts the row at every node on its
+    /// path in all but the numeric buckets, deposits it where the walk
+    /// stops at a node that keeps it, and notes it in the visits of every
+    /// node with buckets. The count then gathers, for each such node and
+    /// bucketed attribute, the visitors' values into one column and counts
+    /// the column with [`BucketSet::add_column`].
     fn route_chunk(
         &mut self,
         tree: &[RouteNode],
         layout: &RowLayout,
         chunk: &RecordChunk,
     ) -> Result<Vec<u8>> {
+        let t_walk = Instant::now();
         chunk.check_width(layout.width())?;
         let mut deposits = Vec::new();
-        for bytes in chunk.rows() {
-            self.route(tree, EncodedRow::new(layout, bytes)?, &mut deposits);
-        }
-        Ok(deposits)
-    }
-
-    /// Route one checked row down `tree`, counting it in this shard. A row
-    /// that parks or lands in a retained frontier family is appended to
-    /// `deposits` behind its node index.
-    #[inline]
-    fn route(&mut self, tree: &[RouteNode], row: EncodedRow<'_>, deposits: &mut Vec<u8>) {
-        let mut idx = 0usize;
-        loop {
-            let node = &tree[idx];
-            let step = Step::of(node.crit.as_ref(), &row);
-            self.nodes[idx].add(&row, step);
-            match step.child(node.left, node.right) {
-                Some(child) => idx = child,
-                None => {
-                    if node.keeps {
-                        deposits.extend_from_slice(&(idx as u32).to_le_bytes());
-                        deposits.extend_from_slice(row.bytes());
+        for (i, row) in layout.rows(&chunk.bytes)?.enumerate() {
+            let mut idx = 0usize;
+            loop {
+                let node = &tree[idx];
+                let step = Step::of(node.crit.as_ref(), &row);
+                self.nodes[idx].add_unbucketed(&row, step);
+                if node.buckets {
+                    self.visits[idx].push(i);
+                }
+                match step.child(node.left, node.right) {
+                    Some(child) => idx = child,
+                    None => {
+                        if node.keeps {
+                            deposits.extend_from_slice(&(idx as u32).to_le_bytes());
+                            deposits.extend_from_slice(row.bytes());
+                        }
+                        break;
                     }
-                    return;
                 }
             }
         }
+        let t_count = Instant::now();
+        self.walk_ns = self.walk_ns.saturating_add(nanos(t_count - t_walk));
+
+        let width = layout.width();
+        let row = |i: usize| &chunk.bytes[i * width..(i + 1) * width];
+        for (counts, visits) in self.nodes.iter_mut().zip(&mut self.visits) {
+            if visits.is_empty() {
+                continue;
+            }
+            self.labels.clear();
+            self.labels
+                .extend(visits.iter().map(|&i| layout.label(row(i))));
+            for (a, slot) in counts.buckets.iter_mut().enumerate() {
+                if let Some(buckets) = slot {
+                    self.values.clear();
+                    self.values
+                        .extend(visits.iter().map(|&i| layout.num(row(i), a)));
+                    buckets.add_column(&self.values, &self.labels);
+                }
+            }
+            visits.clear();
+        }
+        self.count_ns = self.count_ns.saturating_add(nanos(t_count.elapsed()));
+        Ok(deposits)
     }
+}
+
+/// `d` in whole nanoseconds, saturating at `u64::MAX`.
+fn nanos(d: std::time::Duration) -> u64 {
+    d.as_nanos().min(u64::MAX as u128) as u64
 }
 
 /// The spill-bound output of routing one input chunk through a shard.
@@ -842,19 +907,15 @@ impl WorkTree {
         // once at exit, so the histograms describe how route time and
         // queue-wait distribute *across shards* without hot-path atomics.
         let route_hist = self.metrics.histogram("boat.cleanup.shard_route");
+        let walk_hist = self.metrics.histogram("boat.cleanup.walk");
+        let count_hist = self.metrics.histogram("boat.cleanup.count");
         let wait_hist = self.metrics.histogram("boat.cleanup.queue_wait");
         let chunks_counter = self.metrics.counter("boat.cleanup.chunks");
         let routed_counter = self.metrics.counter("boat.cleanup.records_routed");
         let layout = RowLayout::new(&self.schema);
         let routes: Vec<RouteNode> = self.nodes.iter().map(RouteNode::of).collect();
         let mut shards: Vec<CleanupShard> = (0..threads)
-            .map(|_| CleanupShard {
-                nodes: self
-                    .nodes
-                    .iter()
-                    .map(|n| n.state.counts.zeroed_like())
-                    .collect(),
-            })
+            .map(|_| CleanupShard::new(&self.nodes))
             .collect();
         let mut order = Reorder::default();
         let mut scan_err: Option<DataError> = None;
@@ -871,6 +932,8 @@ impl WorkTree {
                     let rx = Arc::clone(&chunk_rx);
                     let tx = out_tx.clone();
                     let route_hist = route_hist.clone();
+                    let walk_hist = walk_hist.clone();
+                    let count_hist = count_hist.clone();
                     let wait_hist = wait_hist.clone();
                     let chunks_counter = chunks_counter.clone();
                     let routed_counter = routed_counter.clone();
@@ -883,16 +946,12 @@ impl WorkTree {
                                 let guard = rx.lock().expect("chunk channel lock");
                                 guard.recv()
                             };
-                            wait_ns = wait_ns.saturating_add(
-                                t_wait.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-                            );
+                            wait_ns = wait_ns.saturating_add(nanos(t_wait.elapsed()));
                             let Ok(chunk) = next else { break };
                             let t_route = Instant::now();
                             n_routed += chunk.len() as u64;
                             let deposits = shard.route_chunk(routes, layout, &chunk);
-                            route_ns = route_ns.saturating_add(
-                                t_route.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-                            );
+                            route_ns = route_ns.saturating_add(nanos(t_route.elapsed()));
                             n_chunks += 1;
                             let routed = RoutedChunk {
                                 index: chunk.index,
@@ -903,6 +962,8 @@ impl WorkTree {
                             }
                         }
                         route_hist.record(route_ns);
+                        walk_hist.record(shard.walk_ns);
+                        count_hist.record(shard.count_ns);
                         wait_hist.record(wait_ns);
                         chunks_counter.add(n_chunks);
                         routed_counter.add(n_routed);
@@ -1785,6 +1846,47 @@ mod tests {
             parallel.check_invariants();
             assert_same_state(&mut serial, &mut parallel);
         }
+    }
+
+    #[test]
+    fn a_chunk_with_a_corrupt_last_row_moves_no_count() {
+        let gen = boat_datagen::GeneratorConfig::new(boat_datagen::LabelFunction::F6).with_seed(77);
+        let records = gen.generate_vec(2_000);
+        let ds = MemoryDataset::new(gen.schema(), records.clone());
+        let cfg = BoatConfig {
+            sample_size: 800,
+            bootstrap_reps: 8,
+            bootstrap_sample_size: 400,
+            in_memory_threshold: 100,
+            seed: 7,
+            ..BoatConfig::default()
+        };
+        let work = prepare_work(&ds, &cfg, false);
+        let layout = RowLayout::new(&work.schema);
+        let routes: Vec<RouteNode> = work.nodes.iter().map(RouteNode::of).collect();
+        let mut bytes = Vec::new();
+        for r in &records[..300] {
+            boat_data::codec::encode_into(&work.schema, r, &mut bytes).unwrap();
+        }
+        let sound = RecordChunk::new(0, layout.width(), bytes.clone());
+        // The label of the last row is out of range.
+        let end = bytes.len();
+        bytes[end - 2..].copy_from_slice(&u16::MAX.to_le_bytes());
+        let corrupt = RecordChunk::new(0, layout.width(), bytes);
+
+        let mut shard = CleanupShard::new(&work.nodes);
+        let err = shard.route_chunk(&routes, &layout, &corrupt).unwrap_err();
+        assert!(matches!(err, DataError::Corrupt(_)), "{err}");
+        let zero = CleanupShard::new(&work.nodes);
+        for (i, (got, want)) in shard.nodes.iter().zip(&zero.nodes).enumerate() {
+            assert_eq!(got, want, "counts at node {i}");
+        }
+        assert!(shard.visits.iter().all(Vec::is_empty));
+
+        // The same rows with a sound last row count and deposit.
+        let deposits = shard.route_chunk(&routes, &layout, &sound).unwrap();
+        assert!(!deposits.is_empty());
+        assert_eq!(shard.nodes[0].class_totals.iter().sum::<u64>(), 300);
     }
 
     #[test]
