@@ -31,9 +31,9 @@ struct Row {
     scans: u64,
     parked: u64,
     nodes: usize,
-    /// Mean shard-routing time per chunk (ns), parallel path only.
+    /// Mean routing time per chunk (ns).
     route_ns: Option<f64>,
-    /// Mean worker queue-wait per chunk (ns), parallel path only.
+    /// Mean router queue-wait per chunk (ns).
     wait_ns: Option<f64>,
 }
 
@@ -92,6 +92,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     "trees must be identical at every thread count"
                 ),
             }
+            // Each router records its routing and waiting time once, at
+            // exit, so a per-chunk mean is the sum over routers divided by
+            // the fit's chunks.
+            let m = &fit.stats.metrics;
+            let chunks = m.counter("boat.cleanup.chunks");
+            let per_chunk = |name: &str| {
+                m.histogram(name)
+                    .filter(|_| chunks > 0)
+                    .map(|h| h.sum as f64 / chunks as f64)
+            };
             let row = Row {
                 threads,
                 total: fit.stats.total_time(),
@@ -99,16 +109,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 scans: fit.stats.scans_over_input,
                 parked: fit.stats.parked_tuples,
                 nodes: fit.tree.n_nodes(),
-                route_ns: fit
-                    .stats
-                    .metrics
-                    .histogram("boat.cleanup.shard_route")
-                    .and_then(|h| h.mean()),
-                wait_ns: fit
-                    .stats
-                    .metrics
-                    .histogram("boat.cleanup.queue_wait")
-                    .and_then(|h| h.mean()),
+                route_ns: per_chunk("boat.cleanup.shard_route"),
+                wait_ns: per_chunk("boat.cleanup.queue_wait"),
             };
             // Keep the best (minimum-cleanup-time) repetition, Criterion-style.
             if best.as_ref().is_none_or(|b| row.cleanup < b.cleanup) {

@@ -16,6 +16,7 @@ use crate::config::DiscretizeStrategy;
 use crate::verify::corner_lower_bound;
 use boat_tree::{fold_zero, Impurity};
 use std::hint::select_unpredictable;
+use std::sync::Arc;
 
 /// Values [`BucketSet::add_column`] searches for in lockstep.
 const LANES: usize = 8;
@@ -26,7 +27,9 @@ const LANES: usize = 8;
 /// `(-∞, b_1], (b_1, b_2], …, (b_m, +∞)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BucketSet {
-    boundaries: Vec<f64>,
+    /// The boundaries, shared with every zeroed copy of the set: the
+    /// cleanup routers count into such copies, one per router and scan.
+    grid: Arc<Grid>,
     counts: Vec<u64>, // (boundaries.len() + 1) × n_classes, row-major
     // Exact per-class counts of tuples whose value equals a boundary value.
     // Boundary values concentrate mass (they are chosen from observed
@@ -34,6 +37,12 @@ pub struct BucketSet {
     // corner bound from vacuous to tight on integer-like attributes.
     at_boundary: Vec<u64>, // boundaries.len() × n_classes
     n_classes: usize,
+}
+
+/// The boundaries of a [`BucketSet`] and the guide its searches start from.
+#[derive(Debug, PartialEq)]
+struct Grid {
+    boundaries: Vec<f64>,
     guide: Guide,
 }
 
@@ -46,8 +55,10 @@ impl BucketSet {
         let n_buckets = boundaries.len() + 1;
         let n_bounds = boundaries.len();
         BucketSet {
-            guide: Guide::new(&boundaries),
-            boundaries,
+            grid: Arc::new(Grid {
+                guide: Guide::new(&boundaries),
+                boundaries,
+            }),
             counts: vec![0; n_buckets * n_classes],
             at_boundary: vec![0; n_bounds * n_classes],
             n_classes,
@@ -56,18 +67,18 @@ impl BucketSet {
 
     /// Number of buckets (`boundaries + 1`).
     pub fn n_buckets(&self) -> usize {
-        self.boundaries.len() + 1
+        self.grid.boundaries.len() + 1
     }
 
     /// The boundary values.
     pub fn boundaries(&self) -> &[f64] {
-        &self.boundaries
+        &self.grid.boundaries
     }
 
     /// Index of the bucket holding `v`.
     #[inline]
     pub fn bucket_of(&self, v: f64) -> usize {
-        self.boundaries.partition_point(|&b| b < v)
+        self.grid.boundaries.partition_point(|&b| b < v)
     }
 
     /// Count one tuple.
@@ -75,7 +86,7 @@ impl BucketSet {
     pub fn add(&mut self, v: f64, label: u16) {
         let b = self.bucket_of(v);
         self.counts[b * self.n_classes + label as usize] += 1;
-        if b < self.boundaries.len() && self.boundaries[b] == v {
+        if b < self.grid.boundaries.len() && self.grid.boundaries[b] == v {
             self.at_boundary[b * self.n_classes + label as usize] += 1;
         }
     }
@@ -93,14 +104,14 @@ impl BucketSet {
     /// decides that either.
     pub fn add_column(&mut self, values: &[f64], labels: &[u16]) {
         assert_eq!(values.len(), labels.len(), "one label per value");
-        let (k, n) = (self.n_classes, self.boundaries.len());
+        let (k, n) = (self.n_classes, self.grid.boundaries.len());
         if n == 0 {
             for &label in labels {
                 self.counts[label as usize] += 1;
             }
             return;
         }
-        let boundaries = &self.boundaries[..];
+        let (boundaries, guide) = (&self.grid.boundaries[..], &self.grid.guide);
         let counts = &mut self.counts[..];
         let at_boundary = &mut self.at_boundary[..];
         let mut count = |buckets: [usize; LANES], values: &[f64], labels: &[u16]| {
@@ -117,60 +128,26 @@ impl BucketSet {
         let mut label_lanes = labels.chunks_exact(LANES);
         for (vs, ls) in (&mut value_lanes).zip(&mut label_lanes) {
             let vs: &[f64; LANES] = vs.try_into().expect("LANES values");
-            count(lower_bounds(boundaries, &self.guide, vs), vs, ls);
+            count(lower_bounds(boundaries, guide, vs), vs, ls);
         }
         let (vs, ls) = (value_lanes.remainder(), label_lanes.remainder());
         if !vs.is_empty() {
             let mut padded = [f64::NAN; LANES];
             padded[..vs.len()].copy_from_slice(vs);
-            count(lower_bounds(boundaries, &self.guide, &padded), vs, ls);
-        }
-    }
-
-    /// Whether [`BucketSet::sub`] of `(v, label)` can proceed without
-    /// underflowing a cell: the bucket count, and the exact boundary count
-    /// when `v` sits on a boundary, must both be positive. Incremental
-    /// deletions check this along the whole routing path *before* mutating
-    /// anything (`NodeCounts::check_sub`).
-    #[inline]
-    pub fn can_sub(&self, v: f64, label: u16) -> bool {
-        let b = self.bucket_of(v);
-        if self.counts[b * self.n_classes + label as usize] == 0 {
-            return false;
-        }
-        if b < self.boundaries.len()
-            && self.boundaries[b] == v
-            && self.at_boundary[b * self.n_classes + label as usize] == 0
-        {
-            return false;
-        }
-        true
-    }
-
-    /// Remove one previously-counted tuple.
-    #[inline]
-    pub fn sub(&mut self, v: f64, label: u16) {
-        let b = self.bucket_of(v);
-        let cell = &mut self.counts[b * self.n_classes + label as usize];
-        debug_assert!(*cell > 0, "BucketSet::sub below zero");
-        *cell -= 1;
-        if b < self.boundaries.len() && self.boundaries[b] == v {
-            let cell = &mut self.at_boundary[b * self.n_classes + label as usize];
-            debug_assert!(*cell > 0, "BucketSet::sub boundary count below zero");
-            *cell -= 1;
+            count(lower_bounds(boundaries, guide, &padded), vs, ls);
         }
     }
 
     /// An empty bucket set with the same boundaries and class count as
-    /// `self`. Shard accumulators in the parallel cleanup scan start from
-    /// this and are later combined with [`BucketSet::merge_from`].
+    /// `self`, sharing them rather than copying. Shard accumulators in the
+    /// cleanup routers start from this and are later combined with
+    /// [`BucketSet::merge_from`].
     pub fn zeroed_like(&self) -> Self {
         BucketSet {
-            boundaries: self.boundaries.clone(),
+            grid: Arc::clone(&self.grid),
             counts: vec![0; self.counts.len()],
             at_boundary: vec![0; self.at_boundary.len()],
             n_classes: self.n_classes,
-            guide: self.guide.clone(),
         }
     }
 
@@ -183,12 +160,7 @@ impl BucketSet {
     pub fn merge_from(&mut self, other: &BucketSet) {
         debug_assert_eq!(self.n_classes, other.n_classes, "BucketSet shape mismatch");
         debug_assert!(
-            self.boundaries.len() == other.boundaries.len()
-                && self
-                    .boundaries
-                    .iter()
-                    .zip(&other.boundaries)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+            Arc::ptr_eq(&self.grid, &other.grid) || self.grid == other.grid,
             "BucketSet boundary mismatch"
         );
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
@@ -196,6 +168,27 @@ impl BucketSet {
         }
         for (a, b) in self.at_boundary.iter_mut().zip(&other.at_boundary) {
             *a += b;
+        }
+    }
+
+    /// Whether every cell of `self` (bucket counts and exact boundary
+    /// counts) is at least the same cell of `other`, which shares its
+    /// boundaries: whether [`BucketSet::subtract`] of `other` leaves every
+    /// cell non-negative.
+    pub fn covers(&self, other: &BucketSet) -> bool {
+        let at_least = |a: &[u64], b: &[u64]| a.iter().zip(b).all(|(a, b)| a >= b);
+        at_least(&self.counts, &other.counts) && at_least(&self.at_boundary, &other.at_boundary)
+    }
+
+    /// Subtract every cell of `other`, which `self` [covers](BucketSet::covers):
+    /// the inverse of [`BucketSet::merge_from`] (incremental deletions).
+    pub fn subtract(&mut self, other: &BucketSet) {
+        debug_assert!(self.covers(other), "BucketSet::subtract below zero");
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+            *a -= b;
+        }
+        for (a, b) in self.at_boundary.iter_mut().zip(&other.at_boundary) {
+            *a -= b;
         }
     }
 
@@ -272,8 +265,8 @@ impl BucketSet {
             stamps[b - 1].clone()
         };
         let mut hi = stamps[b].clone();
-        let exact_upper = (b < self.boundaries.len()).then(|| hi.clone());
-        if b < self.boundaries.len() {
+        let exact_upper = (b < self.grid.boundaries.len()).then(|| hi.clone());
+        if b < self.grid.boundaries.len() {
             for (h, x) in hi.iter_mut().zip(self.boundary_counts(b)) {
                 *h -= x;
             }
@@ -655,16 +648,31 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_roundtrip() {
+    fn subtract_undoes_merge_from_where_covered() {
         let mut b = BucketSet::new(vec![0.0], 2);
-        b.add(-1.0, 0);
-        b.add(1.0, 1);
-        b.add(1.0, 1);
-        assert_eq!(b.bucket_counts(0), &[1, 0]);
+        for (v, label) in [(-1.0, 0), (1.0, 1), (0.0, 1), (-0.5, 1)] {
+            b.add(v, label);
+        }
+        let before = b.clone();
+        let mut delta = b.zeroed_like();
+        delta.add(1.0, 1);
+        delta.add(0.0, 1);
+        assert!(b.covers(&delta));
+        b.merge_from(&delta);
         assert_eq!(b.bucket_counts(1), &[0, 2]);
-        b.sub(1.0, 1);
-        assert_eq!(b.bucket_counts(1), &[0, 1]);
-        assert_eq!(b.totals(), vec![1, 1]);
+        b.subtract(&delta);
+        assert_eq!(b, before);
+        // Bucket 0 holds two class-1 tuples, one of them on the boundary.
+        let mut two_zeros = b.zeroed_like();
+        two_zeros.add(0.0, 1);
+        two_zeros.add(-0.0, 1);
+        assert_eq!(two_zeros.bucket_counts(0)[1], b.bucket_counts(0)[1]);
+        assert!(!b.covers(&two_zeros), "one boundary tuple cannot cover two");
+        let mut three = b.zeroed_like();
+        for _ in 0..3 {
+            three.add(-0.5, 1);
+        }
+        assert!(!b.covers(&three));
     }
 
     /// Count `pairs` into copies of `proto`: one `add` at a time, and with

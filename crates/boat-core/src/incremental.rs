@@ -4,12 +4,19 @@
 //! coarse criteria, category/bucket counts, the parked sets `S_n`, and the
 //! frontier family buffers — so that a new chunk of training data can be
 //! *streamed down the tree exactly as if it were part of the original
-//! cleanup scan*. The verification pass (and any subtree maintenance it
+//! cleanup scan*: an insert or a delete routes its chunk with the fit's
+//! cleanup routers (`WorkTree::route_batch`), on `cleanup_threads` routers
+//! in chunks of `cleanup_chunk_size`, so there is one tuple walk for fits
+//! and updates alike. The routed counts and rows are held until the whole
+//! chunk has routed, then applied at once: an insert adds them, and a
+//! delete, once the model's counts cover the chunk's at every node and each
+//! buffer holds the chunk's rows there, subtracts the counts and removes
+//! the rows. So an update is all or nothing: a malformed record, a failed
+//! read, or a record absent or deleted more often than it is held changes
+//! nothing. The verification pass (and any subtree maintenance it
 //! triggers) runs lazily, when the tree is next requested, so a burst of
 //! chunks pays for verification once. The resulting tree is guaranteed to
 //! be identical to a complete re-build on the modified training database.
-//! Deletions are handled symmetrically, by subtracting from every count and
-//! removing parked/retained records.
 //!
 //! Cost model (matching the paper's §4 discussion): if the chunks come
 //! from the same underlying distribution, every coarse criterion keeps
@@ -27,7 +34,7 @@ use crate::config::BoatConfig;
 use crate::stats::BoatRunStats;
 use crate::work::{Resolution, WorkTree};
 use boat_data::dataset::RecordSource;
-use boat_data::{DataError, Record, Result};
+use boat_data::{DataError, Result};
 use boat_tree::{Gini, Impurity, Tree};
 use std::time::{Duration, Instant};
 
@@ -118,12 +125,16 @@ impl<I: Impurity + Clone> BoatModel<I> {
 
     /// Incorporate a chunk of new training records (one scan over the
     /// chunk; verification is deferred to the next [`BoatModel::tree`]).
+    /// All or nothing: a malformed record or a failed read is an error
+    /// that leaves the model as it was.
     pub fn insert(&mut self, chunk: &dyn RecordSource) -> Result<UpdateReport> {
         self.update(chunk, false)
     }
 
-    /// Remove a chunk of training records (each must be present; one scan
-    /// over the chunk).
+    /// Remove a chunk of training records (one scan over the chunk). All or
+    /// nothing: if a record is absent, or listed more often than the model
+    /// holds it, the call is [`DataError::Invalid`] and leaves the model as
+    /// it was, as does a malformed record or a failed read.
     pub fn delete(&mut self, chunk: &dyn RecordSource) -> Result<UpdateReport> {
         self.update(chunk, true)
     }
@@ -133,80 +144,35 @@ impl<I: Impurity + Clone> BoatModel<I> {
             return Err(DataError::Schema("update chunk schema mismatch".into()));
         }
         let metrics = self.algo.metrics().clone();
-        let span = metrics.span("boat.incremental.update");
+        let _span = metrics.span("boat.incremental.update");
         metrics.counter("boat.incremental.update_chunks").inc();
         let t0 = Instant::now();
-        let mut report = UpdateReport::default();
-        let mut err: Option<DataError> = None;
-        // Every record's shape is checked before its walk moves a counter:
-        // the walk indexes counters by label and category code.
-        let schema = self.work.schema.clone();
-        let checked =
-            |r: Result<Record>| r.and_then(|rec| rec.validate_shape(&schema).map(|()| rec));
+        // The whole chunk routes, and a delete is checked, before anything
+        // changes, so every failure up to `apply` leaves the model as it was.
+        let config = self.algo.config();
+        let batch = self.work.route_batch(
+            chunk,
+            config.effective_cleanup_threads(),
+            config.cleanup_chunk_size,
+        )?;
         if delete {
-            // Deletions go through the batched path: per-record validation
-            // and counter updates are unchanged, but every touched spill
-            // buffer is rewritten once (`remove_many`) instead of once per
-            // deleted record — O(n) instead of O(D·n) spill traffic for a
-            // D-record chunk.
-            let mut victims: Vec<Record> = Vec::new();
-            for r in chunk.scan()? {
-                match checked(r) {
-                    Ok(rec) => victims.push(rec),
-                    Err(e) => {
-                        err = Some(e);
-                        break;
-                    }
-                }
-            }
-            let (applied, batch_err) = self.work.absorb_delete_batch(&victims);
-            report.deleted = applied;
-            // A batch error happened on an earlier record than any scan or
-            // shape error (collecting stopped there), so it wins.
-            err = batch_err.or(err);
-        } else {
-            for r in chunk.scan()? {
-                let rec = match checked(r) {
-                    Ok(rec) => rec,
-                    Err(e) => {
-                        err = Some(e);
-                        break;
-                    }
-                };
-                match self.work.absorb(&rec) {
-                    Ok(()) => report.inserted += 1,
-                    Err(e) => {
-                        err = Some(e);
-                        break;
-                    }
-                }
-            }
+            self.work.check_delete(&batch)?;
         }
-        metrics
-            .counter("boat.incremental.inserts")
-            .add(report.inserted);
-        metrics
-            .counter("boat.incremental.deletes")
-            .add(report.deleted);
-        // Only invalidate the materialized tree when this chunk actually
-        // mutated state. An *empty* chunk (or a validated-delete or shape
-        // failure on the first record, which is a guaranteed no-op) leaves
-        // the tree current — invalidating it anyway would force a full
-        // needless re-verification pass on the next `tree()`.
-        let clean_failure = report.inserted + report.deleted == 0
-            && matches!(
-                err,
-                None | Some(DataError::Invalid(_) | DataError::Schema(_))
-            );
-        if !clean_failure {
+        let n = batch.len();
+        // An empty chunk leaves the tree current: invalidating it anyway
+        // would force a needless verification pass on the next `tree()`.
+        if n > 0 {
             self.tree = None; // maintenance pending
         }
-        report.time = t0.elapsed();
-        span.finish();
-        match err {
-            Some(e) => Err(e),
-            None => Ok(report),
-        }
+        self.work.apply(batch, delete)?;
+        let (inserted, deleted) = if delete { (0, n) } else { (n, 0) };
+        metrics.counter("boat.incremental.inserts").add(inserted);
+        metrics.counter("boat.incremental.deletes").add(deleted);
+        Ok(UpdateReport {
+            inserted,
+            deleted,
+            time: t0.elapsed(),
+        })
     }
 
     /// Run pending maintenance now: one verification pass, then the
@@ -224,9 +190,14 @@ impl<I: Impurity + Clone> BoatModel<I> {
         let imp = self.algo.impurity().clone();
         let limits = self.config().limits;
         let mut stats = BoatRunStats::default();
+        // The phase spans of a fit: one verification pass, then the jobs.
+        let verify_span = metrics.span("boat.phase.verify");
         let jobs = self.work.finalize(&imp, limits)?;
+        verify_span.finish();
+        let rebuild_span = metrics.span("boat.phase.rebuild");
         self.algo
             .execute_jobs(&mut self.work, jobs, None, &mut stats)?;
+        rebuild_span.finish();
         // Jobs *executed*: reusable jobs (grown subtree provably unchanged)
         // are skipped, so this can be below the number of jobs.
         report.regrown_subtrees = stats.jobs_executed;

@@ -20,7 +20,8 @@
 //!    proves no better split exists outside; any detected failure rebuilds
 //!    just the affected subtree, so the output is *always* the exact tree.
 //! 4. **Dynamic maintenance** ([`incremental`]) — the retained state
-//!    absorbs insert/delete chunks in one scan over the chunk, with the
+//!    absorbs insert/delete chunks in one scan over the chunk, routed by
+//!    the cleanup scan's routers and applied all or nothing, with the
 //!    identical-tree guarantee preserved.
 //!
 //! Every run records into a `boat_obs` registry (phase spans, verification

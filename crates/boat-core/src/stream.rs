@@ -319,7 +319,7 @@ pub struct StreamStats {
     /// Staleness-bound violations observed (gated to zero by the bench).
     pub bound_violations: u64,
     /// First absorb/maintain error, if any (the daemon keeps running —
-    /// a failed delete validates to a no-op).
+    /// a failed insert or delete changes nothing).
     pub first_error: Option<String>,
 }
 
@@ -606,9 +606,9 @@ impl<I: Impurity + Clone> Daemon<I> {
                 self.stats.records_deleted += report.deleted;
             }
             Err(e) => {
-                // Deletes of absent records validate to no-ops inside the
-                // model; the tree stays exact for the records that did
-                // apply, so the daemon keeps going and surfaces the error.
+                // A failed op changes nothing in the model (an update is
+                // all or nothing), so the tree stays exact and the daemon
+                // keeps going and surfaces the error.
                 self.metrics.counter("boat.stream.ingest_errors").inc();
                 self.stats.first_error.get_or_insert_with(|| e.to_string());
             }

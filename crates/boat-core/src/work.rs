@@ -19,7 +19,7 @@ use crate::config::BoatConfig;
 use crate::verify::bucket_passes;
 use boat_data::codec::RowLayout;
 use boat_data::spill::SpillBuffer;
-use boat_data::{AttrType, DataError, Fields, Record, RecordChunk, RecordSource, Result, Schema};
+use boat_data::{AttrType, DataError, Fields, RecordChunk, RecordSource, Result, Schema};
 use boat_obs::Registry;
 use boat_tree::split::{best_categorical_split, cmp_splits, sweep_numeric};
 use boat_tree::{
@@ -27,7 +27,6 @@ use boat_tree::{
     SplitSelector, Tree,
 };
 use std::cmp::Ordering;
-use std::collections::btree_map::Entry;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
@@ -63,9 +62,10 @@ impl NodeState {
     }
 }
 
-/// The split statistics of one node. One per-tuple update ([`NodeCounts::add`]
-/// and [`NodeCounts::sub`]) maintains all of them. Every cell is an integer
-/// count, so merging shard copies is exact in any order.
+/// The split statistics of one node. The cleanup routers count tuples into
+/// zeroed copies, which [`NodeCounts::merge_from`] adds into the node's
+/// counts and [`NodeCounts::subtract`] takes out of them for a delete. Every
+/// cell is an integer count, so merging copies is exact in any order.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct NodeCounts {
     /// Per-class totals of tuples that reached this node (`N^i` minus
@@ -121,53 +121,6 @@ impl NodeCounts {
         }
     }
 
-    /// Uncount `r`, which takes `step` at this node. The caller has checked
-    /// [`NodeCounts::check_sub`] first.
-    fn sub(&mut self, r: &Record, step: Step) {
-        let label = r.label();
-        self.class_totals[label as usize] -= 1;
-        for (a, slot) in self.cat.iter_mut().enumerate() {
-            if let Some(avc) = slot {
-                avc.sub(r.cat(a), label);
-            }
-        }
-        for (a, slot) in self.buckets.iter_mut().enumerate() {
-            if let Some(b) = slot {
-                b.sub(r.num(a), label);
-            }
-        }
-        if step == Step::LeftEdge {
-            self.edge_left[label as usize] -= 1;
-        }
-    }
-
-    /// Check, without mutating, that [`NodeCounts::sub`] of `r` would not
-    /// underflow any cell: every cell it decrements must be positive.
-    fn check_sub(&self, r: &Record, step: Step) -> Result<()> {
-        let label = r.label();
-        let missing = |what: &str| Err(DataError::Invalid(format!("deletion of a record {what}")));
-        if self.class_totals[label as usize] == 0 {
-            return missing("not present at a node");
-        }
-        for (a, slot) in self.cat.iter().enumerate() {
-            if slot
-                .as_ref()
-                .is_some_and(|avc| avc.counts_for(r.cat(a))[label as usize] == 0)
-            {
-                return missing("not counted in a node's AVC-set");
-            }
-        }
-        for (a, slot) in self.buckets.iter().enumerate() {
-            if slot.as_ref().is_some_and(|b| !b.can_sub(r.num(a), label)) {
-                return missing("not counted in a node's buckets");
-            }
-        }
-        if step == Step::LeftEdge && self.edge_left[label as usize] == 0 {
-            return missing("not counted at a node's left edge");
-        }
-        Ok(())
-    }
-
     /// Counts of the same shape with every cell zero.
     fn zeroed_like(&self) -> Self {
         NodeCounts::new(
@@ -201,6 +154,54 @@ impl NodeCounts {
                 b.merge_from(o);
             }
         }
+    }
+
+    /// Whether every cell of `self` is at least the same cell of `other`,
+    /// which has the same shape: whether [`NodeCounts::subtract`] of `other`
+    /// leaves every cell non-negative.
+    fn covers(&self, other: &NodeCounts) -> bool {
+        let at_least = |a: &[u64], b: &[u64]| a.iter().zip(b).all(|(a, b)| a >= b);
+        at_least(&self.class_totals, &other.class_totals)
+            && at_least(&self.edge_left, &other.edge_left)
+            && self.cat.iter().zip(&other.cat).all(|(a, b)| match (a, b) {
+                (Some(a), Some(b)) => a.covers(b),
+                _ => true,
+            })
+            && self
+                .buckets
+                .iter()
+                .zip(&other.buckets)
+                .all(|(a, b)| match (a, b) {
+                    (Some(a), Some(b)) => a.covers(b),
+                    _ => true,
+                })
+    }
+
+    /// Subtract every cell of `other`, which `self` [covers](NodeCounts::covers):
+    /// the inverse of [`NodeCounts::merge_from`].
+    fn subtract(&mut self, other: &NodeCounts) {
+        for (a, b) in self.class_totals.iter_mut().zip(&other.class_totals) {
+            *a -= b;
+        }
+        for (a, b) in self.edge_left.iter_mut().zip(&other.edge_left) {
+            *a -= b;
+        }
+        for (slot, other) in self.cat.iter_mut().zip(&other.cat) {
+            if let (Some(avc), Some(o)) = (slot.as_mut(), other.as_ref()) {
+                avc.subtract(o);
+            }
+        }
+        for (slot, other) in self.buckets.iter_mut().zip(&other.buckets) {
+            if let (Some(b), Some(o)) = (slot.as_mut(), other.as_ref()) {
+                b.subtract(o);
+            }
+        }
+    }
+
+    /// Whether the counts hold no tuple. Every tuple a walk visits counts in
+    /// the class totals, so this is whether no walk visited the node.
+    fn is_empty(&self) -> bool {
+        self.class_totals.iter().all(|&c| c == 0)
     }
 }
 
@@ -389,17 +390,16 @@ impl RouteNode {
 /// Routing a row updates the shard only; rows the scan stores in a spill
 /// buffer (parked `S_n` tuples, retained frontier families) are emitted as
 /// *deposits* — the node index as 4 little-endian bytes, then the row —
-/// for the main thread to apply in chunk order. Two invariants make the
-/// reduction exact (see `WorkTree::merge_shard` and
-/// `WorkTree::apply_deposits`):
+/// which the main thread hands on in chunk order. Two invariants make the
+/// reduction exact (see [`WorkTree::route`]):
 ///
 /// * every statistic is an integer count, so shard merges are associative
 ///   and commutative — any merge order is bit-identical to one serial
 ///   accumulation;
-/// * deposits preserve row order within a chunk, and chunks are applied
-///   in ascending index (= serial scan order), so spill-buffer contents
-///   and spill behaviour are byte-identical to [`WorkTree::absorb`] on
-///   every record in scan order.
+/// * deposits preserve row order within a chunk, and chunks are handed on
+///   in ascending index (= serial scan order), so every spill buffer
+///   receives its rows in scan order, at every thread count and chunk
+///   size.
 pub(crate) struct CleanupShard {
     nodes: Vec<NodeCounts>,
     /// Per node with buckets, the rows of the chunk in hand that visited
@@ -509,21 +509,22 @@ struct RoutedChunk {
     deposits: Result<Vec<u8>>,
 }
 
-/// Routed chunks waiting for their turn. Chunk `next` is applied as soon as
-/// it arrives, then every chunk already waiting behind it, so for an
-/// in-order source deposits live only as long as the chunks in flight. An
-/// index that arrives twice fails the scan instead of replacing the
-/// deposits of a chunk whose counts are already in a shard.
+/// Routed chunks waiting for their turn. Chunk `next`'s deposits are handed
+/// on as soon as it arrives, then those of every chunk already waiting
+/// behind it, so for an in-order source deposits wait only as long as the
+/// chunks in flight. An index that arrives twice fails the scan instead of
+/// replacing the deposits of a chunk whose counts are already in a shard.
 #[derive(Default)]
 struct Reorder {
     next: usize,
     waiting: BTreeMap<usize, Result<Vec<u8>>>,
-    /// The first failure in chunk order; nothing is applied after it.
+    /// The first failure in chunk order; nothing is handed on after it.
     error: Option<DataError>,
 }
 
 impl Reorder {
-    fn accept(&mut self, tree: &mut WorkTree, layout: &RowLayout, routed: RoutedChunk) {
+    /// Take `routed`, then hand every chunk whose turn has come to `take`.
+    fn accept(&mut self, routed: RoutedChunk, mut take: impl FnMut(Vec<u8>) -> Result<()>) {
         if self.error.is_some() {
             return;
         }
@@ -538,13 +539,39 @@ impl Reorder {
         }
         while let Some(deposits) = self.waiting.remove(&self.next) {
             self.next += 1;
-            if let Err(e) = deposits.and_then(|d| tree.apply_deposits(layout, &d)) {
+            if let Err(e) = deposits.and_then(&mut take) {
                 self.error = Some(e);
                 self.waiting.clear();
                 return;
             }
         }
     }
+}
+
+/// An update's chunk, routed down the tree but not yet applied
+/// ([`WorkTree::route_batch`]).
+pub(crate) struct Batch {
+    /// Per node, the counts of the batch's tuples that visit it.
+    counts: Vec<NodeCounts>,
+    /// Per node, the encoded rows whose walk stops there, back to back in
+    /// scan order: empty at a node that keeps no buffer.
+    rows: Vec<Vec<u8>>,
+}
+
+impl Batch {
+    /// The records in the batch: every walk starts at the root.
+    pub fn len(&self) -> u64 {
+        self.counts[0].class_totals.iter().sum()
+    }
+}
+
+/// The `(node, row)` pairs of a chunk's deposits, for rows of `width` bytes.
+fn split_deposits(deposits: &[u8], width: usize) -> impl Iterator<Item = (usize, &[u8])> {
+    deposits.chunks_exact(4 + width).map(|deposit| {
+        let (idx, row) = deposit.split_at(4);
+        let idx = u32::from_le_bytes(idx.try_into().expect("4-byte node index"));
+        (idx as usize, row)
+    })
 }
 
 impl WorkTree {
@@ -690,219 +717,49 @@ impl WorkTree {
         }
     }
 
-    /// Stream `r` from the root under the parking rule, handing every node
-    /// on its path, and the step taken there, to `visit`. Returns the node
-    /// where the walk stops: the numeric node whose `S_n` the record parks
-    /// in, or its frontier leaf.
-    fn walk(
-        &mut self,
-        r: &Record,
-        mut visit: impl FnMut(&mut NodeState, Step) -> Result<()>,
-    ) -> Result<usize> {
-        let mut idx = 0usize;
-        loop {
-            let node = &mut self.nodes[idx];
-            let step = Step::of(node.crit.as_ref(), r);
-            visit(&mut node.state, step)?;
-            match step.child(node.left, node.right) {
-                Some(child) => idx = child,
-                None => return Ok(idx),
-            }
-        }
-    }
-
-    /// Stream one inserted tuple down the tree, updating statistics (the
-    /// per-tuple update of the §3.3/§3.5 cleanup scan, applied in place for
-    /// the §4 incremental insert).
-    pub fn absorb(&mut self, r: &Record) -> Result<()> {
-        let end = self.walk(r, |state, step| {
-            state.dirty = true;
-            state.counts.add(r, step);
-            Ok(())
-        })?;
-        match self.nodes[end].state.buffer() {
-            Some(buf) => buf.push(r),
-            None => Ok(()),
-        }
-    }
-
-    /// Stream a whole chunk of deletions down the tree, deferring every
-    /// spill-buffer removal so each buffer is rewritten **once** instead of
-    /// once per deleted record.
-    ///
-    /// Each record is validated along its whole routing path before any
-    /// counter moves. Otherwise deleting a record that was never inserted
-    /// would underflow a `u64` cell several levels down after its ancestors
-    /// were already decremented. A failed delete is therefore a no-op and
-    /// the model stays usable. Membership is counted with one
-    /// [`SpillBuffer::count_matching`] per touched buffer, and
-    /// [`SpillBuffer::remove_many`] leaves each buffer as one-record removals
-    /// in sequence would, so a D-record chunk reads and rewrites each touched
-    /// spilled buffer once (`O(n)`) instead of `D` times (`O(D·n)`).
-    ///
-    /// Returns how many records were fully applied, plus the error that
-    /// stopped the batch (if any). On an error the prefix before the failing
-    /// record is still applied.
-    pub fn absorb_delete_batch(&mut self, records: &[Record]) -> (u64, Option<DataError>) {
-        // Where each record's walk stops, and its place among the records
-        // that stop there. Routing reads only the criteria, which deletions
-        // never change.
-        let mut targets: BTreeMap<usize, Vec<&Record>> = BTreeMap::new();
-        let mut slots = Vec::with_capacity(records.len());
-        for r in records {
-            let end = self
-                .walk(r, |_, _| Ok(()))
-                .expect("a walk that checks nothing cannot fail");
-            let group = targets.entry(end).or_default();
-            slots.push((end, group.len()));
-            group.push(r);
-        }
-        let mut stored: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
-        let mut pending: BTreeMap<usize, Vec<Record>> = BTreeMap::new();
-        let mut applied = 0u64;
-        let mut err: Option<DataError> = None;
-        for (r, &slot) in records.iter().zip(&slots) {
-            match self.delete_deferred(r, slot, &targets, &mut stored, &mut pending) {
-                Ok(()) => applied += 1,
-                Err(e) => {
-                    err = Some(e);
-                    break;
-                }
-            }
-        }
-        // Apply the deferred removals even after a mid-batch error: the
-        // records before the failure already had their counters decremented,
-        // so their buffer entries must go too.
-        if let Err(e) = self.apply_pending_removals(pending) {
-            if err.is_none() {
-                err = Some(e);
-            }
-        }
-        (applied, err)
-    }
-
-    /// One deletion of [`WorkTree::absorb_delete_batch`]: `r` is record
-    /// `slot.1` of those whose walk stops at node `slot.0`, and `targets`
-    /// lists them per node. Validates the whole routing path first. The
-    /// first deletion that reaches a buffer counts the stored copies of all
-    /// of that buffer's targets in one read into `stored`. Membership is
-    /// then checked net of the removals already in `pending`: the buffer
-    /// must hold **more** copies than are earmarked, or a duplicate
-    /// deletion in one chunk would validate against the same stored record
-    /// twice. Then decrements the counters and queues the buffer removal in
-    /// `pending`.
-    fn delete_deferred(
-        &mut self,
-        r: &Record,
-        (end, slot): (usize, usize),
-        targets: &BTreeMap<usize, Vec<&Record>>,
-        stored: &mut BTreeMap<usize, Vec<u64>>,
-        pending: &mut BTreeMap<usize, Vec<Record>>,
-    ) -> Result<()> {
-        // `&mut` walk only because probing a spilled buffer flushes its
-        // writer; validation mutates no statistic.
-        self.walk(r, |state, step| state.counts.check_sub(r, step))?;
-        if let Some(buf) = self.nodes[end].state.buffer() {
-            let copies = match stored.entry(end) {
-                Entry::Occupied(e) => e.into_mut(),
-                Entry::Vacant(e) => e.insert(buf.count_matching(&targets[&end])?),
-            };
-            let held = pending
-                .get(&end)
-                .map_or(0, |queued| queued.iter().filter(|p| *p == r).count() as u64);
-            if copies[slot] <= held {
-                return Err(DataError::Invalid(
-                    "deletion of a record missing from its S_n or frontier family".into(),
-                ));
-            }
-            pending.entry(end).or_default().push(r.clone());
-        }
-        self.walk(r, |state, step| {
-            state.dirty = true;
-            state.counts.sub(r, step);
-            Ok(())
-        })?;
-        Ok(())
-    }
-
-    /// Flush the removals a delete batch queued up: one
-    /// [`SpillBuffer::remove_many`] per touched buffer.
-    fn apply_pending_removals(&mut self, pending: BTreeMap<usize, Vec<Record>>) -> Result<()> {
-        for (idx, targets) in pending {
-            let buf = self.nodes[idx]
-                .state
-                .buffer()
-                .expect("removals are queued only at nodes with a buffer");
-            let removed = buf.remove_many(&targets)?;
-            if removed != targets.len() as u64 {
-                return Err(DataError::Invalid(
-                    "batch delete failed to remove a validated record".into(),
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// Fold one shard's statistics into the tree.
-    ///
-    /// Every statistic is an integer count, so this is exactly associative
-    /// and commutative: merging any number of shards in any order yields
-    /// bit-identical state to a single serial accumulation. Nodes the shard
-    /// visited are marked dirty, as [`WorkTree::absorb`] marks them.
-    fn merge_shard(&mut self, shard: &CleanupShard) {
-        debug_assert_eq!(self.nodes.len(), shard.nodes.len(), "shard shape mismatch");
-        for (node, counts) in self.nodes.iter_mut().zip(&shard.nodes) {
-            // Every visit counts one tuple, so zero totals mean no visit.
-            if counts.class_totals.iter().all(|&c| c == 0) {
-                continue;
-            }
-            node.state.dirty = true;
-            node.state.counts.merge_from(counts);
-        }
-    }
-
-    /// Apply one chunk's spill-bound deposits (parked `S_n` tuples and
-    /// retained frontier-family records) to the shared buffers, copying
-    /// each row's bytes as they are: no row is decoded.
-    ///
-    /// Deposits preserve scan order within a chunk; the caller applies
-    /// chunks in ascending chunk index — i.e. serial scan order — so every
-    /// spill buffer receives its records in exactly the sequence
-    /// [`WorkTree::absorb`] would have pushed them.
-    fn apply_deposits(&mut self, layout: &RowLayout, deposits: &[u8]) -> Result<()> {
-        for deposit in deposits.chunks_exact(4 + layout.width()) {
-            let (idx, row) = deposit.split_at(4);
-            let idx = u32::from_le_bytes(idx.try_into().expect("4-byte node index")) as usize;
-            self.nodes[idx]
-                .state
-                .buffer()
-                .expect("deposits go only to nodes with a buffer")
-                .push_row(row)?;
-        }
-        Ok(())
-    }
-
-    /// The cleanup scan (insertions only).
-    ///
-    /// The main thread drives the sequential chunked scan (I/O stays one
-    /// sequential pass, exactly as the paper requires) and fans
-    /// [`RecordChunk`]s of encoded rows out over a bounded channel to
-    /// `threads` scoped workers (at least one). Each worker checks and
-    /// routes its chunks' rows in place down a private [`CleanupShard`] and
-    /// sends back per-chunk deposits. Between sends the main thread applies
-    /// deposits in ascending chunk index as they become ready; after the
-    /// scan, shard statistics merge in any order (integer sums). The result
-    /// is bit-identical to calling [`WorkTree::absorb`] on every record in
-    /// scan order, at every thread count. A row that fails
-    /// [`RowLayout::check`] fails the scan with [`DataError::Corrupt`]; the
-    /// first such row in scan order is the one reported.
+    /// The cleanup scan: route every row of `source` down the tree and add
+    /// the counts the routers took into the tree's, applying each chunk's
+    /// deposits (parked `S_n` tuples and retained frontier-family records)
+    /// in chunk order as the scan goes. The state is bit-identical at every
+    /// thread count and chunk size.
     pub fn parallel_cleanup(
         &mut self,
         source: &dyn RecordSource,
         threads: usize,
         chunk_size: usize,
     ) -> Result<()> {
-        let threads = threads.max(1);
+        let counts = self.route(source, threads, chunk_size, |tree, deposits| {
+            tree.apply_deposits(&deposits)
+        })?;
+        self.apply_counts(&counts, false);
+        Ok(())
+    }
+
+    /// Route every row of `source` down the tree with the cleanup routers
+    /// and return the counts they took, one per node, summed over routers.
+    /// The tree's counts do not move; each chunk's deposits go to `deposit`
+    /// in chunk order.
+    ///
+    /// The main thread drives the sequential chunked scan (I/O stays one
+    /// sequential pass, exactly as the paper requires) and fans
+    /// [`RecordChunk`]s of encoded rows out over a bounded channel to at
+    /// most `threads` scoped routers (at least one, and no more than the
+    /// source has chunks). Each router checks and routes its chunks' rows in
+    /// place down a private [`CleanupShard`] and sends back per-chunk
+    /// deposits. Between sends the main thread hands on deposits in
+    /// ascending chunk index as they become ready; after the scan, shard
+    /// statistics sum in any order (integer sums). A row that fails
+    /// [`RowLayout::check`] fails the scan with [`DataError::Corrupt`]; the
+    /// first such row in scan order is the one reported.
+    fn route(
+        &mut self,
+        source: &dyn RecordSource,
+        threads: usize,
+        chunk_size: usize,
+        mut deposit: impl FnMut(&mut WorkTree, Vec<u8>) -> Result<()>,
+    ) -> Result<Vec<NodeCounts>> {
+        let chunks = source.len().div_ceil(chunk_size.max(1) as u64);
+        let threads = threads.clamp(1, usize::try_from(chunks).unwrap_or(usize::MAX).max(1));
         // Per-shard accumulation is local (plain u64s); each worker records
         // once at exit, so the histograms describe how route time and
         // queue-wait distribute *across shards* without hot-path atomics.
@@ -912,7 +769,7 @@ impl WorkTree {
         let wait_hist = self.metrics.histogram("boat.cleanup.queue_wait");
         let chunks_counter = self.metrics.counter("boat.cleanup.chunks");
         let routed_counter = self.metrics.counter("boat.cleanup.records_routed");
-        let layout = RowLayout::new(&self.schema);
+        let layout = self.layout.clone();
         let routes: Vec<RouteNode> = self.nodes.iter().map(RouteNode::of).collect();
         let mut shards: Vec<CleanupShard> = (0..threads)
             .map(|_| CleanupShard::new(&self.nodes))
@@ -973,7 +830,7 @@ impl WorkTree {
                 drop(out_tx);
                 // Produce chunks on this thread: the scan itself is a
                 // single sequential pass over the source. After each send,
-                // apply whatever the routers have finished.
+                // hand on whatever the routers have finished.
                 match source.scan_chunks(chunk_size) {
                     Ok(chunks) => {
                         for chunk in chunks {
@@ -989,7 +846,7 @@ impl WorkTree {
                                 }
                             }
                             for routed in out_rx.try_iter() {
-                                order.accept(self, layout, routed);
+                                order.accept(routed, |d| deposit(self, d));
                             }
                             if order.error.is_some() {
                                 break;
@@ -1000,7 +857,7 @@ impl WorkTree {
                 }
                 drop(chunk_tx); // workers drain the channel and exit
                 for routed in out_rx {
-                    order.accept(self, layout, routed);
+                    order.accept(routed, |d| deposit(self, d));
                 }
             });
         }
@@ -1018,10 +875,131 @@ impl WorkTree {
         // Shard order is fixed for good measure, though any order produces
         // identical counts.
         let merge_span = self.metrics.span("boat.cleanup.merge");
-        for shard in &shards {
-            self.merge_shard(shard);
+        let mut shards = shards.into_iter();
+        let mut counts = shards.next().expect("at least one router").nodes;
+        for shard in shards {
+            for (sum, counted) in counts.iter_mut().zip(&shard.nodes) {
+                sum.merge_from(counted);
+            }
         }
         merge_span.finish();
+        Ok(counts)
+    }
+
+    /// Add `counts`, one per node, into the tree's counts, or subtract them
+    /// for a delete, and mark dirty every node where they count a tuple.
+    fn apply_counts(&mut self, counts: &[NodeCounts], delete: bool) {
+        debug_assert_eq!(self.nodes.len(), counts.len(), "counts shape mismatch");
+        for (node, counts) in self.nodes.iter_mut().zip(counts) {
+            if counts.is_empty() {
+                continue;
+            }
+            node.state.dirty = true;
+            if delete {
+                node.state.counts.subtract(counts);
+            } else {
+                node.state.counts.merge_from(counts);
+            }
+        }
+    }
+
+    /// Apply one chunk's deposits to the buffers, copying each row's bytes
+    /// as they are: no row is decoded. The cleanup scan applies chunks in
+    /// ascending chunk index, i.e. scan order.
+    fn apply_deposits(&mut self, deposits: &[u8]) -> Result<()> {
+        for (idx, row) in split_deposits(deposits, self.layout.width()) {
+            self.nodes[idx]
+                .state
+                .buffer()
+                .expect("deposits go only to nodes with a buffer")
+                .push_row(row)?;
+        }
+        Ok(())
+    }
+
+    /// Route the chunk `source` of an update down the tree as the cleanup
+    /// scan routes its input, and hold what it would change: the counts the
+    /// routers took and, per node, the rows whose walk stops there. Nothing
+    /// in the tree changes until [`WorkTree::apply`]; a malformed row or a
+    /// failed read fails the call.
+    pub fn route_batch(
+        &mut self,
+        source: &dyn RecordSource,
+        threads: usize,
+        chunk_size: usize,
+    ) -> Result<Batch> {
+        let width = self.layout.width();
+        let mut rows = vec![Vec::new(); self.nodes.len()];
+        let counts = self.route(source, threads, chunk_size, |_, deposits| {
+            for (idx, row) in split_deposits(&deposits, width) {
+                rows[idx].extend_from_slice(row);
+            }
+            Ok(())
+        })?;
+        Ok(Batch { counts, rows })
+    }
+
+    /// Check that `batch` can be deleted: the tree's counts must cover the
+    /// batch's at every node, cell by cell, and every buffer the batch's
+    /// walks stop at must hold the batch's rows there as a multiset
+    /// ([`SpillBuffer::contains_all`]). Counts only go down in a delete, so
+    /// this holds exactly when deleting the batch's records one at a time,
+    /// in scan order, would find each of them present. A failure is
+    /// [`DataError::Invalid`]. Changes nothing: reading a spilled buffer
+    /// only flushes its writer.
+    pub fn check_delete(&mut self, batch: &Batch) -> Result<()> {
+        let uncovered = (self.nodes.iter().zip(&batch.counts))
+            .position(|(node, counts)| !node.state.counts.covers(counts));
+        if let Some(i) = uncovered {
+            return Err(DataError::Invalid(format!(
+                "deletion of a record not counted at node {i}"
+            )));
+        }
+        for (i, (node, rows)) in self.nodes.iter_mut().zip(&batch.rows).enumerate() {
+            if rows.is_empty() {
+                continue;
+            }
+            let buf = node
+                .state
+                .buffer()
+                .expect("rows stop only at nodes with a buffer");
+            if !buf.contains_all(rows)? {
+                return Err(DataError::Invalid(format!(
+                    "deletion of a record missing from the S_n or frontier family of node {i}"
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Apply a routed `batch`. An insert adds its counts and pushes its rows
+    /// onto their buffers in scan order, which leaves the state routing the
+    /// same rows in the cleanup scan would. A delete, checked first by
+    /// [`WorkTree::check_delete`], subtracts its counts and removes its rows
+    /// with one [`SpillBuffer::remove_many`] per touched buffer: one read
+    /// and one rewrite of a spilled buffer, not one per deleted record, and
+    /// the buffer ends as one-record removals in scan order would leave it.
+    pub fn apply(&mut self, batch: Batch, delete: bool) -> Result<()> {
+        self.apply_counts(&batch.counts, delete);
+        let width = self.layout.width();
+        for (node, rows) in self.nodes.iter_mut().zip(batch.rows) {
+            if rows.is_empty() {
+                continue;
+            }
+            let buf = node
+                .state
+                .buffer()
+                .expect("rows stop only at nodes with a buffer");
+            if !delete {
+                for row in rows.chunks_exact(width) {
+                    buf.push_row(row)?;
+                }
+            } else if buf.remove_many(&rows)? != (rows.len() / width) as u64 {
+                return Err(DataError::Invalid(
+                    "batch delete failed to remove a checked record".into(),
+                ));
+            }
+        }
         Ok(())
     }
 
@@ -1413,7 +1391,7 @@ impl WorkTree {
     }
 
     /// Assert the count-conservation identities that the cleanup scan and
-    /// [`WorkTree::absorb`] maintain at every node:
+    /// every applied update maintain at every node:
     ///
     /// * an internal node's class totals equal its children's totals plus
     ///   the labels of its parked tuples;
@@ -1662,7 +1640,7 @@ fn widen_interval(
 mod tests {
     use super::*;
     use crate::coarse::build_coarse_tree_columnar;
-    use boat_data::{Attribute, Field, MemoryDataset, RecordSource};
+    use boat_data::{Attribute, Field, MemoryDataset, Record, RecordSource};
     use boat_tree::Gini;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1732,14 +1710,30 @@ mod tests {
         }
     }
 
+    /// Run the cleanup scan of `records` on `work`: one router, chunks of
+    /// 64 rows.
+    fn fill(work: &mut WorkTree, records: &[Record]) {
+        let ds = MemoryDataset::new(work.schema.clone(), records.to_vec());
+        work.parallel_cleanup(&ds, 1, 64).unwrap();
+    }
+
+    /// Insert or delete `records` as a maintained model does: route them on
+    /// two routers in chunks of 64 rows, check a delete, then apply.
+    fn update(work: &mut WorkTree, records: &[Record], delete: bool) -> Result<()> {
+        let ds = MemoryDataset::new(work.schema.clone(), records.to_vec());
+        let batch = work.route_batch(&ds, 2, 64)?;
+        if delete {
+            work.check_delete(&batch)?;
+        }
+        work.apply(batch, delete)
+    }
+
     #[test]
-    fn absorb_then_finalize_resolves_a_clean_root() {
+    fn cleanup_then_finalize_resolves_a_clean_root() {
         let records = threshold_records(4000);
         let cfg = small_cfg();
         let mut work = prepared(&records, &cfg);
-        for r in &records {
-            work.absorb(r).unwrap();
-        }
+        fill(&mut work, &records);
         assert_eq!(
             work.nodes[0].state.counts.class_totals.iter().sum::<u64>(),
             4000
@@ -1763,20 +1757,17 @@ mod tests {
     }
 
     #[test]
-    fn absorb_delete_inverts_insert() {
+    fn delete_inverts_insert() {
         let records = threshold_records(1000);
         let cfg = small_cfg();
         let mut work = prepared(&records, &cfg);
-        for r in &records {
-            work.absorb(r).unwrap();
-        }
+        fill(&mut work, &records);
         work.check_invariants();
         let counts_before = work.nodes[0].state.counts.class_totals.clone();
         let extra = rec(333.0, 0);
-        work.absorb(&extra).unwrap();
+        update(&mut work, std::slice::from_ref(&extra), false).unwrap();
         work.check_invariants();
-        let (applied, err) = work.absorb_delete_batch(std::slice::from_ref(&extra));
-        assert_eq!((applied, err.is_none()), (1, true));
+        update(&mut work, std::slice::from_ref(&extra), true).unwrap();
         work.check_invariants();
         assert_eq!(work.nodes[0].state.counts.class_totals, counts_before);
     }
@@ -1813,14 +1804,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_cleanup_state_matches_serial_exactly() {
-        // Rich multi-attribute data (numeric + categorical criteria, parked
-        // buffers, frontier families) — the cleanup scan must leave the
-        // work tree in *identical* state to serial `absorb` at every thread
-        // count.
-        let gen = boat_datagen::GeneratorConfig::new(boat_datagen::LabelFunction::F6).with_seed(77);
-        let records = gen.generate_vec(4_000);
+    /// A fit-like fixture with numeric and categorical criteria, parked
+    /// buffers and frontier families, with a spill budget of 16 records.
+    fn f6_fixture(n: usize, seed: u64) -> (Vec<Record>, MemoryDataset, BoatConfig) {
+        let gen =
+            boat_datagen::GeneratorConfig::new(boat_datagen::LabelFunction::F6).with_seed(seed);
+        let records = gen.generate_vec(n);
         let ds = MemoryDataset::new(gen.schema(), records.clone());
         let cfg = BoatConfig {
             sample_size: 800,
@@ -1828,24 +1817,47 @@ mod tests {
             bootstrap_sample_size: 400,
             in_memory_threshold: 100,
             spill_budget: 16,
-            cleanup_chunk_size: 123, // odd size → ragged final chunk
             seed: 7,
             ..BoatConfig::default()
         };
+        (records, ds, cfg)
+    }
+
+    #[test]
+    fn parallel_cleanup_state_matches_serial_exactly() {
+        // Rich multi-attribute data (numeric + categorical criteria, parked
+        // buffers, frontier families): the cleanup scan must leave the work
+        // tree in *identical* state at every thread count and chunk size to
+        // one router taking one row at a time.
+        let (_, ds, cfg) = f6_fixture(4_000, 77);
         let prepare = || prepare_work(&ds, &cfg, false);
         let mut serial = prepare();
-        for r in &records {
-            serial.absorb(r).unwrap();
-        }
+        serial.parallel_cleanup(&ds, 1, 1).unwrap();
         serial.check_invariants();
         for threads in [1usize, 2, 4, 8] {
-            let mut parallel = prepare();
-            parallel
-                .parallel_cleanup(&ds, threads, cfg.cleanup_chunk_size)
-                .unwrap();
-            parallel.check_invariants();
-            assert_same_state(&mut serial, &mut parallel);
+            // 123 leaves a ragged final chunk; 5 000 is one chunk.
+            for chunk_size in [7usize, 123, 5_000] {
+                let mut parallel = prepare();
+                parallel.parallel_cleanup(&ds, threads, chunk_size).unwrap();
+                parallel.check_invariants();
+                assert_same_state(&mut serial, &mut parallel);
+            }
         }
+    }
+
+    #[test]
+    fn an_insert_batch_leaves_the_state_of_one_cleanup_scan() {
+        let (records, ds, cfg) = f6_fixture(4_000, 78);
+        let mut scanned = prepare_work(&ds, &cfg, true);
+        fill(&mut scanned, &records);
+        let mut updated = prepare_work(&ds, &cfg, true);
+        let (base, rest) = records.split_at(1_500);
+        fill(&mut updated, base);
+        for chunk in rest.chunks(1_000) {
+            update(&mut updated, chunk, false).unwrap();
+            updated.check_invariants();
+        }
+        assert_same_state(&mut scanned, &mut updated);
     }
 
     #[test]
@@ -1889,8 +1901,9 @@ mod tests {
         assert_eq!(shard.nodes[0].class_totals.iter().sum::<u64>(), 300);
     }
 
-    #[test]
-    fn batch_delete_matches_serial_deletes_exactly() {
+    /// A fixture whose every frontier retains its family, filled with the
+    /// cleanup scan of its records, as a maintained model holds it.
+    fn maintained_fixture() -> (Vec<Record>, impl Fn() -> WorkTree) {
         let gen = boat_datagen::GeneratorConfig::new(boat_datagen::LabelFunction::F6).with_seed(79);
         let records = gen.generate_vec(3_000);
         let ds = MemoryDataset::new(gen.schema(), records.clone());
@@ -1903,34 +1916,61 @@ mod tests {
             seed: 11,
             ..BoatConfig::default()
         };
-        let prepare = || {
+        let all = records.clone();
+        let prepare = move || {
             // Retain families so deletes touch family buffers too.
             let mut work = prepare_work(&ds, &cfg, true);
-            for r in &records {
-                work.absorb(r).unwrap();
-            }
+            fill(&mut work, &all);
             work
         };
-        // Delete every 7th record, including a duplicated prefix so the
-        // batch validator must account for already-pending removals.
-        let mut victims: Vec<Record> = records.iter().step_by(7).cloned().collect();
-        victims.extend(records.iter().step_by(7).take(3).cloned());
+        (records, prepare)
+    }
+
+    #[test]
+    fn batch_delete_matches_serial_deletes_exactly() {
+        let (records, prepare) = maintained_fixture();
+        // Delete every 7th record.
+        let victims: Vec<Record> = records.iter().step_by(7).cloned().collect();
         let mut serial = prepare();
-        let mut serial_applied = 0u64;
-        let mut serial_err: Option<DataError> = None;
         for v in &victims {
-            let (applied, err) = serial.absorb_delete_batch(std::slice::from_ref(v));
-            serial_applied += applied;
-            if err.is_some() {
-                serial_err = err;
-                break;
-            }
+            update(&mut serial, std::slice::from_ref(v), true).unwrap();
         }
         let mut batched = prepare();
-        let (batch_applied, batch_err) = batched.absorb_delete_batch(&victims);
-        assert_eq!(serial_applied, batch_applied);
-        assert_eq!(serial_err.is_some(), batch_err.is_some());
+        update(&mut batched, &victims, true).unwrap();
+        batched.check_invariants();
         assert_same_state(&mut serial, &mut batched);
+    }
+
+    /// Assert that deleting `victims` from the fixture fails with
+    /// `DataError::Invalid` and leaves every node as an untouched copy.
+    fn assert_failed_delete_changes_nothing(victims: &[Record]) {
+        let (_, prepare) = maintained_fixture();
+        let mut work = prepare();
+        let err = update(&mut work, victims, true).unwrap_err();
+        assert!(matches!(err, DataError::Invalid(_)), "{err}");
+        work.check_invariants();
+        assert_same_state(&mut prepare(), &mut work);
+    }
+
+    #[test]
+    fn over_deleting_batch_changes_nothing() {
+        let (records, _) = maintained_fixture();
+        // Every 7th record, then the first three of them once more: the
+        // model holds each of them once.
+        let mut victims: Vec<Record> = records.iter().step_by(7).cloned().collect();
+        victims.extend(records.iter().step_by(7).take(3).cloned());
+        assert_failed_delete_changes_nothing(&victims);
+        assert_failed_delete_changes_nothing(&[records[5].clone(), records[5].clone()]);
+    }
+
+    #[test]
+    fn delete_batch_with_an_absent_record_changes_nothing() {
+        let (records, _) = maintained_fixture();
+        let absent = boat_datagen::GeneratorConfig::new(boat_datagen::LabelFunction::F6)
+            .with_seed(4_242)
+            .generate_vec(1);
+        let victims = [records[0].clone(), records[1].clone(), absent[0].clone()];
+        assert_failed_delete_changes_nothing(&victims);
     }
 
     #[test]
@@ -1940,12 +1980,10 @@ mod tests {
         let records: Vec<Record> = (0..500).map(|i| rec((i % 100) as f64, 0)).collect();
         let cfg = small_cfg();
         let mut work = prepared(&records, &cfg);
-        for r in &records {
-            work.absorb(r).unwrap();
-        }
-        let (applied, err) = work.absorb_delete_batch(&[rec(3.0, 1)]);
-        assert_eq!(applied, 0);
-        assert!(err.is_some());
+        fill(&mut work, &records);
+        let err = update(&mut work, &[rec(3.0, 1)], true).unwrap_err();
+        assert!(matches!(err, DataError::Invalid(_)), "{err}");
+        assert_eq!(work.nodes[0].state.counts.class_totals, [500, 0]);
     }
 
     #[test]
@@ -2316,9 +2354,7 @@ mod tests {
             ..BoatConfig::default()
         };
         let mut work = prepare_work(&ds, &cfg, false);
-        for r in &records {
-            work.absorb(r).unwrap();
-        }
+        fill(&mut work, &records);
         let spill_read = |work: &WorkTree| work.metrics.counter("data.spill.records_read").get();
         let read_before = spill_read(&work);
         work.finalize(&Gini, cfg.limits).unwrap();

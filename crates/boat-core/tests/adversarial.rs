@@ -209,19 +209,19 @@ fn delete_everything_then_reinsert() {
 
 /// Malformed records (wrong arity, wrong field type, category code or label
 /// out of range) must fail the update with `DataError::Schema` before any
-/// counter moves. Records ahead of the bad one stay applied, and the model
-/// stays exact over exactly the applied records.
+/// counter moves. An update is all or nothing: the good records in the same
+/// chunk are not applied either, so the model stays exact over its base.
 #[test]
 fn malformed_update_records_are_rejected_before_any_counter_moves() {
     let gen = GeneratorConfig::new(LabelFunction::F2).with_seed(13);
     let schema = gen.schema();
     let all = gen.generate_vec(2_400);
     let (base, extra) = all.split_at(2_000);
-    let mut net = base.to_vec();
     let algo = Boat::new(tiny_config(13));
     let (mut model, _) = algo
-        .fit_model(&MemoryDataset::new(schema.clone(), net.clone()))
+        .fit_model(&MemoryDataset::new(schema.clone(), base.to_vec()))
         .unwrap();
+    let parked = model.parked_tuples();
     let with_field = |r: &Record, a: usize, f: Field| {
         let mut fields = r.fields().to_vec();
         fields[a] = f;
@@ -242,21 +242,20 @@ fn malformed_update_records_are_rejected_before_any_counter_moves() {
             .insert(&MemoryDataset::new(schema.clone(), chunk))
             .unwrap_err();
         assert!(matches!(err, DataError::Schema(_)), "insert {i}: {err:?}");
-        net.extend_from_slice(good);
         model.check_invariants();
         // Delete: one present record, then the bad one.
-        let victim = net.remove(i);
         let err = model
             .delete(&MemoryDataset::new(
                 schema.clone(),
-                vec![victim, bad.clone()],
+                vec![base[i].clone(), bad.clone()],
             ))
             .unwrap_err();
         assert!(matches!(err, DataError::Schema(_)), "delete {i}: {err:?}");
         model.check_invariants();
+        assert_eq!(model.parked_tuples(), parked, "update {i}");
     }
     let reference = reference_tree(
-        &MemoryDataset::new(schema.clone(), net),
+        &MemoryDataset::new(schema.clone(), base.to_vec()),
         Gini,
         GrowthLimits::default(),
     )
@@ -360,9 +359,14 @@ fn model_update_io_error_is_propagated() {
         template: gen.generate_vec(1)[0].clone(),
         metrics: Registry::new(),
     };
+    let tree = model.tree().unwrap().clone();
+    let parked = model.parked_tuples();
     let err = model.insert(&chunk).unwrap_err();
     assert!(err.to_string().contains("chunk truncated"), "{err}");
     model.check_invariants();
+    // The five records read before the error are not applied.
+    assert_eq!(model.parked_tuples(), parked);
+    assert_eq!(model.tree().unwrap(), &tree);
 }
 
 // ---------------------------------------------------------------------------

@@ -176,6 +176,24 @@ fn incremental_counters_track_updates() {
     assert_eq!(update_span.count, 2);
     let maintain_span = snap.histogram("boat.incremental.maintain").unwrap();
     assert_eq!(maintain_span.count, 2);
+
+    // A maintain that has work records a fit's verify and rebuild spans
+    // once each, inside its own span.
+    model.insert(&chunk).unwrap();
+    let before = model.metrics().snapshot();
+    model.maintain().unwrap();
+    let delta = model.metrics().snapshot().since(&before);
+    let span = |name: &str| delta.histogram(name).cloned().unwrap_or_default();
+    let (verify, rebuild) = (span("boat.phase.verify"), span("boat.phase.rebuild"));
+    let maintain = span("boat.incremental.maintain");
+    assert_eq!((verify.count, rebuild.count, maintain.count), (1, 1, 1));
+    assert!(
+        verify.sum + rebuild.sum <= maintain.sum,
+        "verify {} ns + rebuild {} ns > maintain {} ns",
+        verify.sum,
+        rebuild.sum,
+        maintain.sum
+    );
 }
 
 #[test]

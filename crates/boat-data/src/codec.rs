@@ -11,30 +11,37 @@ use crate::record::{Field, Fields, Record};
 use crate::schema::{AttrType, Schema};
 use crate::{DataError, Result};
 
-/// Encode `record` onto the end of `buf`. The record must conform to
-/// `schema` (callers that construct records through validated paths may skip
-/// [`Record::validate`]; the encoder itself checks field *types* only).
+/// Encode `record` onto the end of `buf`. The record must have the shape
+/// of `schema` ([`Record::validate_shape`]: field count and types, category
+/// codes and label in range), or the call is [`DataError::Schema`] and
+/// `buf` is left as it was. Non-finite numeric values are encoded as they
+/// are.
 pub fn encode_into(schema: &Schema, record: &Record, buf: &mut Vec<u8>) -> Result<()> {
-    if record.fields().len() != schema.n_attributes() {
-        return Err(DataError::Schema(format!(
-            "record has {} fields, schema has {}",
-            record.fields().len(),
-            schema.n_attributes()
-        )));
-    }
+    let at = buf.len();
     buf.reserve(schema.record_width());
-    for (i, field) in record.fields().iter().enumerate() {
-        match (schema.attribute(i).ty(), field) {
-            (AttrType::Numeric, Field::Num(v)) => buf.extend_from_slice(&v.to_le_bytes()),
-            (AttrType::Categorical { .. }, Field::Cat(c)) => {
-                buf.extend_from_slice(&c.to_le_bytes())
-            }
-            _ => {
-                return Err(DataError::Schema(format!(
-                    "attribute {i} field type does not match schema"
-                )))
-            }
-        }
+    let fields = record.fields();
+    // One pass checks and writes each field.
+    let fits = fields.len() == schema.n_attributes()
+        && (record.label() as usize) < schema.n_classes()
+        && fields
+            .iter()
+            .enumerate()
+            .all(|(i, field)| match (schema.attribute(i).ty(), field) {
+                (AttrType::Numeric, Field::Num(v)) => {
+                    buf.extend_from_slice(&v.to_le_bytes());
+                    true
+                }
+                (AttrType::Categorical { cardinality }, Field::Cat(c)) if *c < cardinality => {
+                    buf.extend_from_slice(&c.to_le_bytes());
+                    true
+                }
+                _ => false,
+            });
+    if !fits {
+        buf.truncate(at);
+        // The shape check names the field that does not fit.
+        let misfit = record.validate_shape(schema).err();
+        return Err(misfit.unwrap_or_else(|| DataError::Schema("record does not fit".into())));
     }
     buf.extend_from_slice(&record.label().to_le_bytes());
     Ok(())
@@ -186,22 +193,17 @@ impl RowLayout {
         read_label(row)
     }
 
-    /// Whether `row` holds a record equal to `record` as `Record ==`
-    /// compares them: the same label and, field by field, the same category
-    /// code or an `==` numeric value (so `0.0` matches `-0.0` and NaN matches
-    /// nothing). A record whose fields do not fit the schema matches no row.
-    pub fn matches(&self, row: &[u8], record: &Record) -> bool {
-        read_label(row) == record.label()
-            && self.fields.len() == record.fields().len()
-            && self
-                .fields
-                .iter()
-                .zip(record.fields())
-                .all(|(&(off, ty), field)| match (ty, field) {
-                    (AttrType::Numeric, Field::Num(v)) => read_num(row, off) == *v,
-                    (AttrType::Categorical { .. }, Field::Cat(c)) => read_cat(row, off) == *c,
-                    _ => false,
-                })
+    /// Whether rows `a` and `b` hold equal records as `Record ==` compares
+    /// the records they decode to: the same label and, field by field, the
+    /// same category code or an `==` numeric value (so `0.0` matches `-0.0`
+    /// and NaN matches nothing, not even itself). Both rows are
+    /// [`RowLayout::width`] bytes.
+    pub fn matches(&self, a: &[u8], b: &[u8]) -> bool {
+        read_label(a) == read_label(b)
+            && self.fields.iter().all(|&(off, ty)| match ty {
+                AttrType::Numeric => read_num(a, off) == read_num(b, off),
+                AttrType::Categorical { .. } => read_cat(a, off) == read_cat(b, off),
+            })
     }
 
     /// The rows packed back to back in `bytes`, read in place. Every row is
@@ -267,11 +269,11 @@ impl<'a> EncodedRow<'a> {
         self.bytes
     }
 
-    /// Whether the row holds a record equal to `record`
+    /// Whether the row and `other` hold equal records
     /// ([`RowLayout::matches`]).
     #[inline]
-    pub fn matches(&self, record: &Record) -> bool {
-        self.layout.matches(self.bytes, record)
+    pub fn matches(&self, other: &[u8]) -> bool {
+        self.layout.matches(self.bytes, other)
     }
 }
 
@@ -361,27 +363,26 @@ mod tests {
     fn matches_compares_like_record_eq() {
         let s = schema();
         let layout = RowLayout::new(&s);
-        let r = Record::new(vec![Field::Num(-0.0), Field::Cat(7), Field::Num(1e9)], 2);
-        let bytes = encode(&s, &r).unwrap();
-        let pos_zero = Record::new(vec![Field::Num(0.0), Field::Cat(7), Field::Num(1e9)], 2);
-        assert_eq!(pos_zero, r, "Record == treats the zeros as equal");
-        assert!(layout.matches(&bytes, &r));
-        assert!(layout.matches(&bytes, &pos_zero));
-        let other_label = Record::new(vec![Field::Num(0.0), Field::Cat(7), Field::Num(1e9)], 1);
-        let other_cat = Record::new(vec![Field::Num(0.0), Field::Cat(6), Field::Num(1e9)], 2);
-        let wrong_type = Record::new(vec![Field::Cat(0), Field::Cat(7), Field::Num(1e9)], 2);
-        let short = Record::new(vec![Field::Num(0.0)], 2);
-        for miss in [other_label, other_cat, wrong_type, short] {
-            assert!(!layout.matches(&bytes, &miss), "{miss:?}");
+        let row = |nums: [f64; 2], cat: u32, label: u16| {
+            let r = Record::new(
+                vec![Field::Num(nums[0]), Field::Cat(cat), Field::Num(nums[1])],
+                label,
+            );
+            encode(&s, &r).unwrap()
+        };
+        let neg_zero = row([-0.0, 1e9], 7, 2);
+        let pos_zero = row([0.0, 1e9], 7, 2);
+        assert!(layout.matches(&neg_zero, &neg_zero));
+        assert!(layout.matches(&neg_zero, &pos_zero), "0.0 == -0.0");
+        for miss in [
+            row([0.0, 1e9], 7, 1),
+            row([0.0, 1e9], 6, 2),
+            row([0.0, 1.0], 7, 2),
+        ] {
+            assert!(!layout.matches(&pos_zero, &miss));
         }
-        let nan = Record::new(
-            vec![Field::Num(f64::NAN), Field::Cat(7), Field::Num(1e9)],
-            2,
-        );
-        assert!(
-            !layout.matches(&encode(&s, &nan).unwrap(), &nan),
-            "NaN != NaN"
-        );
+        let nan = row([f64::NAN, 1e9], 7, 2);
+        assert!(!layout.matches(&nan, &nan), "NaN != NaN");
     }
 
     #[test]
@@ -409,12 +410,22 @@ mod tests {
     }
 
     #[test]
-    fn encode_rejects_type_mismatch() {
+    fn encode_rejects_records_of_another_shape() {
         let s = schema();
         let r = Record::new(vec![Field::Cat(0), Field::Cat(1), Field::Num(0.0)], 0);
         assert!(encode(&s, &r).is_err());
         let short = Record::new(vec![Field::Num(0.0)], 0);
         assert!(encode(&s, &short).is_err());
+        let bad_code = Record::new(vec![Field::Num(0.0), Field::Cat(10), Field::Num(0.0)], 0);
+        let bad_label = Record::new(vec![Field::Num(0.0), Field::Cat(9), Field::Num(0.0)], 3);
+        let mut buf = vec![1u8];
+        for r in [&r, &short, &bad_code, &bad_label] {
+            assert!(matches!(
+                encode_into(&s, r, &mut buf),
+                Err(DataError::Schema(_))
+            ));
+        }
+        assert_eq!(buf, [1u8], "a refused record leaves no bytes behind");
     }
 
     #[test]

@@ -342,21 +342,58 @@ mod tests {
         );
     }
 
+    /// A source whose chunked scan delivers the first row with its bytes
+    /// from `.1`, overwritten at offset `.2`.
+    struct CorruptFirstRow(MemoryDataset, Vec<u8>, usize);
+
+    impl RecordSource for CorruptFirstRow {
+        fn schema(&self) -> &std::sync::Arc<Schema> {
+            self.0.schema()
+        }
+        fn scan(&self) -> Result<Box<dyn crate::dataset::RecordScan + '_>> {
+            Err(DataError::Invalid("record scan".into()))
+        }
+        fn scan_chunks(
+            &self,
+            chunk_size: usize,
+        ) -> Result<Box<dyn crate::dataset::ChunkScan + '_>> {
+            Ok(Box::new(self.0.scan_chunks(chunk_size)?.map(|c| {
+                c.map(|mut chunk| {
+                    if chunk.index == 0 {
+                        let at = self.2;
+                        chunk.bytes[at..at + self.1.len()].copy_from_slice(&self.1);
+                    }
+                    chunk
+                })
+            })))
+        }
+        fn len(&self) -> u64 {
+            self.0.len()
+        }
+        fn metrics(&self) -> &boat_obs::Registry {
+            self.0.metrics()
+        }
+    }
+
     #[test]
     fn corrupt_taken_row_is_typed() {
-        // The first row of a scan is always taken.
+        // The first row of a scan is always taken. Row layout: x (8
+        // bytes), c (4 bytes), label (2 bytes).
         let schema = Schema::shared(
             vec![Attribute::numeric("x"), Attribute::categorical("c", 3)],
             2,
         )
         .unwrap();
         let good = |i: usize| Record::new(vec![Field::Num(i as f64), Field::Cat(1)], 0);
-        let bad_label = Record::new(vec![Field::Num(0.0), Field::Cat(1)], 2);
-        let bad_cat = Record::new(vec![Field::Num(0.0), Field::Cat(3)], 0);
-        for (bad, what) in [(bad_label, "label"), (bad_cat, "category")] {
-            let mut records: Vec<Record> = (0..20).map(good).collect();
-            records[0] = bad;
-            let ds = MemoryDataset::new(schema.clone(), records);
+        let records: Vec<Record> = (0..20).map(good).collect();
+        let bad_label = (2u16.to_le_bytes().to_vec(), 12);
+        let bad_cat = (3u32.to_le_bytes().to_vec(), 8);
+        for ((bytes, at), what) in [(bad_label, "label"), (bad_cat, "category")] {
+            let ds = CorruptFirstRow(
+                MemoryDataset::new(schema.clone(), records.clone()),
+                bytes,
+                at,
+            );
             let mut rng = StdRng::seed_from_u64(40);
             match reservoir_sample(&ds, 3, &mut rng) {
                 Err(DataError::Corrupt(msg)) => assert!(msg.contains(what), "{msg}"),

@@ -28,8 +28,7 @@
 //! made with, under `data.spill.*`: records and bytes written and read
 //! back, and `spill_events` (files opened on a first overflow).
 
-use crate::codec::{self, EncodedRow, RowLayout};
-use crate::record::Record;
+use crate::codec::{EncodedRow, RowLayout};
 use crate::schema::Schema;
 use crate::{DataError, Result};
 use boat_obs::{Counter, Registry};
@@ -295,21 +294,6 @@ impl SpillBuffer {
         self.dir.clone().unwrap_or_else(std::env::temp_dir)
     }
 
-    /// Append one record, encoded as a row. A record whose fields do not
-    /// have the schema's types is [`DataError::Schema`]; one with an
-    /// out-of-range code or label is refused as by [`SpillBuffer::push_row`].
-    /// A refused record leaves the buffer unchanged.
-    pub fn push(&mut self, record: &Record) -> Result<()> {
-        let at = self.in_mem.len();
-        let encoded = codec::encode_into(&self.schema, record, &mut self.in_mem)
-            .and_then(|()| self.layout.check(&self.in_mem[at..]));
-        if let Err(e) = encoded {
-            self.in_mem.truncate(at);
-            return Err(e);
-        }
-        self.settle(at)
-    }
-
     /// Append one encoded row. The row must pass [`RowLayout::check`], or
     /// the buffer refuses it with [`DataError::Corrupt`].
     pub fn push_row(&mut self, row: &[u8]) -> Result<()> {
@@ -391,28 +375,27 @@ impl SpillBuffer {
         Ok(())
     }
 
-    /// Remove one occurrence per entry of `targets` (multiset semantics:
-    /// a record listed twice is removed twice, if present twice). Returns
-    /// how many records were actually removed.
+    /// Remove one stored row per row of `targets`, the rows back to back
+    /// (multiset semantics: a row listed twice is removed twice, if present
+    /// twice). Returns how many rows were actually removed.
     ///
-    /// Rows are compared to each target field by field
-    /// ([`RowLayout::matches`], so `0.0` matches a stored `-0.0`). A
-    /// matching in-memory row is taken first; otherwise the first matching
-    /// spilled row. The removed row's place is taken by the last row of its
-    /// tier (a swap-remove), so the result — contents and order — is that
-    /// of one-target calls made in sequence.
+    /// Rows are compared field by field ([`RowLayout::matches`], so `0.0`
+    /// matches a stored `-0.0`). A matching in-memory row is taken first;
+    /// otherwise the first matching spilled row. The removed row's place is
+    /// taken by the last row of its tier (a swap-remove), so the result —
+    /// contents and order — is that of one-target calls made in sequence.
     ///
     /// This is the batched form incremental *deletions* go through: a
     /// maintain cycle with `D` deletes would otherwise rewrite the spill
     /// file `D` times (O(D·n) I/O); `remove_many` reads the spilled tier
     /// at most once and rewrites it at most once, regardless of `D`.
-    pub fn remove_many(&mut self, targets: &[Record]) -> Result<u64> {
+    pub fn remove_many(&mut self, targets: &[u8]) -> Result<u64> {
         let width = self.layout.width();
         let mut removed = 0u64;
         // The spilled tier, read on first need.
         let mut spilled: Option<Vec<u8>> = None;
         let mut spilled_dirty = false;
-        for target in targets {
+        for target in targets.chunks_exact(width) {
             if let Some(pos) = self.position(&self.in_mem, target) {
                 swap_remove_row(&mut self.in_mem, pos, width);
                 removed += 1;
@@ -441,26 +424,35 @@ impl SpillBuffer {
     }
 
     /// The index of the first row of `rows` that matches `target`.
-    fn position(&self, rows: &[u8], target: &Record) -> Option<usize> {
+    fn position(&self, rows: &[u8], target: &[u8]) -> Option<usize> {
         rows.chunks_exact(self.layout.width())
             .position(|row| self.layout.matches(row, target))
     }
 
-    /// How many records equal to each of `targets` (by value, as in
-    /// [`SpillBuffer::remove_many`]) the buffer holds, without mutating it:
-    /// one count per target, in order. The spilled tier is read once
-    /// however many targets there are. Used by incremental deletions to
-    /// *validate* a batch of deletes — which may name the same tuple
-    /// several times — before any counter is decremented anywhere in the
-    /// tree.
-    pub fn count_matching(&mut self, targets: &[&Record]) -> Result<Vec<u64>> {
-        let mut counts = vec![0u64; targets.len()];
+    /// Whether [`SpillBuffer::remove_many`] of `targets` would remove every
+    /// one of them: each target must match more stored rows than earlier
+    /// targets match it, so a row listed twice must be stored twice, and a
+    /// row holding NaN (which matches nothing) is never held. Reads the
+    /// spilled tier once and mutates nothing; incremental deletions check a
+    /// whole batch this way before anything in the tree changes.
+    pub fn contains_all(&mut self, targets: &[u8]) -> Result<bool> {
+        let targets: Vec<&[u8]> = targets.chunks_exact(self.layout.width()).collect();
+        let mut copies = vec![0u64; targets.len()];
         self.for_each_row(|row| {
-            for (n, target) in counts.iter_mut().zip(targets) {
+            for (n, target) in copies.iter_mut().zip(&targets) {
                 *n += u64::from(row.matches(target));
             }
         })?;
-        Ok(counts)
+        Ok(targets
+            .iter()
+            .zip(&copies)
+            .enumerate()
+            .all(|(t, (target, &n))| {
+                let earlier = targets[..t]
+                    .iter()
+                    .filter(|e| self.layout.matches(e, target));
+                n > earlier.count() as u64
+            }))
     }
 
     /// Drop all contents (and the temporary file, if any).
@@ -492,9 +484,31 @@ impl std::fmt::Debug for SpillBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::Field;
+    use crate::codec;
+    use crate::record::{Field, Record};
     use crate::schema::Attribute;
     use crate::IoSnapshot;
+
+    /// Pushing a record as its encoded row.
+    trait PushRecord {
+        fn push(&mut self, record: &Record) -> Result<()>;
+    }
+
+    impl PushRecord for SpillBuffer {
+        fn push(&mut self, record: &Record) -> Result<()> {
+            let row = codec::encode(&self.schema, record)?;
+            self.push_row(&row)
+        }
+    }
+
+    /// `records` encoded as rows back to back.
+    fn rows(records: &[Record]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for r in records {
+            codec::encode_into(&schema(), r, &mut out).unwrap();
+        }
+        out
+    }
 
     /// Every record of `b`, decoded, in buffer order.
     fn records(b: &mut SpillBuffer) -> Result<Vec<Record>> {
@@ -584,9 +598,9 @@ mod tests {
             b.push(&rec(i as f64)).unwrap();
         }
         // in_mem = [0,1], spilled = [2,3,4,5]
-        assert_eq!(b.remove_many(&[rec(1.0)]).unwrap(), 1);
-        assert_eq!(b.remove_many(&[rec(4.0)]).unwrap(), 1);
-        assert_eq!(b.remove_many(&[rec(42.0)]).unwrap(), 0);
+        assert_eq!(b.remove_many(&rows(&[rec(1.0)])).unwrap(), 1);
+        assert_eq!(b.remove_many(&rows(&[rec(4.0)])).unwrap(), 1);
+        assert_eq!(b.remove_many(&rows(&[rec(42.0)])).unwrap(), 0);
         let mut xs: Vec<i64> = records(&mut b)
             .unwrap()
             .iter()
@@ -602,7 +616,7 @@ mod tests {
         b.push(&rec(7.0)).unwrap();
         b.push(&rec(7.0)).unwrap();
         b.push(&rec(7.0)).unwrap();
-        assert_eq!(b.remove_many(&[rec(7.0)]).unwrap(), 1);
+        assert_eq!(b.remove_many(&rows(&[rec(7.0)])).unwrap(), 1);
         assert_eq!(b.len(), 2);
     }
 
@@ -617,10 +631,10 @@ mod tests {
         }
         batched.push(&rec(9.0)).unwrap(); // a duplicate, so 9.0 exists twice
         serial.push(&rec(9.0)).unwrap();
-        let n = batched.remove_many(&targets).unwrap();
+        let n = batched.remove_many(&rows(&targets)).unwrap();
         let mut m = 0;
         for t in &targets {
-            m += serial.remove_many(std::slice::from_ref(t)).unwrap();
+            m += serial.remove_many(&rows(std::slice::from_ref(t))).unwrap();
         }
         assert_eq!(n, m);
         assert_eq!(n, 5, "77.0 is absent, everything else present");
@@ -639,7 +653,7 @@ mod tests {
         }
         // in_mem = [0,1,2], spilled = [3,4,5,6,7]: each removed row's place
         // is taken by the last row of its tier.
-        assert_eq!(b.remove_many(&[rec(1.0), rec(4.0)]).unwrap(), 2);
+        assert_eq!(b.remove_many(&rows(&[rec(1.0), rec(4.0)])).unwrap(), 2);
         let xs: Vec<f64> = records(&mut b).unwrap().iter().map(|r| r.num(0)).collect();
         assert_eq!(xs, [0.0, 2.0, 3.0, 7.0, 5.0, 6.0]);
         // The in-memory tier refills before the file grows.
@@ -658,7 +672,7 @@ mod tests {
         }
         let before = metrics.snapshot();
         let targets: Vec<Record> = (0..8).map(|i| rec(i as f64 * 4.0)).collect();
-        assert_eq!(b.remove_many(&targets).unwrap(), 8);
+        assert_eq!(b.remove_many(&rows(&targets)).unwrap(), 8);
         let delta = IoSnapshot::spill(&metrics.snapshot().since(&before));
         // One read (40 rows) + one rewrite of the 32 survivors; eight
         // one-target calls would have rewritten 39+38+…+32 records.
@@ -674,27 +688,40 @@ mod tests {
         for i in 0..5 {
             b.push(&rec(i as f64)).unwrap();
         }
-        assert_eq!(b.remove_many(&[rec(1.0), rec(3.0)]).unwrap(), 2);
+        assert_eq!(b.remove_many(&rows(&[rec(1.0), rec(3.0)])).unwrap(), 2);
         let snap = spill_io(&metrics);
         assert_eq!(snap.records_read + snap.records_written, 0);
         assert_eq!(b.len(), 3);
     }
 
     #[test]
-    fn count_matching_counts_across_tiers() {
+    fn contains_all_counts_copies_across_tiers() {
         let mut b = SpillBuffer::new(schema(), 1, &Registry::new());
         b.push(&rec(7.0)).unwrap(); // in_mem
         b.push(&rec(7.0)).unwrap(); // spilled
         b.push(&rec(3.0)).unwrap();
         b.push(&rec(7.0)).unwrap();
-        let targets = [&rec(7.0), &rec(3.0), &rec(42.0), &rec(7.0)];
-        assert_eq!(b.count_matching(&targets).unwrap(), vec![3, 1, 0, 3]);
-        assert_eq!(b.count_matching(&[]).unwrap(), Vec::<u64>::new());
-        assert_eq!(b.len(), 4, "counting must not mutate");
+        for (targets, held) in [
+            (vec![rec(7.0), rec(3.0), rec(7.0), rec(7.0)], true),
+            (
+                vec![rec(7.0), rec(3.0), rec(7.0), rec(7.0), rec(7.0)],
+                false,
+            ),
+            (vec![rec(3.0), rec(3.0)], false),
+            (vec![rec(42.0)], false),
+            (vec![], true),
+        ] {
+            assert_eq!(
+                b.contains_all(&rows(&targets)).unwrap(),
+                held,
+                "{targets:?}"
+            );
+        }
+        assert_eq!(b.len(), 4, "checking must not mutate");
     }
 
     #[test]
-    fn count_matching_reads_the_spilled_tier_once() {
+    fn contains_all_reads_the_spilled_tier_once() {
         let metrics = Registry::new();
         let mut b = SpillBuffer::new(schema(), 2, &metrics);
         for i in 0..10 {
@@ -702,13 +729,20 @@ mod tests {
         }
         let before = spill_io(&metrics).records_read;
         let targets: Vec<Record> = (0..10).map(|i| rec(i as f64)).collect();
-        let refs: Vec<&Record> = targets.iter().collect();
-        assert_eq!(b.count_matching(&refs).unwrap(), vec![1; 10]);
+        assert!(b.contains_all(&rows(&targets)).unwrap());
         assert_eq!(
             spill_io(&metrics).records_read - before,
             8,
             "one pass over 8 spilled rows"
         );
+    }
+
+    #[test]
+    fn a_row_holding_nan_is_never_contained() {
+        let mut b = SpillBuffer::new(schema(), 4, &Registry::new());
+        b.push(&rec(f64::NAN)).unwrap();
+        assert!(!b.contains_all(&rows(&[rec(f64::NAN)])).unwrap());
+        assert_eq!(b.remove_many(&rows(&[rec(f64::NAN)])).unwrap(), 0);
     }
 
     #[test]
@@ -766,17 +800,15 @@ mod tests {
     }
 
     #[test]
-    fn count_matching_is_non_destructive() {
+    fn contains_all_is_non_destructive() {
         let mut b = SpillBuffer::new(schema(), 2, &Registry::new());
         for i in 0..6 {
             b.push(&rec(i as f64)).unwrap();
         }
         // in_mem = [0,1], spilled = [2,3,4,5]
-        let counts = b
-            .count_matching(&[&rec(1.0), &rec(4.0), &rec(42.0)])
-            .unwrap();
-        assert_eq!(counts, vec![1, 1, 0]);
-        assert_eq!(b.len(), 6, "count_matching must not remove anything");
+        assert!(b.contains_all(&rows(&[rec(1.0), rec(4.0)])).unwrap());
+        assert!(!b.contains_all(&rows(&[rec(1.0), rec(42.0)])).unwrap());
+        assert_eq!(b.len(), 6, "contains_all must not remove anything");
         // Buffer still fully usable after probing the spilled region.
         b.push(&rec(6.0)).unwrap();
         assert_eq!(records(&mut b).unwrap().len(), 7);
@@ -825,12 +857,13 @@ mod tests {
             "{what}: for_each_row"
         );
         let probe = Record::new(vec![Field::Num(0.0), Field::Cat(0)], 0);
+        let probe = codec::encode(&b.schema, &probe).unwrap();
         assert!(
-            matches!(b.count_matching(&[&probe]), Err(DataError::Corrupt(_))),
-            "{what}: count_matching"
+            matches!(b.contains_all(&probe), Err(DataError::Corrupt(_))),
+            "{what}: contains_all"
         );
         assert!(
-            matches!(b.remove_many(&[probe]), Err(DataError::Corrupt(_))),
+            matches!(b.remove_many(&probe), Err(DataError::Corrupt(_))),
             "{what}: remove_many"
         );
     }
@@ -857,14 +890,13 @@ mod tests {
     }
 
     #[test]
-    fn push_refuses_records_that_do_not_fit_the_schema() {
+    fn push_row_refuses_rows_that_do_not_fit_the_schema() {
         for budget in [0, 4] {
             let mut b = spilled_cat_rows(0);
             b.mem_budget = budget;
-            let wrong_type = Record::new(vec![Field::Cat(0), Field::Cat(0)], 0);
-            assert!(matches!(b.push(&wrong_type), Err(DataError::Schema(_))));
-            let bad_code = Record::new(vec![Field::Num(0.0), Field::Cat(4)], 0);
-            assert!(matches!(b.push(&bad_code), Err(DataError::Corrupt(_))));
+            let mut row = [0u8; 14];
+            row[8..12].copy_from_slice(&4u32.to_le_bytes());
+            assert!(matches!(b.push_row(&row), Err(DataError::Corrupt(_))));
             let mut row = [0u8; 14];
             row[12..].copy_from_slice(&3u16.to_le_bytes());
             assert!(matches!(b.push_row(&row), Err(DataError::Corrupt(_))));
@@ -880,8 +912,12 @@ mod tests {
             let mut b = SpillBuffer::new(schema(), budget, &Registry::new());
             b.push(&rec(-0.0)).unwrap();
             b.push(&rec(1.0)).unwrap();
-            assert_eq!(b.count_matching(&[&rec(0.0)]).unwrap(), vec![1]);
-            assert_eq!(b.remove_many(&[rec(0.0)]).unwrap(), 1, "budget {budget}");
+            assert!(b.contains_all(&rows(&[rec(0.0)])).unwrap());
+            assert_eq!(
+                b.remove_many(&rows(&[rec(0.0)])).unwrap(),
+                1,
+                "budget {budget}"
+            );
             assert_eq!(records(&mut b).unwrap(), vec![rec(1.0)]);
         }
     }

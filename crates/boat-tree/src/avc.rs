@@ -94,14 +94,6 @@ impl CatAvc {
         self.counts[cat as usize * self.n_classes + label as usize] += weight;
     }
 
-    /// Remove one previously-counted tuple (incremental deletions).
-    #[inline]
-    pub fn sub(&mut self, cat: u32, label: u16) {
-        let cell = &mut self.counts[cat as usize * self.n_classes + label as usize];
-        debug_assert!(*cell > 0, "CatAvc::sub below zero");
-        *cell -= 1;
-    }
-
     /// The per-class counts of one category.
     #[inline]
     pub fn counts_for(&self, cat: u32) -> &[u64] {
@@ -151,6 +143,22 @@ impl CatAvc {
             *a += b;
         }
     }
+
+    /// Whether every cell of `self` is at least the same cell of `other`,
+    /// which has the same shape: whether [`CatAvc::subtract`] of `other`
+    /// leaves every cell non-negative.
+    pub fn covers(&self, other: &CatAvc) -> bool {
+        self.counts.iter().zip(&other.counts).all(|(a, b)| a >= b)
+    }
+
+    /// Subtract every cell of `other`, which `self` [covers](CatAvc::covers):
+    /// the inverse of [`CatAvc::merge_from`] (incremental deletions).
+    pub fn subtract(&mut self, other: &CatAvc) {
+        debug_assert!(self.covers(other), "CatAvc::subtract below zero");
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+            *a -= b;
+        }
+    }
 }
 
 /// AVC-set of a numeric attribute: per-(distinct value, class) counts, value
@@ -176,21 +184,6 @@ impl NumAvc {
         self.map
             .entry(OrdF64(fold_zero(v)))
             .or_insert_with(|| vec![0; self.n_classes])[label as usize] += 1;
-    }
-
-    /// Remove one previously-counted tuple; drops the entry when its counts
-    /// reach zero (so `n_entries` reflects live distinct values).
-    pub fn sub(&mut self, v: f64, label: u16) {
-        let v = fold_zero(v);
-        let entry = self
-            .map
-            .get_mut(&OrdF64(v))
-            .expect("NumAvc::sub of unseen value");
-        debug_assert!(entry[label as usize] > 0, "NumAvc::sub below zero");
-        entry[label as usize] -= 1;
-        if entry.iter().all(|&c| c == 0) {
-            self.map.remove(&OrdF64(v));
-        }
     }
 
     /// Distinct values in ascending order with their per-class counts.
@@ -307,18 +300,6 @@ impl AvcGroup {
         }
     }
 
-    /// Remove one previously-counted record.
-    pub fn sub_record(&mut self, r: &Record) {
-        debug_assert!(self.class_totals[r.label() as usize] > 0);
-        self.class_totals[r.label() as usize] -= 1;
-        for (i, avc) in self.attrs.iter_mut().enumerate() {
-            match avc {
-                AttrAvc::Num(a) => a.sub(r.num(i), r.label()),
-                AttrAvc::Cat(a) => a.sub(r.cat(i), r.label()),
-            }
-        }
-    }
-
     /// Per-class totals of the counted records (the paper's `N^i`).
     pub fn class_totals(&self) -> &[u64] {
         &self.class_totals
@@ -393,28 +374,6 @@ mod tests {
     }
 
     #[test]
-    fn sub_record_inverts_add() {
-        let s = schema();
-        let rs = vec![rec(1.0, 0, 0), rec(2.0, 1, 1), rec(2.0, 1, 1)];
-        let mut g = AvcGroup::from_records(&s, &rs);
-        let baseline = AvcGroup::from_records(&s, &rs[..2]);
-        g.sub_record(&rs[2]);
-        assert_eq!(g, baseline);
-    }
-
-    #[test]
-    fn num_avc_drops_empty_entries() {
-        let mut a = NumAvc::new(2);
-        a.add(5.0, 0);
-        a.add(5.0, 1);
-        assert_eq!(a.n_distinct(), 1);
-        a.sub(5.0, 0);
-        assert_eq!(a.n_distinct(), 1);
-        a.sub(5.0, 1);
-        assert_eq!(a.n_distinct(), 0);
-    }
-
-    #[test]
     fn num_avc_iterates_in_value_order() {
         let mut a = NumAvc::new(2);
         for v in [3.0, -1.0, 2.5, -1.0] {
@@ -440,8 +399,27 @@ mod tests {
         a.add(1, 0);
         a.add(3, 1);
         assert_eq!(a.observed(), CatSet::from_iter([1, 3]));
-        a.sub(3, 1);
+        let mut one = CatAvc::new(4, 2);
+        one.add(3, 1);
+        a.subtract(&one);
         assert_eq!(a.observed(), CatSet::from_iter([1]));
+    }
+
+    #[test]
+    fn subtract_undoes_merge_from_where_covered() {
+        let mut a = CatAvc::new(3, 2);
+        a.add(0, 0);
+        a.add(2, 1);
+        let before = a.clone();
+        let mut b = CatAvc::new(3, 2);
+        b.add(2, 1);
+        b.add(2, 1);
+        assert!(!a.covers(&b), "one (2, 1) tuple cannot cover two");
+        a.merge_from(&b);
+        assert!(a.covers(&b));
+        a.subtract(&b);
+        assert_eq!(a, before);
+        assert!(a.covers(&CatAvc::new(3, 2)));
     }
 
     #[test]
